@@ -3,16 +3,34 @@
 // SchedOptions::saRestarts independent chains, pooled through the shared
 // support::parallelFor layer when parallelThreads != 1, with a
 // deterministic ladder-order selection of the best chain.
+//
+// A move is evaluated as a makespan only: the communication table and the
+// HEFT priority order depend on the context alone, so they are built once
+// per run, and each chain re-places its assignment on one reusable
+// ListPlacer. The chain loop allocates nothing.
 #include <cmath>
 
 #include "sched/list_placement.h"
 #include "sched/policy.h"
+#include "support/metrics.h"
 #include "support/parallel.h"
 #include "support/rng.h"
 
 namespace argo::sched {
 
 namespace {
+
+support::MetricCounter& movesCounter() {
+  static support::MetricCounter& counter =
+      support::MetricsRegistry::global().counter("sched.anneal.moves");
+  return counter;
+}
+
+support::MetricCounter& acceptedCounter() {
+  static support::MetricCounter& counter =
+      support::MetricsRegistry::global().counter("sched.anneal.accepted");
+  return counter;
+}
 
 class AnnealedPolicy final : public SchedulingPolicy {
  public:
@@ -22,8 +40,11 @@ class AnnealedPolicy final : public SchedulingPolicy {
 
   [[nodiscard]] Schedule run(const SchedContext& ctx,
                              const SchedOptions& options) const override {
-    Schedule seed = detail::listSchedule(ctx, options.interferenceAware,
+    const detail::CommTable comm(ctx);
+    Schedule seed = detail::listSchedule(ctx, comm, options.interferenceAware,
                                          std::string(name()));
+    const std::vector<int> order =
+        detail::priorityOrder(detail::upwardRanks(ctx, comm));
     const std::size_t n = ctx.graph.tasks.size();
     std::vector<int> seedAssignment(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -38,6 +59,8 @@ class AnnealedPolicy final : public SchedulingPolicy {
     struct ChainResult {
       Cycles makespan = 0;
       std::vector<int> assignment;
+      std::uint64_t moves = 0;     ///< assignments evaluated
+      std::uint64_t accepted = 0;  ///< of those, accepted
     };
     const auto runChain = [&](std::uint64_t chainSeed) {
       ChainResult out;
@@ -45,6 +68,7 @@ class AnnealedPolicy final : public SchedulingPolicy {
       out.assignment = seedAssignment;
       std::vector<int> assignment = seedAssignment;
       Cycles current = seed.makespan;
+      detail::ListPlacer placer(ctx, comm, options.interferenceAware);
 
       support::Rng rng(chainSeed);
       double temperature =
@@ -60,18 +84,19 @@ class AnnealedPolicy final : public SchedulingPolicy {
             static_cast<int>(rng.uniformInt(0, ctx.cores - 1));
         if (newTile == oldTile) continue;
         assignment[task] = newTile;
-        const Schedule candidate = detail::scheduleWithAssignment(
-            ctx, assignment, options.interferenceAware, std::string(name()));
-        const double delta = static_cast<double>(candidate.makespan) -
+        const Cycles candidate = placer.placeAssignment(order, assignment);
+        ++out.moves;
+        const double delta = static_cast<double>(candidate) -
                              static_cast<double>(current);
         const bool accept =
             delta <= 0.0 ||
             rng.uniformDouble() <
                 std::exp(-delta / std::max(1.0, temperature));
         if (accept) {
-          current = candidate.makespan;
-          if (candidate.makespan < out.makespan) {
-            out.makespan = candidate.makespan;
+          ++out.accepted;
+          current = candidate;
+          if (candidate < out.makespan) {
+            out.makespan = candidate;
             out.assignment = assignment;
           }
         } else {
@@ -96,18 +121,23 @@ class AnnealedPolicy final : public SchedulingPolicy {
 
     Cycles bestMakespan = seed.makespan;
     const std::vector<int>* best = &seedAssignment;
+    std::uint64_t moves = 0;
+    std::uint64_t accepted = 0;
     for (const ChainResult& chain : chains) {
+      moves += chain.moves;
+      accepted += chain.accepted;
       if (chain.makespan < bestMakespan) {
         bestMakespan = chain.makespan;
         best = &chain.assignment;
       }
     }
+    movesCounter().add(moves);
+    acceptedCounter().add(accepted);
 
-    Schedule result = detail::scheduleWithAssignment(
-        ctx, *best, options.interferenceAware, std::string(name()));
+    detail::ListPlacer placer(ctx, comm, options.interferenceAware);
     // Annealing never returns something worse than its seed.
-    if (result.makespan > seed.makespan) return seed;
-    return result;
+    if (placer.placeAssignment(order, *best) > seed.makespan) return seed;
+    return placer.finish(std::string(name()));
   }
 };
 

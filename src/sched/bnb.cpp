@@ -1,12 +1,14 @@
 #include "sched/bnb.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <numeric>
 #include <utility>
 
 #include "sched/list_placement.h"
 #include "sched/policy.h"
+#include "support/metrics.h"
 #include "support/parallel.h"
 #include "support/shared_incumbent.h"
 
@@ -18,13 +20,19 @@ namespace {
 // Why the pooled search is bit-identical to the classic sequential DFS
 // ---------------------------------------------------------------------------
 //
-// The classic search is a single depth-first stack: children are generated
-// in (task ascending, tile ascending) order and pushed, so subtrees are
-// explored newest-first; a node is pruned when its admissible lower bound
-// `lb` reaches the best complete makespan seen so far (strict improvements
-// only), which starts at the HEFT seed. Its result is the *first complete
-// schedule, in that traversal order, attaining the search-space optimum*
-// (or the seed incumbent when nothing beats it).
+// The classic search is a depth-first traversal: a node's children are
+// generated in (task ascending, tile ascending) order, keeping those whose
+// makespan stays below the bound in force at that moment, and visited in
+// the reverse of that order, newest first — the order an explicit stack
+// of pushed children pops them in. The search recurses into each child in
+// turn on one frame, applying the child's placement and undoing it on
+// return; a child list, once generated, is not re-filtered as the bound
+// drops, exactly like children already sitting on a stack. A node is
+// pruned when its admissible lower bound `lb` reaches the best complete
+// makespan seen so far (strict improvements only), which starts at the
+// HEFT seed. Its result is the *first complete schedule, in that traversal
+// order, attaining the search-space optimum* (or the seed incumbent when
+// nothing beats it).
 //
 // The split search partitions the same tree at a frontier depth d: every
 // surviving node with d placed tasks becomes the root of an independent
@@ -34,15 +42,15 @@ namespace {
 //  1. *Ladder order equals classic visit order.* The frontier is generated
 //     level by level, children appended in (task, tile) ascending order,
 //     which lists the depth-d nodes in ascending lexicographic order of
-//     their construction paths; the classic stack visits them in exactly
-//     the reverse order (descending, newest-first). Reversing the list and
-//     reducing the per-subtree results in ladder order (strict `<`, first
-//     optimum wins) therefore selects the same subtree whose first-in-DFS
-//     attainer the classic search would have kept. Frontier generation
-//     prunes only against the fixed seed bound; nodes the classic search
-//     would additionally prune with its evolving bound have subtree minima
-//     no smaller than some earlier-in-ladder subtree's result, so the
-//     ladder never selects them either.
+//     their construction paths; the classic traversal visits them in
+//     exactly the reverse order (descending, newest-first). Reversing the
+//     list and reducing the per-subtree results in ladder order (strict
+//     `<`, first optimum wins) therefore selects the same subtree whose
+//     first-in-DFS attainer the classic search would have kept. Frontier
+//     generation prunes only against the fixed seed bound; nodes the
+//     classic search would additionally prune with its evolving bound have
+//     subtree minima no smaller than some earlier-in-ladder subtree's
+//     result, so the ladder never selects them either.
 //
 //  2. *Subtree results depend only on local, deterministic state.* Each
 //     subtree records a schedule only when it strictly improves on its own
@@ -74,17 +82,33 @@ namespace {
 // exhausted budget depends on how much the racy bound pruned. A search
 // that exhausts any budget reports policy "branch_and_bound(budget)" and
 // guarantees validity and seed-quality, not cross-thread-count
-// bit-identity. The determinism suite (tests/bnb_test.cpp) pins both
-// behaviours.
+// bit-identity. Every visited node — leaf, pruned or expanded — costs one
+// unit, so a single-threaded search is cut at the same node whatever its
+// frame representation. The determinism suite (tests/bnb_test.cpp) pins
+// both behaviours, and the budget path's exact results.
 // ---------------------------------------------------------------------------
+
+support::MetricCounter& nodesCounter() {
+  static support::MetricCounter& counter =
+      support::MetricsRegistry::global().counter("sched.bnb.nodes");
+  return counter;
+}
+
+support::MetricCounter& budgetExhaustedCounter() {
+  static support::MetricCounter& counter =
+      support::MetricsRegistry::global().counter(
+          "sched.bnb.budget_exhausted");
+  return counter;
+}
 
 /// Immutable per-search facts shared by frontier generation and every
 /// subtree.
 struct SearchContext {
   const SchedContext& ctx;
-  detail::EdgeIndex edges;
+  const detail::CommTable& comm;
   std::vector<Cycles> cp;    ///< remaining critical path per task
   std::vector<Cycles> minW;  ///< min WCET over tiles per task
+  std::vector<std::uint32_t> predMask;  ///< predecessors of each task
   std::size_t n = 0;
   std::uint32_t allDone = 0;
 };
@@ -96,6 +120,32 @@ struct Frame {
   std::uint32_t done = 0;  ///< bitmask of scheduled tasks
   Cycles makespan = 0;
   Cycles workLeft = 0;
+
+  /// What apply() overwrites beyond what undo() can recompute.
+  struct Saved {
+    Cycles tileAvail;
+    Cycles makespan;
+  };
+
+  Saved apply(const Placement& move, Cycles minWork) {
+    const std::size_t tile = static_cast<std::size_t>(move.tile);
+    const Saved saved{tileAvail[tile], makespan};
+    placements[static_cast<std::size_t>(move.task)] = move;
+    tileAvail[tile] = move.finish;
+    done |= 1u << move.task;
+    makespan = std::max(makespan, move.finish);
+    workLeft -= minWork;
+    return saved;
+  }
+
+  /// Reverts apply(move). The task's stale placement stays behind; it is
+  /// never read while the task is not in `done`.
+  void undo(const Placement& move, Saved saved, Cycles minWork) {
+    tileAvail[static_cast<std::size_t>(move.tile)] = saved.tileAvail;
+    done &= ~(1u << move.task);
+    makespan = saved.makespan;
+    workLeft += minWork;
+  }
 };
 
 /// Remaining critical path per task (min-WCET weights, no communication):
@@ -147,39 +197,40 @@ Cycles lowerBound(const SearchContext& sc, const Frame& frame) {
   return lb;
 }
 
-/// Generates the children of `frame` in (task ascending, tile ascending)
-/// order — the one order every part of the search shares — and hands each
-/// child whose makespan stays strictly below `pushBound` to `push`.
-template <typename Push>
-void expandChildren(const SearchContext& sc, const Frame& frame,
-                    Cycles pushBound, Push&& push) {
+/// Writes the children of `frame` to `moves` in (task ascending, tile
+/// ascending) order — the one order every part of the search shares —
+/// keeping each child whose makespan stays strictly below `pushBound`, and
+/// returns how many it wrote. `moves` must hold (unplaced tasks) x cores
+/// entries; `est` is scratch for cores entries.
+std::size_t expandChildren(const SearchContext& sc, const Frame& frame,
+                           Cycles pushBound, Placement* moves, Cycles* est) {
+  const std::size_t cores = static_cast<std::size_t>(sc.ctx.cores);
+  std::size_t count = 0;
   for (std::size_t task = 0; task < sc.n; ++task) {
-    if ((frame.done & (1u << task)) != 0) continue;
-    bool ready = true;
-    for (int p : sc.ctx.pred[task]) {
-      if ((frame.done & (1u << p)) == 0) {
-        ready = false;
-        break;
+    const std::uint32_t preds = sc.predMask[task];
+    if ((frame.done & (1u << task)) != 0 || (frame.done & preds) != preds) {
+      continue;
+    }
+    // Earliest start on every tile: its availability, then each placed
+    // predecessor's finish plus the transfer from that predecessor's tile.
+    std::copy_n(frame.tileAvail.begin(), cores, est);
+    const std::vector<int>& pred = sc.ctx.pred[task];
+    for (std::size_t j = 0; j < pred.size(); ++j) {
+      const Placement& pp = frame.placements[static_cast<std::size_t>(pred[j])];
+      const Cycles* comm =
+          sc.comm.predRow(static_cast<int>(task), j, pp.tile);
+      for (std::size_t tile = 0; tile < cores; ++tile) {
+        est[tile] = std::max(est[tile], pp.finish + comm[tile]);
       }
     }
-    if (!ready) continue;
 
+    const std::vector<Cycles>& wcet = sc.ctx.timings[task].wcetByTile;
     Cycles prevAvail = -1;
     Cycles prevEst = -1;
     Cycles prevCost = -1;
-    for (int tile = 0; tile < sc.ctx.cores; ++tile) {
-      const Cycles avail = frame.tileAvail[static_cast<std::size_t>(tile)];
-      Cycles est = avail;
-      for (int p : sc.ctx.pred[task]) {
-        const htg::Dep* dep = sc.edges.find(p, static_cast<int>(task));
-        const Placement& pp = frame.placements[static_cast<std::size_t>(p)];
-        const Cycles comm =
-            dep == nullptr ? 0
-                           : commCost(sc.ctx.platform, *dep, pp.tile, tile);
-        est = std::max(est, pp.finish + comm);
-      }
-      const Cycles cost =
-          sc.ctx.timings[task].wcetByTile[static_cast<std::size_t>(tile)];
+    for (std::size_t tile = 0; tile < cores; ++tile) {
+      const Cycles avail = frame.tileAvail[tile];
+      const Cycles cost = wcet[tile];
       // Symmetry breaking: a tile this frame cannot tell apart from the
       // previous one — same availability, same earliest start (which folds
       // in cross-tile communication from every placed predecessor), same
@@ -189,27 +240,20 @@ void expandChildren(const SearchContext& sc, const Frame& frame,
       // topology-asymmetric platforms the search is exact only up to this
       // tile symmetry; on bus platforms (uniform transfer costs) it is
       // exact outright.
-      if (avail == prevAvail && est == prevEst && cost == prevCost) {
+      if (avail == prevAvail && est[tile] == prevEst && cost == prevCost) {
         continue;
       }
       prevAvail = avail;
-      prevEst = est;
+      prevEst = est[tile];
       prevCost = cost;
-
-      Frame child = frame;
-      Placement p;
-      p.task = static_cast<int>(task);
-      p.tile = tile;
-      p.start = est;
-      p.finish = est + cost;
-      child.placements[task] = p;
-      child.tileAvail[static_cast<std::size_t>(tile)] = p.finish;
-      child.done |= (1u << task);
-      child.makespan = std::max(child.makespan, p.finish);
-      child.workLeft -= sc.minW[task];
-      if (child.makespan < pushBound) push(std::move(child));
+      const Cycles finish = est[tile] + cost;
+      if (std::max(frame.makespan, finish) < pushBound) {
+        moves[count++] = Placement{static_cast<int>(task),
+                                   static_cast<int>(tile), est[tile], finish};
+      }
     }
   }
+  return count;
 }
 
 /// What one subtree reports back for the ladder-order reduction. Only
@@ -218,47 +262,62 @@ void expandChildren(const SearchContext& sc, const Frame& frame,
 struct SubtreeResult {
   Cycles makespan = std::numeric_limits<Cycles>::max();
   std::vector<Placement> placements;
-  std::int64_t expanded = 0;
+  std::int64_t expanded = 0;  ///< nodes visited, charged to the budget
   bool exhausted = false;
   [[nodiscard]] bool improved() const noexcept { return !placements.empty(); }
 };
 
-/// Classic DFS over one subtree. With `root` = the whole tree and `budget`
-/// = the full node budget this *is* the classic sequential search; the
-/// shared incumbent then only ever holds this searcher's own bound, so the
-/// `lb > shared` check is subsumed by `lb >= localBest`.
-SubtreeResult searchSubtree(const SearchContext& sc, Frame root,
+/// Classic DFS over one subtree, in place on one frame. With `root` = the
+/// whole tree and `budget` = the full node budget this *is* the classic
+/// sequential search; the shared incumbent then only ever holds this
+/// searcher's own bound, so the `lb > shared` check is subsumed by
+/// `lb >= localBest`.
+SubtreeResult searchSubtree(const SearchContext& sc, Frame frame,
                             Cycles seedBound, std::int64_t budget,
                             support::SharedIncumbent& shared) {
   SubtreeResult out;
   Cycles localBest = seedBound;
-  std::vector<Frame> stack;
-  stack.push_back(std::move(root));
-  while (!stack.empty()) {
-    if (++out.expanded > budget) {
+  const std::size_t cores = static_cast<std::size_t>(sc.ctx.cores);
+  // Children of every node on the current path, stacked: a node with k
+  // placed tasks has at most (n - k) x cores of them.
+  std::vector<Placement> moves(cores * sc.n * (sc.n + 1) / 2);
+  std::vector<Cycles> est(cores);
+  // Visits the node `frame` holds, writing its children to `moves` from
+  // `base` on. Returns false once the budget has run out.
+  const auto visit = [&](const auto& self, std::size_t base) -> bool {
+    if (out.expanded >= budget) {
       out.exhausted = true;
-      break;
+      return false;
     }
-    Frame frame = std::move(stack.back());
-    stack.pop_back();
+    ++out.expanded;
 
     if (frame.done == sc.allDone) {
       if (frame.makespan < localBest) {
         localBest = frame.makespan;
         out.makespan = frame.makespan;
-        out.placements = std::move(frame.placements);
+        out.placements = frame.placements;
         shared.offer(out.makespan);
       }
-      continue;
+      return true;
     }
 
     const Cycles lb = lowerBound(sc, frame);
-    if (lb >= localBest) continue;  // deterministic, local knowledge only
+    if (lb >= localBest) return true;  // deterministic, local knowledge only
     // Racy monotone bound; STRICT comparison (see proof above).
-    if (lb > shared.get()) continue;
-    expandChildren(sc, frame, localBest,
-                   [&](Frame child) { stack.push_back(std::move(child)); });
-  }
+    if (lb > shared.get()) return true;
+    const std::size_t count = expandChildren(sc, frame, localBest,
+                                             moves.data() + base, est.data());
+    for (std::size_t k = base + count; k-- > base;) {
+      const Placement& move = moves[k];
+      const Cycles minWork = sc.minW[static_cast<std::size_t>(move.task)];
+      const Frame::Saved saved = frame.apply(move, minWork);
+      const bool more = self(self, base + count);
+      frame.undo(move, saved, minWork);
+      if (!more) return false;
+    }
+    return true;
+  };
+  visit(visit, 0);
   return out;
 }
 
@@ -281,15 +340,22 @@ FrontierResult generateFrontier(const SearchContext& sc, Frame root,
                                 Cycles seedBound, int depth) {
   FrontierResult out;
   out.nodes.push_back(std::move(root));
+  std::vector<Placement> moves(sc.n * static_cast<std::size_t>(sc.ctx.cores));
+  std::vector<Cycles> est(static_cast<std::size_t>(sc.ctx.cores));
   for (int level = 0; level < depth && !out.nodes.empty(); ++level) {
     if (out.nodes.size() >= kMaxFrontierNodes) break;
     std::vector<Frame> next;
-    for (Frame& frame : out.nodes) {
+    for (const Frame& frame : out.nodes) {
       ++out.expanded;
       const Cycles lb = lowerBound(sc, frame);
       if (lb >= seedBound) continue;
-      expandChildren(sc, frame, seedBound,
-                     [&](Frame child) { next.push_back(std::move(child)); });
+      const std::size_t count =
+          expandChildren(sc, frame, seedBound, moves.data(), est.data());
+      for (std::size_t k = 0; k < count; ++k) {
+        next.push_back(frame);
+        next.back().apply(moves[k],
+                          sc.minW[static_cast<std::size_t>(moves[k].task)]);
+      }
     }
     out.nodes = std::move(next);
   }
@@ -305,29 +371,31 @@ class BnbPolicy final : public SchedulingPolicy {
   [[nodiscard]] Schedule run(const SchedContext& ctx,
                              const SchedOptions& options) const override {
     const std::size_t n = ctx.graph.tasks.size();
+    const detail::CommTable comm(ctx);
     if (!bnbExactSearchFeasible(n, options)) {
       // Exact search is hopeless (bnbTaskLimit) or unrepresentable
       // (kBnbMaxTasks) at this size; fall back to the heuristic — the ARGO
       // "exact + heuristics" combination. One consistent rule for both
       // caps: oversized graphs are scheduled, never rejected.
-      return detail::listSchedule(ctx, options.interferenceAware,
+      return detail::listSchedule(ctx, comm, options.interferenceAware,
                                   "branch_and_bound(fallback=heft)");
     }
 
-    SearchContext sc{ctx, detail::EdgeIndex(ctx.graph),
-                     remainingCriticalPath(ctx), {}, n,
+    SearchContext sc{ctx, comm, remainingCriticalPath(ctx), {}, {}, n,
                      n >= 32 ? ~0u : (1u << n) - 1u};
     Cycles totalMinWork = 0;
     sc.minW.resize(n);
+    sc.predMask.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
       sc.minW[i] = *std::min_element(ctx.timings[i].wcetByTile.begin(),
                                      ctx.timings[i].wcetByTile.end());
       totalMinWork += sc.minW[i];
+      for (int p : ctx.pred[i]) sc.predMask[i] |= 1u << p;
     }
 
     // Seed incumbent with HEFT: the search only has to *improve* on it.
     const Schedule seed =
-        detail::listSchedule(ctx, options.interferenceAware, "heft");
+        detail::listSchedule(ctx, comm, options.interferenceAware, "heft");
 
     Frame root;
     root.placements.resize(n);
@@ -358,13 +426,18 @@ class BnbPolicy final : public SchedulingPolicy {
     Cycles bestMakespan = seed.makespan;
     const std::vector<Placement>* bestPlacements = &seed.placements;
     bool budgetExhausted = false;
+    std::int64_t nodes = frontier.expanded;
     for (const SubtreeResult& r : results) {
       budgetExhausted = budgetExhausted || r.exhausted;
+      nodes += r.expanded;
       if (r.improved() && r.makespan < bestMakespan) {
         bestMakespan = r.makespan;
         bestPlacements = &r.placements;
       }
     }
+
+    nodesCounter().add(static_cast<std::uint64_t>(nodes));
+    if (budgetExhausted) budgetExhaustedCounter().add();
 
     // Rebuild tile order / usage from the winning placements.
     Schedule result;

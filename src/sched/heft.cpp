@@ -25,7 +25,8 @@ class HeftPolicy final : public SchedulingPolicy {
   }
   [[nodiscard]] Schedule run(const SchedContext& ctx,
                              const SchedOptions& options) const override {
-    return detail::listSchedule(ctx, options.interferenceAware,
+    return detail::listSchedule(ctx, detail::CommTable(ctx),
+                                options.interferenceAware,
                                 std::string(name()));
   }
 };
@@ -37,7 +38,8 @@ class ContentionObliviousPolicy final : public SchedulingPolicy {
   }
   [[nodiscard]] Schedule run(const SchedContext& ctx,
                              const SchedOptions& /*options*/) const override {
-    return detail::listSchedule(ctx, /*interferenceAware=*/false,
+    return detail::listSchedule(ctx, detail::CommTable(ctx),
+                                /*interferenceAware=*/false,
                                 std::string(name()));
   }
 };

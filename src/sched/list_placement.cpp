@@ -3,12 +3,39 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "support/interval.h"
 
 namespace argo::sched::detail {
 
-std::vector<double> upwardRanks(const SchedContext& ctx) {
+CommTable::CommTable(const SchedContext& ctx)
+    : tiles_(static_cast<std::size_t>(ctx.platform.coreCount())) {
+  const std::vector<htg::Dep>& deps = ctx.graph.deps;
+  const std::size_t n = ctx.graph.tasks.size();
+  // Slots grouped by consumer: predBegin_[t + 1] - predBegin_[t] is the
+  // number of predecessor edges of task t.
+  predBegin_.assign(n + 1, 0);
+  for (const htg::Dep& d : deps) {
+    ++predBegin_[static_cast<std::size_t>(d.to) + 1];
+  }
+  std::partial_sum(predBegin_.begin(), predBegin_.end(), predBegin_.begin());
+  std::vector<std::size_t> next(predBegin_.begin(), predBegin_.end() - 1);
+  costs_.resize(deps.size() * tiles_ * tiles_);
+  for (const htg::Dep& d : deps) {
+    const std::size_t slot = next[static_cast<std::size_t>(d.to)]++;
+    Cycles* cost = &costs_[slot * tiles_ * tiles_];
+    for (std::size_t a = 0; a < tiles_; ++a) {
+      for (std::size_t b = 0; b < tiles_; ++b) {
+        *cost++ = commCost(ctx.platform, d, static_cast<int>(a),
+                           static_cast<int>(b));
+      }
+    }
+  }
+}
+
+std::vector<double> upwardRanks(const SchedContext& ctx,
+                                const CommTable& comm) {
   const htg::TaskGraph& graph = ctx.graph;
   const std::size_t n = graph.tasks.size();
   std::vector<double> avgW(n, 0.0);
@@ -18,10 +45,21 @@ std::vector<double> upwardRanks(const SchedContext& ctx) {
                                                   Cycles{0})) /
               static_cast<double>(w.size());
   }
-  EdgeIndex edges(graph);
-  // Representative cross-tile pair for communication averaging.
+  // Representative cross-tile pair for communication averaging: every
+  // successor of a task, with half its edge's cost between the pair.
   const int tileA = 0;
   const int tileB = ctx.platform.coreCount() - 1;
+  std::vector<std::vector<std::pair<int, double>>> succComm(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    const std::vector<int>& preds = ctx.pred[s];
+    for (std::size_t j = 0; j < preds.size(); ++j) {
+      succComm[static_cast<std::size_t>(preds[j])].emplace_back(
+          static_cast<int>(s),
+          static_cast<double>(
+              comm.predRow(static_cast<int>(s), j, tileA)[tileB]) /
+              2.0);
+    }
+  }
   std::vector<double> rank(n, -1.0);
   // Process in reverse topological order via DFS.
   std::vector<int> state(n, 0);
@@ -42,15 +80,9 @@ std::vector<double> upwardRanks(const SchedContext& ctx) {
       if (state[static_cast<std::size_t>(t)] == 2) continue;
       state[static_cast<std::size_t>(t)] = 2;
       double best = 0.0;
-      for (int s : ctx.succ[static_cast<std::size_t>(t)]) {
-        const htg::Dep* dep = edges.find(t, s);
-        const double comm =
-            dep == nullptr
-                ? 0.0
-                : static_cast<double>(
-                      commCost(ctx.platform, *dep, tileA, tileB)) /
-                      2.0;
-        best = std::max(best, comm + rank[static_cast<std::size_t>(s)]);
+      for (const auto& [s, halfComm] :
+           succComm[static_cast<std::size_t>(t)]) {
+        best = std::max(best, halfComm + rank[static_cast<std::size_t>(s)]);
       }
       rank[static_cast<std::size_t>(t)] =
           avgW[static_cast<std::size_t>(t)] + best;
@@ -72,8 +104,9 @@ std::vector<int> priorityOrder(const std::vector<double>& rank) {
   return order;
 }
 
-ListPlacer::ListPlacer(const SchedContext& ctx, bool interferenceAware)
-    : ctx_(ctx), edges_(ctx.graph), interferenceAware_(interferenceAware) {
+ListPlacer::ListPlacer(const SchedContext& ctx, const CommTable& comm,
+                       bool interferenceAware)
+    : ctx_(ctx), comm_(comm), interferenceAware_(interferenceAware) {
   placements_.resize(ctx.graph.tasks.size());
   tileAvail_.assign(static_cast<std::size_t>(ctx.cores), 0);
   tileOrder_.resize(static_cast<std::size_t>(ctx.cores));
@@ -81,12 +114,10 @@ ListPlacer::ListPlacer(const SchedContext& ctx, bool interferenceAware)
 
 Cycles ListPlacer::earliestStart(int task, int tile) const {
   Cycles est = tileAvail_[static_cast<std::size_t>(tile)];
-  for (int p : ctx_.pred[static_cast<std::size_t>(task)]) {
-    const htg::Dep* dep = edges_.find(p, task);
-    const Placement& pp = placements_[static_cast<std::size_t>(p)];
-    const Cycles comm =
-        dep == nullptr ? 0 : commCost(ctx_.platform, *dep, pp.tile, tile);
-    est = std::max(est, pp.finish + comm);
+  const std::vector<int>& preds = ctx_.pred[static_cast<std::size_t>(task)];
+  for (std::size_t j = 0; j < preds.size(); ++j) {
+    const Placement& pp = placements_[static_cast<std::size_t>(preds[j])];
+    est = std::max(est, pp.finish + comm_.predRow(task, j, pp.tile)[tile]);
   }
   return est;
 }
@@ -125,6 +156,20 @@ void ListPlacer::place(int task, int tile, Cycles start, Cycles cost) {
   placements_[static_cast<std::size_t>(task)] = p;
   tileAvail_[static_cast<std::size_t>(tile)] = p.finish;
   tileOrder_[static_cast<std::size_t>(tile)].push_back(task);
+  makespan_ = std::max(makespan_, p.finish);
+}
+
+Cycles ListPlacer::placeAssignment(const std::vector<int>& order,
+                                   const std::vector<int>& tileOf) {
+  std::fill(tileAvail_.begin(), tileAvail_.end(), 0);
+  for (std::vector<int>& tasks : tileOrder_) tasks.clear();
+  makespan_ = 0;
+  for (int task : order) {
+    const int tile = tileOf[static_cast<std::size_t>(task)];
+    const Cycles est = earliestStart(task, tile);
+    place(task, tile, est, placedCost(task, tile, est));
+  }
+  return makespan_;
 }
 
 Schedule ListPlacer::finish(std::string policy) const {
@@ -136,9 +181,7 @@ Schedule ListPlacer::finish(std::string policy) const {
     s.tileOrder[static_cast<std::size_t>(t)] =
         tileOrder_[static_cast<std::size_t>(t)];
   }
-  for (const Placement& p : placements_) {
-    s.makespan = std::max(s.makespan, p.finish);
-  }
+  s.makespan = makespan_;
   for (const auto& order : s.tileOrder) {
     if (!order.empty()) ++s.tilesUsed;
   }
@@ -146,11 +189,10 @@ Schedule ListPlacer::finish(std::string policy) const {
   return s;
 }
 
-Schedule listSchedule(const SchedContext& ctx, bool interferenceAware,
-                      std::string policyLabel) {
-  const std::vector<double> rank = upwardRanks(ctx);
-  ListPlacer placer(ctx, interferenceAware);
-  for (int task : priorityOrder(rank)) {
+Schedule listSchedule(const SchedContext& ctx, const CommTable& comm,
+                      bool interferenceAware, std::string policyLabel) {
+  ListPlacer placer(ctx, comm, interferenceAware);
+  for (int task : priorityOrder(upwardRanks(ctx, comm))) {
     int bestTile = 0;
     Cycles bestStart = 0;
     Cycles bestCost = 0;
@@ -167,21 +209,6 @@ Schedule listSchedule(const SchedContext& ctx, bool interferenceAware,
       }
     }
     placer.place(task, bestTile, bestStart, bestCost);
-  }
-  return placer.finish(std::move(policyLabel));
-}
-
-Schedule scheduleWithAssignment(const SchedContext& ctx,
-                                const std::vector<int>& tileOf,
-                                bool interferenceAware,
-                                std::string policyLabel) {
-  const std::vector<double> rank = upwardRanks(ctx);
-  ListPlacer placer(ctx, interferenceAware);
-  for (int task : priorityOrder(rank)) {
-    const int tile = tileOf[static_cast<std::size_t>(task)];
-    const Cycles est = placer.earliestStart(task, tile);
-    const Cycles cost = placer.placedCost(task, tile, est);
-    placer.place(task, tile, est, cost);
   }
   return placer.finish(std::move(policyLabel));
 }

@@ -4,12 +4,12 @@
 // picking tiles on top of the same greedy placement mechanics: HEFT and
 // the contention-oblivious baseline place by earliest finish time, the
 // annealer re-places fixed tile assignments, and branch-and-bound reuses
-// the edge index and seeds its incumbent with a HEFT schedule. This header
-// is that common substrate; it is not part of the public sched/ API.
+// the communication table and seeds its incumbent with a HEFT schedule.
+// This header is that common substrate; it is not part of the public
+// sched/ API.
 #pragma once
 
-#include <cstdint>
-#include <map>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -17,28 +17,36 @@
 
 namespace argo::sched::detail {
 
-/// Dependence edge lookup: (from, to) -> edge.
-struct EdgeIndex {
-  explicit EdgeIndex(const htg::TaskGraph& graph) {
-    for (const htg::Dep& d : graph.deps) {
-      edges.emplace(key(d.from, d.to), &d);
-    }
+/// Dense communication-cost table, built once per policy run: for every
+/// dependence edge, commCost() of each (producer tile, consumer tile)
+/// pair over all platform.coreCount() tiles, so no placement or search
+/// loop calls Platform::transferWorstCase. Edges are grouped by consumer
+/// in graph.deps order, which is exactly the order of ctx.pred (expand()
+/// never emits a duplicate (from, to) pair): slot j of `task` is the edge
+/// from ctx.pred[task][j].
+class CommTable {
+ public:
+  explicit CommTable(const SchedContext& ctx);
+
+  /// Costs of the edge ctx.pred[task][j] -> task with the producer on
+  /// `fromTile`, indexed by the consumer's tile.
+  [[nodiscard]] const Cycles* predRow(int task, std::size_t j,
+                                      int fromTile) const noexcept {
+    const std::size_t slot = predBegin_[static_cast<std::size_t>(task)] + j;
+    return &costs_[(slot * tiles_ + static_cast<std::size_t>(fromTile)) *
+                   tiles_];
   }
-  [[nodiscard]] const htg::Dep* find(int from, int to) const {
-    auto it = edges.find(key(from, to));
-    return it == edges.end() ? nullptr : it->second;
-  }
-  static std::uint64_t key(int from, int to) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from))
-            << 32) |
-           static_cast<std::uint32_t>(to);
-  }
-  std::map<std::uint64_t, const htg::Dep*> edges;
+
+ private:
+  std::size_t tiles_ = 0;
+  std::vector<std::size_t> predBegin_;  ///< first slot per task
+  std::vector<Cycles> costs_;           ///< [slot][fromTile][toTile]
 };
 
 /// Upward ranks: rank(t) = avgWcet(t) + max over successors of
 /// (avgComm(edge) + rank(succ)). Decreasing rank is a topological order.
-[[nodiscard]] std::vector<double> upwardRanks(const SchedContext& ctx);
+[[nodiscard]] std::vector<double> upwardRanks(const SchedContext& ctx,
+                                              const CommTable& comm);
 
 /// Task ids by decreasing rank; ties broken by lower task id.
 [[nodiscard]] std::vector<int> priorityOrder(const std::vector<double>& rank);
@@ -46,7 +54,8 @@ struct EdgeIndex {
 /// Shared state of the greedy list-scheduling placement loop.
 class ListPlacer {
  public:
-  ListPlacer(const SchedContext& ctx, bool interferenceAware);
+  ListPlacer(const SchedContext& ctx, const CommTable& comm,
+             bool interferenceAware);
 
   /// Earliest start of `task` on `tile` given already-placed predecessors.
   [[nodiscard]] Cycles earliestStart(int task, int tile) const;
@@ -62,17 +71,23 @@ class ListPlacer {
 
   void place(int task, int tile, Cycles start, Cycles cost);
 
-  [[nodiscard]] Schedule finish(std::string policy) const;
+  /// Forgets every placement, then places every task of `order` (a
+  /// topological order) on its tile in `tileOf` at its earliest start.
+  /// Returns the makespan. The placer's buffers are reused, so repeated
+  /// calls allocate nothing after the first.
+  Cycles placeAssignment(const std::vector<int>& order,
+                         const std::vector<int>& tileOf);
 
-  [[nodiscard]] int cores() const noexcept { return ctx_.cores; }
+  [[nodiscard]] Schedule finish(std::string policy) const;
 
  private:
   const SchedContext& ctx_;
-  EdgeIndex edges_;
+  const CommTable& comm_;
   bool interferenceAware_;
   std::vector<Placement> placements_;
   std::vector<Cycles> tileAvail_;
   std::vector<std::vector<int>> tileOrder_;
+  Cycles makespan_ = 0;
 };
 
 /// Full HEFT pass: upward-rank priority, earliest-finish-time placement.
@@ -80,14 +95,8 @@ class ListPlacer {
 /// "branch_and_bound", and (with interferenceAware = false) the
 /// "contention_oblivious" baseline.
 [[nodiscard]] Schedule listSchedule(const SchedContext& ctx,
+                                    const CommTable& comm,
                                     bool interferenceAware,
                                     std::string policyLabel);
-
-/// List-schedules with a fixed task -> tile assignment (used by the
-/// annealer's neighborhood evaluation).
-[[nodiscard]] Schedule scheduleWithAssignment(const SchedContext& ctx,
-                                              const std::vector<int>& tileOf,
-                                              bool interferenceAware,
-                                              std::string policyLabel);
 
 }  // namespace argo::sched::detail

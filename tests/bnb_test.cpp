@@ -2,12 +2,15 @@
 // policy (sched/bnb.h). The contract under test: for any frontier depth and
 // any thread count, the pooled search returns a schedule bit-identical to
 // the classic monolithic DFS (bnbFrontierDepth = 0, parallelThreads = 1),
-// as long as the node budget is not exhausted; per-subtree budgets always
-// sum to the configured bnbNodeBudget; and oversized graphs fall back to
-// HEFT instead of throwing. (Lower-case suite names keep `ctest -R bnb`
-// selecting exactly this file.)
+// as long as the node budget is not exhausted; a 1-thread search that
+// exhausts its budget reproduces recorded goldens; per-subtree budgets
+// always sum to the configured bnbNodeBudget; the search-effort counters
+// tally exactly the nodes charged to the budget; and oversized graphs fall
+// back to HEFT instead of throwing. (Lower-case suite names keep
+// `ctest -R bnb` selecting exactly this file.)
 #include <gtest/gtest.h>
 
+#include <array>
 #include <numeric>
 
 #include "diamond_fixture.h"
@@ -15,6 +18,7 @@
 #include "ir/builder.h"
 #include "sched/bnb.h"
 #include "sched/scheduler.h"
+#include "support/metrics.h"
 
 namespace argo::sched {
 namespace {
@@ -220,6 +224,105 @@ TEST(bnb_budget, ExhaustionIsAnnotatedAndFallsBackToTheSeed) {
 
   options.parallelThreads = 0;
   expectSameSchedule(scheduler.run(options), truncated, "pooled truncation");
+}
+
+/// The budget-path fixture: 8 tasks on a 2x2 NoC mesh with the
+/// interference-aware HEFT seed, which the pure-makespan search beats at
+/// every budget below — by a different margin each time, so the result
+/// depends on exactly which nodes fit inside the budget.
+struct MeshFixture {
+  std::unique_ptr<ir::Function> fn = test::makeDiamondFn(/*width=*/24);
+  htg::TaskGraph graph =
+      htg::expand(htg::buildHtg(*fn), htg::ExpandOptions{2});
+  adl::Platform platform = adl::makeKitLeon3Inoc(2, 2);
+};
+
+SchedOptions meshOptions(std::int64_t budget, int depth) {
+  SchedOptions options = bnbOptions();
+  options.interferenceAware = true;
+  options.bnbNodeBudget = budget;
+  options.bnbFrontierDepth = depth;
+  options.parallelThreads = 1;
+  return options;
+}
+
+TEST(bnb_budget, CutOffsReproduceTheRecordedVisitOrder) {
+  // A budget that runs out mid-search keeps whatever incumbent the first
+  // `budget` visited nodes produced, so these goldens pin the visit order:
+  // child order, bound filtering and budget charging. They were recorded
+  // with the explicit-stack search whose order the in-place search keeps.
+  struct Golden {
+    std::int64_t budget;
+    int depth;
+    Cycles makespan;
+    std::vector<std::array<Cycles, 3>> placements;  ///< tile, start, finish
+  };
+  const std::vector<Golden> goldens = {
+      {50, 0, 3484, {{3, 843, 1686}, {3, 0, 843}, {0, 1706, 2165},
+                     {2, 1702, 2353}, {1, 1702, 2353}, {3, 1686, 2529},
+                     {2, 2545, 3484}, {1, 2545, 3484}}},
+      {50, 2, 3767, {{0, 0, 459}, {0, 459, 918}, {0, 918, 1377},
+                     {0, 1377, 1836}, {1, 934, 2017}, {2, 934, 2449},
+                     {0, 2465, 3116}, {0, 3116, 3767}}},
+      {500, 0, 3484, {{3, 843, 1686}, {3, 0, 843}, {0, 1706, 2165},
+                      {2, 1702, 2353}, {1, 1702, 2353}, {3, 1686, 2529},
+                      {2, 2545, 3484}, {1, 2545, 3484}}},
+      {500, 2, 3308, {{2, 0, 651}, {1, 0, 651}, {2, 671, 1322},
+                      {1, 671, 1322}, {3, 1510, 2353}, {3, 667, 1510},
+                      {2, 2369, 3308}, {1, 2369, 3308}}},
+      {5000, 0, 2641, {{1, 0, 651}, {3, 0, 843}, {0, 863, 1322},
+                       {1, 859, 1510}, {2, 859, 1510}, {3, 843, 1686},
+                       {2, 1702, 2641}, {1, 1702, 2641}}},
+      {5000, 2, 2465, {{2, 0, 651}, {1, 0, 651}, {0, 667, 1126},
+                       {2, 671, 1322}, {1, 671, 1322}, {3, 667, 1510},
+                       {2, 1526, 2465}, {1, 1526, 2465}}},
+  };
+  MeshFixture fx;
+  const Scheduler scheduler(fx.graph, fx.platform);
+  for (const Golden& g : goldens) {
+    const std::string what = "budget " + std::to_string(g.budget) +
+                             " depth " + std::to_string(g.depth);
+    const Schedule s = scheduler.run(meshOptions(g.budget, g.depth));
+    EXPECT_EQ(s.makespan, g.makespan) << what;
+    EXPECT_EQ(s.policy, "branch_and_bound(budget)") << what;
+    ASSERT_EQ(s.placements.size(), g.placements.size()) << what;
+    for (std::size_t i = 0; i < g.placements.size(); ++i) {
+      const std::string task = what + " task " + std::to_string(i);
+      EXPECT_EQ(s.placements[i].tile, g.placements[i][0]) << task;
+      EXPECT_EQ(s.placements[i].start, g.placements[i][1]) << task;
+      EXPECT_EQ(s.placements[i].finish, g.placements[i][2]) << task;
+    }
+    EXPECT_TRUE(validateSchedule(s, fx.graph, fx.platform,
+                                 scheduler.timings())
+                    .empty())
+        << what;
+  }
+}
+
+TEST(bnb_counters, NodesAndExhaustionAreTalliedPerSearch) {
+  support::MetricCounter& nodes =
+      support::MetricsRegistry::global().counter("sched.bnb.nodes");
+  support::MetricCounter& exhausted =
+      support::MetricsRegistry::global().counter("sched.bnb.budget_exhausted");
+  MeshFixture fx;
+  const Scheduler scheduler(fx.graph, fx.platform);
+
+  // The classic search is charged exactly the budget it ran out of.
+  std::uint64_t nodesBefore = nodes.value();
+  std::uint64_t exhaustedBefore = exhausted.value();
+  (void)scheduler.run(meshOptions(500, 0));
+  EXPECT_EQ(nodes.value() - nodesBefore, 500u);
+  EXPECT_EQ(exhausted.value() - exhaustedBefore, 1u);
+
+  // A complete split search: frontier expansion plus every subtree node
+  // (the same count the explicit-stack search charged its budget).
+  nodesBefore = nodes.value();
+  exhaustedBefore = exhausted.value();
+  const Schedule full =
+      scheduler.run(meshOptions(SchedOptions{}.bnbNodeBudget, 2));
+  ASSERT_EQ(full.policy, "branch_and_bound");
+  EXPECT_EQ(nodes.value() - nodesBefore, 150894u);
+  EXPECT_EQ(exhausted.value() - exhaustedBefore, 0u);
 }
 
 TEST(bnb_fallback, OversizedGraphsScheduleViaHeftInsteadOfThrowing) {

@@ -11,6 +11,7 @@
 #include "sched/policy.h"
 #include "sched/scheduler.h"
 #include "support/diagnostics.h"
+#include "support/metrics.h"
 
 namespace argo::sched {
 namespace {
@@ -154,6 +155,25 @@ TEST(PolicyRegistry, BnbFeasibilityQueryOwnsTheBitmaskWidth) {
                                      options));
   EXPECT_FALSE(bnbExactSearchFeasible(
       static_cast<std::size_t>(kBnbMaxTasks) + 1, options));
+}
+
+TEST(PolicyCounters, AnnealingTalliesEvaluatedAndAcceptedMoves) {
+  // One 1-thread chain of the default 4000 iterations: a move is counted
+  // when it re-places a changed assignment (drawing the tile a task is
+  // already on costs nothing and is not a move).
+  support::MetricCounter& moves =
+      support::MetricsRegistry::global().counter("sched.anneal.moves");
+  support::MetricCounter& accepted =
+      support::MetricsRegistry::global().counter("sched.anneal.accepted");
+  Fixture fx;
+  const Scheduler scheduler(fx.graph, fx.platform);
+  SchedOptions options;
+  options.policy = "annealed";
+  const std::uint64_t movesBefore = moves.value();
+  const std::uint64_t acceptedBefore = accepted.value();
+  (void)scheduler.run(options);
+  EXPECT_EQ(moves.value() - movesBefore, 2991u);
+  EXPECT_EQ(accepted.value() - acceptedBefore, 1691u);
 }
 
 }  // namespace

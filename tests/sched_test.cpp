@@ -1,9 +1,12 @@
 // Unit tests for the scheduling/mapping policies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "diamond_fixture.h"
 #include "htg/htg.h"
 #include "ir/builder.h"
+#include "sched/list_placement.h"
 #include "sched/scheduler.h"
 #include "support/diagnostics.h"
 
@@ -213,6 +216,61 @@ TEST(CommCost, ZeroWhenColocated) {
   dep.bytes = 128;
   EXPECT_EQ(commCost(fx.platform, dep, 1, 1), 0);
   EXPECT_GT(commCost(fx.platform, dep, 0, 1), 0);
+}
+
+/// Every entry of the dense communication table equals commCost(), for
+/// each dependence edge read at its (consumer, predecessor slot), over all
+/// platform tiles, even when the context schedules on fewer (`cores` <
+/// coreCount).
+void expectCommTableMatchesCommCost(const adl::Platform& platform,
+                                    int cores) {
+  auto fn = makeDiamondFn();
+  const htg::TaskGraph graph =
+      htg::expand(htg::buildHtg(*fn), htg::ExpandOptions{3});
+  ASSERT_FALSE(graph.deps.empty());
+  const auto timings = computeTaskTimings(graph, platform);
+  const auto succ = graph.successors();
+  const auto pred = graph.predecessors();
+  const SchedContext ctx{graph, platform, timings, succ, pred, cores};
+  const detail::CommTable table(ctx);
+  const int tiles = platform.coreCount();
+  for (std::size_t e = 0; e < graph.deps.size(); ++e) {
+    const htg::Dep& dep = graph.deps[e];
+    const auto& preds = pred[static_cast<std::size_t>(dep.to)];
+    const std::size_t slot = static_cast<std::size_t>(
+        std::find(preds.begin(), preds.end(), dep.from) - preds.begin());
+    ASSERT_LT(slot, preds.size());
+    for (int a = 0; a < tiles; ++a) {
+      const Cycles* row = table.predRow(dep.to, slot, a);
+      for (int b = 0; b < tiles; ++b) {
+        const Cycles expected = commCost(platform, dep, a, b);
+        EXPECT_EQ(row[b], expected)
+            << "edge " << e << " tiles " << a << "->" << b;
+      }
+      EXPECT_EQ(row[a], 0) << "edge " << e << " tile " << a;
+    }
+  }
+}
+
+TEST(CommTable, MatchesCommCostOnRoundRobinBus) {
+  expectCommTableMatchesCommCost(adl::makeRecoreXentiumBus(4), 4);
+}
+
+TEST(CommTable, MatchesCommCostOnTdmaBus) {
+  expectCommTableMatchesCommCost(
+      adl::makeRecoreXentiumBus(4, adl::Arbitration::Tdma), 4);
+}
+
+TEST(CommTable, MatchesCommCostOnNocMesh) {
+  // A 3x2 mesh: transfer costs depend on hop distance, so every tile pair
+  // is priced on its own.
+  expectCommTableMatchesCommCost(adl::makeKitLeon3Inoc(3, 2), 6);
+}
+
+TEST(CommTable, CoversEveryPlatformTileUnderACoreLimit) {
+  // upwardRanks prices tile 0 against tile coreCount() - 1 whatever the
+  // core limit, so the table must span the whole platform.
+  expectCommTableMatchesCommCost(adl::makeKitLeon3Inoc(3, 2), 2);
 }
 
 TEST(Scheduler, ThrowsOnEmptyGraph) {
