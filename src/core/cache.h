@@ -56,9 +56,9 @@
 
 namespace argo::core {
 
-/// Cached value of the transforms stage: the transformed function (cloned
-/// out of the cache by every consumer), the pass list, and the canonical
-/// IR text every downstream key derives from.
+/// Cached value of the transforms stage: the transformed function (shared
+/// read-only by every consumer, ToolchainResult::fn included), the pass
+/// list, and the canonical IR text every downstream key derives from.
 struct TransformsStage {
   std::unique_ptr<const ir::Function> fn;
   std::vector<std::string> passesRun;
@@ -134,7 +134,8 @@ struct ToolchainCacheStats {
     std::string_view payload);
 
 /// Stage directory names of the disk tier (dir/<stage>/<key>.rec). Also
-/// the spelling cache_stats uses; fixed forever short of a format bump.
+/// the <stage> of the cache.<stage>.* metrics and of the "cache" trace
+/// spans; fixed forever short of a format bump.
 inline constexpr std::string_view kDiskStageTransforms = "transforms";
 inline constexpr std::string_view kDiskStageSequentialWcet = "seqwcet";
 inline constexpr std::string_view kDiskStageExpansion = "expand";

@@ -1,9 +1,5 @@
 // Shared cache/metrics reporting for the CLIs and the batch evaluator.
-//
-// Two consumers duplicated this logic before PR 10: argo_cc and argo_eval
-// each hand-rolled the disk-reject stderr warning, and the `--timings`
-// JSON rendered only the ad-hoc cache_stats block. This header is the one
-// definition of both:
+// This header is the one definition of both:
 //
 //  * warnDiskRejects — the pinned, unconditional stderr line for a
 //    nonzero disk-tier reject count ("<tool>: disk cache rejected N

@@ -1,6 +1,5 @@
 #include "core/toolchain.h"
 
-#include <algorithm>
 #include <chrono>
 #include <optional>
 #include <sstream>
@@ -106,6 +105,84 @@ std::vector<Candidate> buildPlans(const adl::Platform& platform,
   return plans;
 }
 
+/// One candidate's HTG expansion and the key its downstream stages chain.
+struct Expansion {
+  support::StageKey key;
+  std::shared_ptr<const ExpandStage> stage;
+};
+
+/// The policy-independent stage prefix — transforms, sequential WCET, one
+/// HTG expansion per candidate and its per-task timings — looked up in, or
+/// computed into, one ToolchainCache. run() and warmSharedStages() both
+/// walk it, so every prefix stage has exactly one definition.
+class StagePrefix {
+ public:
+  StagePrefix(ToolchainCache& cache, const adl::Platform& platform,
+              const ToolchainOptions& options)
+      : cache_(cache), platform_(platform), options_(options) {}
+
+  [[nodiscard]] std::shared_ptr<const TransformsStage> transforms(
+      const model::CompiledModel& model) const {
+    return cache_.getTransforms(
+        transformsKey(ir::toString(*model.fn), platform_,
+                      options_.runTransforms, options_.spmAllocation),
+        [&] { return makeTransformsStage(model, platform_, options_); });
+  }
+
+  [[nodiscard]] Cycles sequentialWcet(
+      const TransformsStage& transformed) const {
+    return *cache_.getSequentialWcet(
+        sequentialWcetKey(transformed.irKey, platform_), [&] {
+          const wcet::TimingModel model0 =
+              wcet::TimingModel::forTile(platform_, 0);
+          return wcet::SchemaAnalyzer(*transformed.fn, model0)
+              .analyzeFunction()
+              .cycles;
+        });
+  }
+
+  /// Every candidate's expansion, in ladder order. The HTG is extracted
+  /// at most once, on the first expansion the cache cannot serve.
+  [[nodiscard]] std::vector<Expansion> expansions(
+      const std::shared_ptr<const TransformsStage>& transformed,
+      const std::vector<Candidate>& plans) const {
+    std::optional<htg::Htg> source;
+    std::vector<Expansion> out;
+    out.reserve(plans.size());
+    for (const Candidate& plan : plans) {
+      const support::StageKey key = expansionKey(
+          transformed->irKey, plan.chunks, options_.mergeScalarChains);
+      out.push_back(Expansion{key, cache_.getExpansion(key, transformed, [&] {
+        if (!source.has_value()) {
+          source.emplace(htg::buildHtg(*transformed->fn));
+        }
+        htg::ExpandOptions expandOptions;
+        expandOptions.chunksPerLoop = plan.chunks;
+        expandOptions.mergeScalarChains = options_.mergeScalarChains;
+        ExpandStage stage;
+        stage.source = transformed;
+        stage.graph = std::make_unique<const htg::TaskGraph>(
+            htg::expand(*source, expandOptions));
+        return stage;
+      })});
+    }
+    return out;
+  }
+
+  [[nodiscard]] std::shared_ptr<const std::vector<sched::TaskTiming>> timings(
+      const support::StageKey& key, const htg::TaskGraph& graph,
+      int threads) const {
+    return cache_.getTimings(key, [&] {
+      return sched::computeTaskTimings(graph, platform_, threads);
+    });
+  }
+
+ private:
+  ToolchainCache& cache_;
+  const adl::Platform& platform_;
+  const ToolchainOptions& options_;
+};
+
 }  // namespace
 
 ToolchainResult Toolchain::run(const model::Diagram& diagram) const {
@@ -120,249 +197,133 @@ codegen::Emission Toolchain::emitC(const ToolchainResult& result,
 }
 
 void Toolchain::warmSharedStages(const model::CompiledModel& model) const {
-  ToolchainCache* const cache = options_.cache.get();
-  if (cache == nullptr) return;
-
+  if (options_.cache == nullptr) return;
+  const StagePrefix prefix(*options_.cache, platform_, options_);
   const std::shared_ptr<const TransformsStage> transformed =
-      cache->getTransforms(
-          transformsKey(ir::toString(*model.fn), platform_,
-                        options_.runTransforms, options_.spmAllocation),
-          [&] { return makeTransformsStage(model, platform_, options_); });
-
-  (void)cache->getSequentialWcet(
-      sequentialWcetKey(transformed->irKey, platform_), [&] {
-        const wcet::TimingModel model0 =
-            wcet::TimingModel::forTile(platform_, 0);
-        return wcet::SchemaAnalyzer(*transformed->fn, model0)
-            .analyzeFunction()
-            .cycles;
-      });
-
+      prefix.transforms(model);
+  (void)prefix.sequentialWcet(*transformed);
   // Warming may itself run inside a pooled phase (runEval's prefix
   // nodes), so the timing analysis stays inline; the cached table is
   // thread-count-invariant regardless.
-  for (const Candidate& plan : buildPlans(platform_, options_)) {
-    const support::StageKey expKey = expansionKey(
-        transformed->irKey, plan.chunks, options_.mergeScalarChains);
-    const std::shared_ptr<const ExpandStage> expanded =
-        cache->getExpansion(expKey, transformed, [&] {
-          ExpandStage stage;
-          stage.source = transformed;
-          htg::ExpandOptions expandOptions;
-          expandOptions.chunksPerLoop = plan.chunks;
-          expandOptions.mergeScalarChains = options_.mergeScalarChains;
-          const htg::Htg source = htg::buildHtg(*transformed->fn);
-          stage.graph = std::make_unique<const htg::TaskGraph>(
-              htg::expand(source, expandOptions));
-          return stage;
-        });
-    (void)cache->getTimings(timingsKey(expKey, platform_), [&] {
-      return sched::computeTaskTimings(*expanded->graph, platform_,
-                                       /*parallelThreads=*/1);
-    });
+  for (const Expansion& expansion :
+       prefix.expansions(transformed, buildPlans(platform_, options_))) {
+    (void)prefix.timings(timingsKey(expansion.key, platform_),
+                         *expansion.stage->graph, /*threads=*/1);
   }
 }
 
 ToolchainResult Toolchain::run(const model::CompiledModel& model) const {
   ToolchainResult result;
   StageClock clock(result.stages);
-  ToolchainCache* const cache = options_.cache.get();
+  // Every stage goes through a ToolchainCache: the attached one, or one
+  // private to this run. The result aliases the winning candidate's stage
+  // values, so it outlives either kind of cache.
+  std::optional<ToolchainCache> privateCache;
+  ToolchainCache& cache = options_.cache != nullptr ? *options_.cache
+                                                    : privateCache.emplace();
+  const StagePrefix prefix(cache, platform_, options_);
 
   // ---- IR + predictability-enhancing transformations (Fig. 1 left). ----
-  // With a cache the transformed function is computed once per (model IR
-  // x transform flags x SPM slice) and cloned out of the shared value;
-  // without one it is computed in place, exactly the pre-cache path.
   std::shared_ptr<const TransformsStage> transformed;
-  clock.time("transforms", [&] {
-    if (cache != nullptr) {
-      transformed = cache->getTransforms(
-          transformsKey(ir::toString(*model.fn), platform_,
-                        options_.runTransforms, options_.spmAllocation),
-          [&] { return makeTransformsStage(model, platform_, options_); });
-      result.fn = transformed->fn->clone();
-      result.passesRun = transformed->passesRun;
-    } else {
-      result.fn = model.fn->clone();
-      result.passesRun = runTransformPasses(*result.fn, platform_, options_);
-    }
-  });
+  clock.time("transforms", [&] { transformed = prefix.transforms(model); });
+  result.passesRun = transformed->passesRun;
   result.constants = model.constants;
 
   // ---- Sequential reference bound (single core, no interference). ----
   clock.time("code_level_wcet", [&] {
-    const auto analyze = [&] {
-      const wcet::TimingModel model0 = wcet::TimingModel::forTile(platform_, 0);
-      return wcet::SchemaAnalyzer(*result.fn, model0).analyzeFunction().cycles;
-    };
-    result.sequentialWcet =
-        cache != nullptr
-            ? *cache->getSequentialWcet(
-                  sequentialWcetKey(transformed->irKey, platform_), analyze)
-            : analyze();
+    result.sequentialWcet = prefix.sequentialWcet(*transformed);
   });
 
-  // ---- Task extraction: one HTG, several candidate granularities. The
-  // uncached path extracts here and expands per candidate; the cached
-  // path expands through the cache (each expansion owns a shared graph)
-  // and re-extracts only for the winner at the end. ----
-  std::optional<htg::Htg> htgSource;
-  if (cache == nullptr) {
-    htgSource.emplace(clock.time(
-        "task_extraction", [&] { return htg::buildHtg(*result.fn); }));
-  }
-
+  // ---- Task extraction: one HTG, expanded at every candidate
+  // granularity. ----
   const std::vector<Candidate> plans = buildPlans(platform_, options_);
+  std::vector<Expansion> expansions;
+  clock.time("task_extraction", [&] {
+    expansions = prefix.expansions(transformed, plans);
+  });
 
   // ---- Cross-layer feedback: schedule each candidate, measure its
   // system-level WCET, keep the best (Section II-E). Candidates are
-  // independent (graphs are owned or shared read-only; htg/platform are
-  // only read), so they are evaluated concurrently on a work-stealing
-  // pool. Determinism: every candidate writes into its own slot, and the
+  // independent (graphs are shared read-only; platform is only read), so
+  // they are evaluated concurrently through support::parallelFor.
+  // Determinism: every candidate writes into its own slot, and the
   // reduction below walks the slots in ladder order with a strict `<`, so
   // the chosen candidate, the FeedbackPoint sequence, and the report are
-  // bit-identical to a sequential evaluation — and to the cached path,
-  // because every cached stage is a pure function of its keyed inputs. ----
-  struct PlanEval {
-    std::shared_ptr<const ExpandStage> expansion;  // cached path
-    std::unique_ptr<htg::TaskGraph> ownedGraph;    // uncached path
-    std::shared_ptr<const std::vector<sched::TaskTiming>> timings;
-    std::shared_ptr<const ScheduleStage> outcome;
-
-    [[nodiscard]] const htg::TaskGraph& graph() const {
-      return expansion != nullptr ? *expansion->graph : *ownedGraph;
-    }
-  };
-
+  // bit-identical to a sequential evaluation — and across caches, because
+  // every cached stage is a pure function of its keyed inputs. ----
   // Exploration parallelism decided up front: candidates are the outer
   // pooled phase, so every phase they invoke (timing analysis, annealing
   // restarts, MHP rows) must stay sequential — pools do not nest.
   const unsigned threads =
       support::effectiveParallelism(options_.explorationThreads, plans.size());
+  struct PlanEval {
+    std::shared_ptr<const std::vector<sched::TaskTiming>> timings;
+    std::shared_ptr<const ScheduleStage> outcome;
+  };
+  std::vector<PlanEval> evals(plans.size());
 
-  const auto evaluatePlan = [&](const Candidate& plan) {
-    PlanEval eval;
-    htg::ExpandOptions expandOptions;
-    expandOptions.chunksPerLoop = plan.chunks;
-    expandOptions.mergeScalarChains = options_.mergeScalarChains;
+  const auto evaluatePlan = [&](std::size_t i) {
+    const htg::TaskGraph& graph = *expansions[i].stage->graph;
     // Candidates an exact policy cannot represent are not rejected here:
     // the branch-and-bound policy itself falls back to HEFT beyond its
     // task cap (sched/bnb.h), so every candidate stays comparable.
     sched::SchedOptions schedOptions = options_.sched;
-    if (plan.coreLimit > 0) schedOptions.coreLimit = plan.coreLimit;
+    if (plans[i].coreLimit > 0) schedOptions.coreLimit = plans[i].coreLimit;
     // A pooled exploration owns the thread budget, so the per-candidate
     // scheduler phases (timing analysis, annealing restarts, BnB subtrees)
     // must stay inline; a sequential exploration lets the scheduler pool
     // its own phases (results are identical either way).
     if (threads > 1) schedOptions.parallelThreads = 1;
 
-    if (cache != nullptr) {
-      const support::StageKey expKey = expansionKey(
-          transformed->irKey, plan.chunks, options_.mergeScalarChains);
-      eval.expansion = cache->getExpansion(expKey, transformed, [&] {
-        ExpandStage stage;
-        stage.source = transformed;
-        const htg::Htg source = htg::buildHtg(*transformed->fn);
-        stage.graph = std::make_unique<const htg::TaskGraph>(
-            htg::expand(source, expandOptions));
-        return stage;
-      });
-      const support::StageKey timKey = timingsKey(expKey, platform_);
-      eval.timings = cache->getTimings(timKey, [&] {
-        return sched::computeTaskTimings(*eval.expansion->graph, platform_,
-                                         schedOptions.parallelThreads);
-      });
-      eval.outcome = cache->getSchedules(
-          scheduleKey(timKey, platform_, schedOptions, options_.interference),
-          [&] {
-            const sched::Scheduler scheduler(*eval.expansion->graph, platform_,
-                                             *eval.timings);
-            ScheduleStage stage;
-            stage.schedule = scheduler.run(schedOptions);
-            const par::ParallelProgram program = par::buildParallelProgram(
-                *eval.expansion->graph, stage.schedule, platform_);
-            stage.system = syswcet::analyzeSystem(
-                program, platform_, scheduler.timings(), options_.interference,
-                schedOptions.parallelThreads);
-            return stage;
-          });
-    } else {
-      eval.ownedGraph = std::make_unique<htg::TaskGraph>(
-          htg::expand(*htgSource, expandOptions));
-      const sched::Scheduler scheduler(*eval.ownedGraph, platform_,
-                                       schedOptions);
-      auto stage = std::make_shared<ScheduleStage>();
-      stage->schedule = scheduler.run(schedOptions);
-      const par::ParallelProgram program = par::buildParallelProgram(
-          *eval.ownedGraph, stage->schedule, platform_);
-      stage->system = syswcet::analyzeSystem(program, platform_,
-                                             scheduler.timings(),
-                                             options_.interference,
-                                             schedOptions.parallelThreads);
-      eval.timings = std::make_shared<const std::vector<sched::TaskTiming>>(
-          scheduler.timings());
-      eval.outcome = std::move(stage);
-    }
-    return eval;
-  };
-
-  bool haveBest = false;
-  PlanEval best;
-  // Ladder-order reduction step: identical for both paths, so the choice
-  // (strict `<`, first minimum wins) matches the sequential semantics.
-  const auto consume = [&](std::size_t i, PlanEval eval) {
-    result.feedback.push_back(FeedbackPoint{
-        plans[i].chunks, plans[i].coreLimit, eval.outcome->system.makespan,
-        static_cast<int>(eval.graph().tasks.size())});
-    if (!haveBest ||
-        eval.outcome->system.makespan < best.outcome->system.makespan) {
-      haveBest = true;
-      result.chosenChunks = plans[i].chunks;
-      best = std::move(eval);
-    }
+    const support::StageKey timKey =
+        timingsKey(expansions[i].key, platform_);
+    PlanEval& eval = evals[i];
+    eval.timings = prefix.timings(timKey, graph, schedOptions.parallelThreads);
+    eval.outcome = cache.getSchedules(
+        scheduleKey(timKey, platform_, schedOptions, options_.interference),
+        [&] {
+          const sched::Scheduler scheduler(graph, platform_, *eval.timings);
+          ScheduleStage stage;
+          stage.schedule = scheduler.run(schedOptions);
+          const par::ParallelProgram program =
+              par::buildParallelProgram(graph, stage.schedule, platform_);
+          stage.system = syswcet::analyzeSystem(
+              program, platform_, scheduler.timings(), options_.interference,
+              schedOptions.parallelThreads);
+          return stage;
+        });
   };
 
   clock.time("schedule_and_system_wcet", [&] {
     if (threads <= 1) {
-      // Streaming: at most one candidate's graph alive besides the best.
-      for (std::size_t i = 0; i < plans.size(); ++i) {
-        consume(i, evaluatePlan(plans[i]));
-      }
+      for (std::size_t i = 0; i < plans.size(); ++i) evaluatePlan(i);
     } else {
-      std::vector<PlanEval> evals(plans.size());
-      support::parallelFor(plans.size(),
-                           static_cast<int>(threads), [&](std::size_t i) {
-        evals[i] = evaluatePlan(plans[i]);
-      });
-      for (std::size_t i = 0; i < plans.size(); ++i) {
-        consume(i, std::move(evals[i]));
-      }
+      support::parallelFor(plans.size(), static_cast<int>(threads),
+                           evaluatePlan);
     }
   });
-  if (!haveBest) {
-    throw support::ToolchainError("tool-chain: no feasible parallelization");
-  }
 
-  result.timings = *best.timings;
-  result.schedule = best.outcome->schedule;
-  result.system = best.outcome->system;
-
-  // ---- The result must own its task graph (internal pointers target the
-  // result-owned function). The uncached path moves the winner's graph
-  // in; the cached path re-derives it deterministically from result.fn —
-  // extraction and expansion are pure, so the rebuilt graph is identical
-  // to the shared cached one the schedule was computed against. ----
-  if (cache != nullptr) {
-    clock.time("task_extraction", [&] {
-      htg::ExpandOptions expandOptions;
-      expandOptions.chunksPerLoop = result.chosenChunks;
-      expandOptions.mergeScalarChains = options_.mergeScalarChains;
-      const htg::Htg source = htg::buildHtg(*result.fn);
-      result.graph =
-          std::make_unique<htg::TaskGraph>(htg::expand(source, expandOptions));
-    });
-  } else {
-    result.graph = std::move(best.ownedGraph);
+  // Ladder-order reduction: strict `<`, first minimum wins.
+  std::size_t best = 0;
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    const Cycles makespan = evals[i].outcome->system.makespan;
+    result.feedback.push_back(FeedbackPoint{
+        plans[i].chunks, plans[i].coreLimit, makespan,
+        static_cast<int>(expansions[i].stage->graph->tasks.size())});
+    if (makespan < evals[best].outcome->system.makespan) best = i;
   }
+  result.chosenChunks = plans[best].chunks;
+  result.timings = *evals[best].timings;
+  result.schedule = evals[best].outcome->schedule;
+  result.system = evals[best].outcome->system;
+
+  // ---- The result shares the winner's graph and the function it points
+  // at (the expansion's own source, so graph->fn == fn always holds). ----
+  const std::shared_ptr<const ExpandStage>& winner = expansions[best].stage;
+  result.graph =
+      std::shared_ptr<const htg::TaskGraph>(winner, winner->graph.get());
+  result.fn = std::shared_ptr<const ir::Function>(winner->source,
+                                                  winner->source->fn.get());
 
   // ---- Final explicit parallel program against the kept graph. ----
   clock.time("parallel_model", [&] {

@@ -56,22 +56,22 @@ struct ToolchainOptions {
       syswcet::InterferenceMethod::MhpRefined;
   /// Worker threads for the cross-layer feedback exploration: each
   /// (chunks-per-loop x core-limit) candidate is scheduled and analyzed
-  /// independently, so they are evaluated on a work-stealing pool through
-  /// the shared support::parallelFor layer. 0 = one per hardware thread, 1 = sequential
-  /// in-place evaluation. The chosen candidate, feedback ordering, and
+  /// independently, so they are evaluated on a thread team through the
+  /// shared support::parallelFor layer. 0 = one per hardware thread,
+  /// 1 = sequential in-place evaluation. The chosen candidate, feedback ordering, and
   /// report are bit-identical either way: candidates are reduced in ladder
   /// order after the parallel phase. When the exploration is pooled, the
   /// per-candidate scheduler runs its own phases sequentially (pools do
   /// not nest), overriding sched.parallelThreads for the inner runs.
   int explorationThreads = 0;
-  /// Optional content-hash stage cache (core/cache.h). When set, run()
-  /// memoizes its stages — transforms, sequential WCET, HTG expansion,
-  /// per-task timings, schedule/system-WCET — on hashes of exactly the
-  /// inputs each stage observes, and a cache shared across runs (a
-  /// platform sweep, an incremental re-run, the future argod service)
-  /// reuses everything whose inputs did not change. null (the default)
-  /// disables memoization entirely: no hashing, no serialization, the
-  /// pre-cache code path. Results are byte-identical either way.
+  /// Content-hash stage cache (core/cache.h). run() memoizes its stages —
+  /// transforms, sequential WCET, HTG expansion, per-task timings,
+  /// schedule/system-WCET — on hashes of exactly the inputs each stage
+  /// observes, and a cache shared across runs (a platform sweep, an
+  /// incremental re-run, the future argod service) reuses everything
+  /// whose inputs did not change. null (the default) gives every run a
+  /// fresh cache of its own, dropped when the run returns. Results are
+  /// byte-identical either way.
   std::shared_ptr<ToolchainCache> cache;
 };
 
@@ -92,13 +92,15 @@ struct FeedbackPoint {
   int tasks = 0;
 };
 
-/// Everything the tool-chain produced. Heap-owned members keep internal
-/// pointers (TaskGraph -> Function, ParallelProgram -> TaskGraph) stable
-/// across moves of the result object.
+/// Everything the tool-chain produced. `fn` and `graph` share the stage
+/// values the winning candidate was computed from (core/cache.h), so they
+/// stay valid after the cache is gone, `graph->fn == fn.get()`, and the
+/// internal pointers (TaskGraph -> Function, ParallelProgram -> TaskGraph)
+/// survive moves and copies of the result object.
 struct ToolchainResult {
-  std::unique_ptr<ir::Function> fn;
+  std::shared_ptr<const ir::Function> fn;
   ir::Environment constants;
-  std::unique_ptr<htg::TaskGraph> graph;
+  std::shared_ptr<const htg::TaskGraph> graph;
   std::vector<sched::TaskTiming> timings;
   sched::Schedule schedule;
   par::ParallelProgram program;
@@ -142,7 +144,7 @@ class Toolchain {
   /// sequential WCET, every candidate HTG expansion and its per-task
   /// timings — into the attached cache, so subsequent run() calls (for
   /// any policy on this platform) start at the schedule stage. No-op
-  /// without a cache. scenarios::runEval uses this as the shared
+  /// without an attached cache. scenarios::runEval uses this as the shared
   /// upstream node that per-policy toolchain nodes fan out from on the
   /// TaskGraph executor.
   void warmSharedStages(const model::CompiledModel& model) const;

@@ -43,7 +43,10 @@ std::unique_ptr<ir::VarRef> outRef(const EmitContext& ctx, int port,
                  cloneIndices(idx));
 }
 
-const Type& signalType(const EmitContext& ctx, int inputPort) {
+// Returns a copy: the declaration it reads lives in the function's
+// declaration vector, which a later ctx.fn.declare / ctx.declareConst in
+// the same emit() may reallocate.
+Type signalType(const EmitContext& ctx, int inputPort) {
   return ctx.fn.lookup(ctx.inputs.at(static_cast<std::size_t>(inputPort))).type;
 }
 
@@ -74,7 +77,7 @@ void OutputBlock::emit(EmitContext& ctx) const {
   // Copy the incoming wire into the function Output variable. ctx.outputs
   // holds the output variable name even though outputCount() == 0; the
   // compiler arranges this.
-  const Type& type = signalType(ctx, 0);
+  const Type type = signalType(ctx, 0);
   forEachElement(ctx, ctx.body, type, [&](std::vector<ExprPtr> idx) {
     return ir::assign(outRef(ctx, 0, idx), inRef(ctx, 0, idx));
   });
@@ -115,7 +118,7 @@ std::vector<Type> GainBlock::inferTypes(const std::vector<Type>& inputs) const {
 }
 
 void GainBlock::emit(EmitContext& ctx) const {
-  const Type& type = signalType(ctx, 0);
+  const Type type = signalType(ctx, 0);
   forEachElement(ctx, ctx.body, type, [&](std::vector<ExprPtr> idx) {
     return ir::assign(outRef(ctx, 0, idx),
                       ir::mul(ir::flt(gain_), inRef(ctx, 0, idx)));
@@ -138,7 +141,7 @@ std::vector<Type> SumBlock::inferTypes(const std::vector<Type>& inputs) const {
 }
 
 void SumBlock::emit(EmitContext& ctx) const {
-  const Type& type = signalType(ctx, 0);
+  const Type type = signalType(ctx, 0);
   forEachElement(ctx, ctx.body, type, [&](std::vector<ExprPtr> idx) {
     ExprPtr acc;
     for (std::size_t k = 0; k < signs_.size(); ++k) {
@@ -160,7 +163,7 @@ std::vector<Type> ProductBlock::inferTypes(
 }
 
 void ProductBlock::emit(EmitContext& ctx) const {
-  const Type& type = signalType(ctx, 0);
+  const Type type = signalType(ctx, 0);
   forEachElement(ctx, ctx.body, type, [&](std::vector<ExprPtr> idx) {
     ExprPtr acc;
     for (int k = 0; k < inputs_; ++k) {
@@ -183,7 +186,7 @@ std::vector<Type> DelayBlock::inferTypes(const std::vector<Type>& inputs) const 
 }
 
 void DelayBlock::emit(EmitContext& ctx) const {
-  const Type& type = signalType(ctx, 0);
+  const Type type = signalType(ctx, 0);
   const std::string state = ctx.uniqueName(name() + "_z");
   ctx.fn.declare(state, type, ir::VarRole::State);
   forEachElement(ctx, ctx.body, type, [&](std::vector<ExprPtr> idx) {
@@ -204,7 +207,7 @@ std::vector<Type> SaturateBlock::inferTypes(
 }
 
 void SaturateBlock::emit(EmitContext& ctx) const {
-  const Type& type = signalType(ctx, 0);
+  const Type type = signalType(ctx, 0);
   forEachElement(ctx, ctx.body, type, [&](std::vector<ExprPtr> idx) {
     ExprPtr clamped = ir::bin(
         ir::BinOpKind::Min, ir::flt(hi_),
@@ -221,7 +224,7 @@ std::vector<Type> MathBlock::inferTypes(const std::vector<Type>& inputs) const {
 }
 
 void MathBlock::emit(EmitContext& ctx) const {
-  const Type& type = signalType(ctx, 0);
+  const Type type = signalType(ctx, 0);
   forEachElement(ctx, ctx.body, type, [&](std::vector<ExprPtr> idx) {
     return ir::assign(outRef(ctx, 0, idx),
                       ir::un(op_, inRef(ctx, 0, idx)));
@@ -237,7 +240,7 @@ std::vector<Type> Atan2Block::inferTypes(const std::vector<Type>& inputs) const 
 }
 
 void Atan2Block::emit(EmitContext& ctx) const {
-  const Type& type = signalType(ctx, 0);
+  const Type type = signalType(ctx, 0);
   forEachElement(ctx, ctx.body, type, [&](std::vector<ExprPtr> idx) {
     std::vector<ExprPtr> args;
     args.push_back(inRef(ctx, 0, idx));
@@ -257,7 +260,7 @@ std::vector<Type> RelationalBlock::inferTypes(
 }
 
 void RelationalBlock::emit(EmitContext& ctx) const {
-  const Type& type = signalType(ctx, 0);
+  const Type type = signalType(ctx, 0);
   forEachElement(ctx, ctx.body, type, [&](std::vector<ExprPtr> idx) {
     ExprPtr cmp = ir::bin(op_, inRef(ctx, 0, idx), inRef(ctx, 1, idx));
     return ir::assign(outRef(ctx, 0, idx),
@@ -279,7 +282,7 @@ std::vector<Type> SwitchBlock::inferTypes(const std::vector<Type>& inputs) const
 }
 
 void SwitchBlock::emit(EmitContext& ctx) const {
-  const Type& dataType = signalType(ctx, 1);
+  const Type dataType = signalType(ctx, 1);
   const bool scalarControl = signalType(ctx, 0).isScalar();
   forEachElement(ctx, ctx.body, dataType, [&](std::vector<ExprPtr> idx) {
     std::vector<ExprPtr> ctrlIdx =
@@ -301,7 +304,7 @@ std::vector<Type> ReduceBlock::inferTypes(const std::vector<Type>& inputs) const
 }
 
 void ReduceBlock::emit(EmitContext& ctx) const {
-  const Type& type = signalType(ctx, 0);
+  const Type type = signalType(ctx, 0);
   double init = 0.0;
   ir::BinOpKind op = ir::BinOpKind::Add;
   switch (op_) {
@@ -453,7 +456,7 @@ std::vector<Type> Conv2dBlock::inferTypes(const std::vector<Type>& inputs) const
 }
 
 void Conv2dBlock::emit(EmitContext& ctx) const {
-  const Type& type = signalType(ctx, 0);
+  const Type type = signalType(ctx, 0);
   const int height = type.dims()[0];
   const int width = type.dims()[1];
   const int ch = kernelH_ / 2;
@@ -517,7 +520,7 @@ std::vector<Type> Lookup1dBlock::inferTypes(
 }
 
 void Lookup1dBlock::emit(EmitContext& ctx) const {
-  const Type& type = signalType(ctx, 0);
+  const Type type = signalType(ctx, 0);
   const int n = static_cast<int>(table_.size());
   const std::string table = ctx.declareConst(
       name() + "_T", Type::array(ir::ScalarKind::Float64, {n}), table_);

@@ -13,7 +13,6 @@
 #include "sim/simulator.h"
 #include "support/diagnostics.h"
 #include "support/graph.h"
-#include "support/parallel.h"
 #include "support/rng.h"
 #include "support/trace.h"
 
@@ -83,9 +82,7 @@ PolicyOutcome runToolchainStage(
 }
 
 /// Simulator stage of one unit: probes the bound of the parked toolchain
-/// result with seeded random inputs, then releases the result. Both
-/// executors run the identical stage code, so the outcomes (and hence the
-/// rendered report) match byte for byte.
+/// result with seeded random inputs, then releases the result.
 void runSimStage(const Scenario& scenario, const adl::Platform& platform,
                  const EvalOptions& options,
                  std::optional<core::ToolchainResult>& keep,
@@ -119,21 +116,9 @@ void runSimStage(const Scenario& scenario, const adl::Platform& platform,
       std::chrono::duration<double, std::milli>(end - begin).count();
 }
 
-/// One fused (scenario, policy) unit of the barrier executor: both stages
-/// back to back on the same worker.
-PolicyOutcome runUnit(const Scenario& scenario, const adl::Platform& platform,
-                      const std::string& policy, const EvalOptions& options,
-                      const std::shared_ptr<core::ToolchainCache>& cache) {
-  std::optional<core::ToolchainResult> keep;
-  PolicyOutcome outcome =
-      runToolchainStage(scenario, platform, policy, options, cache, keep);
-  runSimStage(scenario, platform, options, keep, outcome);
-  return outcome;
-}
-
 /// One (scenario, sweep case) cell of the evaluation grid. Modulo mode
 /// pairs scenario s with moduloSweepCase(s, C); Cross mode enumerates the
-/// full product scenario-major. Everything downstream — both executors
+/// full product scenario-major. Everything downstream — the graph nodes
 /// and the report assembly — walks this one list, so the pairing rule has
 /// exactly one definition.
 struct EvalCell {
@@ -240,7 +225,7 @@ EvalReport runEval(const EvalOptions& options) {
 
   // The sweep is built up front (it is cheap and every mode needs its
   // size to lay out the grid); the cell list is the one definition of the
-  // scenario/platform pairing for executors and assembly alike.
+  // scenario/platform pairing for graph nodes and assembly alike.
   const std::vector<PlatformCase> sweep = buildPlatformSweep(options.sweep);
   const std::vector<EvalCell> cells =
       buildEvalCells(scenarioCount, sweep.size(), options.sweepMode);
@@ -251,9 +236,10 @@ EvalReport runEval(const EvalOptions& options) {
   report.platformCases = sweep.size();
 
   // One stage cache shared by the whole batch (or by many batches, when
-  // the caller passed one in). Stage values are pure functions of their
-  // keyed inputs, so sharing never changes the report bytes — only how
-  // often work is recomputed.
+  // the caller passed one in); without it every unit's toolchain run uses
+  // a private cache. Stage values are pure functions of their keyed
+  // inputs, so sharing never changes the report bytes — only how often
+  // work is recomputed.
   std::shared_ptr<core::ToolchainCache> cache;
   if (options.cacheEnabled) {
     cache = options.cache != nullptr ? options.cache
@@ -264,88 +250,68 @@ EvalReport runEval(const EvalOptions& options) {
   }
 
   // Every stage writes its own slot; the assembly below reads them
-  // strictly in unit order. Which executor filled them is invisible to the
-  // report — that is the executor-differential guarantee.
+  // strictly in unit order, so the execution order is invisible to the
+  // report.
   std::vector<PolicyOutcome> slots(units);
   std::vector<Scenario> scenarioSlots(scenarioCount);
 
-  if (options.executor == EvalExecutor::Barrier) {
-    // Flat pooled phase over fused units. Units regenerate their scenario
-    // locally — generation is cheap and keeps the units free of shared
-    // mutable state; the sweep, cells, and options are read-only.
-    support::parallelFor(units, options.threads, [&](std::size_t unit) {
-      const EvalCell& cell = cells[unit / policyCount];
-      const std::string& policy = report.policies[unit % policyCount];
-      const Scenario scenario =
-          generateScenario(options.generator, static_cast<int>(cell.scenario));
-      slots[unit] = runUnit(scenario, sweep[cell.sweepCase].platform, policy,
-                            options, cache);
+  // Dependency-graph execution (support/graph.h): each scenario's
+  // generation is a shared upstream node; each unit is a toolchain-stage
+  // node feeding a simulator-stage node. Scenario A's simulation overlaps
+  // scenario B's toolchain stage — there is no batch-wide rendezvous
+  // until the sinks. With the batch cache, every cell also gets a prefix
+  // node (Toolchain::warmSharedStages) that its per-policy toolchain
+  // nodes fan out from, so the shared stage prefix is computed once per
+  // cell instead of per policy.
+  std::vector<std::optional<core::ToolchainResult>> parked(units);
+  support::TaskGraph graph;
+  std::vector<support::TaskGraph::NodeId> scenarioNodes(scenarioCount);
+  for (std::size_t s = 0; s < scenarioCount; ++s) {
+    scenarioNodes[s] = graph.addNode("scenario/" + std::to_string(s), [&, s] {
+      scenarioSlots[s] =
+          generateScenario(options.generator, static_cast<int>(s));
     });
-    for (std::size_t s = 0; s < scenarioCount; ++s) {
-      // Metadata for the assembly (cheap) — the outcomes are in slots.
-      scenarioSlots[s] = generateScenario(options.generator,
-                                          static_cast<int>(s));
-    }
-  } else {
-    // Dependency-graph execution (support/graph.h): each scenario's
-    // generation is a shared upstream node; each unit is a
-    // toolchain-stage node feeding a simulator-stage node. Scenario A's
-    // simulation overlaps scenario B's toolchain stage — there is no
-    // batch-wide rendezvous until the sinks. With the cache enabled,
-    // every cell also gets a prefix node (Toolchain::warmSharedStages)
-    // that its per-policy toolchain nodes fan out from, so the shared
-    // stage prefix is computed once per cell instead of per policy.
-    std::vector<std::optional<core::ToolchainResult>> parked(units);
-    support::TaskGraph graph;
-    std::vector<support::TaskGraph::NodeId> scenarioNodes(scenarioCount);
-    for (std::size_t s = 0; s < scenarioCount; ++s) {
-      scenarioNodes[s] =
-          graph.addNode("scenario/" + std::to_string(s), [&, s] {
-            scenarioSlots[s] =
-                generateScenario(options.generator, static_cast<int>(s));
-          });
-    }
-    for (std::size_t cellIndex = 0; cellIndex < cells.size(); ++cellIndex) {
-      const EvalCell& cell = cells[cellIndex];
-      const std::string cellTag =
-          std::to_string(cell.scenario) + "/" + sweep[cell.sweepCase].name;
-      support::TaskGraph::NodeId prefixNode{};
-      if (cache != nullptr) {
-        prefixNode = graph.addNode("prefix/" + cellTag, [&, cellIndex] {
-          const EvalCell& c = cells[cellIndex];
-          core::ToolchainOptions warm = options.toolchain;
-          warm.explorationThreads = 1;
-          warm.sched.parallelThreads = 1;
-          warm.cache = cache;
-          core::Toolchain(sweep[c.sweepCase].platform, warm)
-              .warmSharedStages(scenarioSlots[c.scenario].model);
-        });
-        graph.addEdge(scenarioNodes[cell.scenario], prefixNode);
-      }
-      for (std::size_t p = 0; p < policyCount; ++p) {
-        const std::size_t unit = cellIndex * policyCount + p;
-        const std::string& policy = report.policies[p];
-        const auto toolchainNode = graph.addNode(
-            "toolchain/" + cellTag + "/" + policy, [&, cellIndex, unit, p] {
-              const EvalCell& c = cells[cellIndex];
-              slots[unit] = runToolchainStage(
-                  scenarioSlots[c.scenario], sweep[c.sweepCase].platform,
-                  report.policies[p], options, cache, parked[unit]);
-            });
-        graph.addEdge(scenarioNodes[cell.scenario], toolchainNode);
-        if (cache != nullptr) graph.addEdge(prefixNode, toolchainNode);
-        const auto simNode = graph.addNode(
-            "sim/" + cellTag + "/" + policy, [&, cellIndex, unit] {
-              const EvalCell& c = cells[cellIndex];
-              runSimStage(scenarioSlots[c.scenario],
-                          sweep[c.sweepCase].platform, options, parked[unit],
-                          slots[unit]);
-            });
-        graph.addEdge(toolchainNode, simNode);
-      }
-    }
-    graph.run(options.threads);
   }
+  for (std::size_t cellIndex = 0; cellIndex < cells.size(); ++cellIndex) {
+    const EvalCell& cell = cells[cellIndex];
+    const std::string cellTag =
+        std::to_string(cell.scenario) + "/" + sweep[cell.sweepCase].name;
+    support::TaskGraph::NodeId prefixNode{};
+    if (cache != nullptr) {
+      prefixNode = graph.addNode("prefix/" + cellTag, [&, cellIndex] {
+        const EvalCell& c = cells[cellIndex];
+        core::ToolchainOptions warm = options.toolchain;
+        warm.explorationThreads = 1;
+        warm.sched.parallelThreads = 1;
+        warm.cache = cache;
+        core::Toolchain(sweep[c.sweepCase].platform, warm)
+            .warmSharedStages(scenarioSlots[c.scenario].model);
+      });
+      graph.addEdge(scenarioNodes[cell.scenario], prefixNode);
+    }
+    for (std::size_t p = 0; p < policyCount; ++p) {
+      const std::size_t unit = cellIndex * policyCount + p;
+      const std::string& policy = report.policies[p];
+      const auto toolchainNode = graph.addNode(
+          "toolchain/" + cellTag + "/" + policy, [&, cellIndex, unit, p] {
+            const EvalCell& c = cells[cellIndex];
+            slots[unit] = runToolchainStage(
+                scenarioSlots[c.scenario], sweep[c.sweepCase].platform,
+                report.policies[p], options, cache, parked[unit]);
+          });
+      graph.addEdge(scenarioNodes[cell.scenario], toolchainNode);
+      if (cache != nullptr) graph.addEdge(prefixNode, toolchainNode);
+      const auto simNode = graph.addNode(
+          "sim/" + cellTag + "/" + policy, [&, cellIndex, unit] {
+            const EvalCell& c = cells[cellIndex];
+            runSimStage(scenarioSlots[c.scenario],
+                        sweep[c.sweepCase].platform, options, parked[unit],
+                        slots[unit]);
+          });
+      graph.addEdge(toolchainNode, simNode);
+    }
+  }
+  graph.run(options.threads);
 
   // Ladder-order assembly: strictly in unit order, strict < for the
   // winner, so the report is identical however the units were executed.
@@ -451,48 +417,12 @@ std::string EvalReport::toJson(bool includeTimings) const {
     out += "}";
   }
   appendf(out, "],\"all_sim_safe\":%s", allSimSafe ? "true" : "false");
-  if (includeTimings && cacheStats.has_value()) {
-    // Raw stage-cache counters. The hit/wait split depends on thread
-    // timing, which is why this block shares the wall-clock opt-in gate.
-    const auto stage = [&](const char* name,
-                           const support::StageCacheStats& s) {
-      appendf(out, "\"%s\":{\"hits\":%llu,\"misses\":%llu,"
-                   "\"inflight_waits\":%llu}",
-              name, static_cast<unsigned long long>(s.hits),
-              static_cast<unsigned long long>(s.misses),
-              static_cast<unsigned long long>(s.inflightWaits));
-    };
-    out += ",\"cache_stats\":{";
-    stage("transforms", cacheStats->transforms);
-    out += ",";
-    stage("sequential_wcet", cacheStats->sequentialWcet);
-    out += ",";
-    stage("expansion", cacheStats->expansion);
-    out += ",";
-    stage("timings", cacheStats->timings);
-    out += ",";
-    stage("schedules", cacheStats->schedules);
-    if (cacheStats->disk.has_value()) {
-      // Disk-tier counters, present only when --cache-dir was given. The
-      // reject count is also printed on stderr unconditionally (it is
-      // determinism-relevant); this block is the full picture.
-      const support::DiskCacheStats& d = *cacheStats->disk;
-      appendf(out, ",\"disk\":{\"hits\":%llu,\"misses\":%llu,"
-                   "\"rejects\":%llu,\"stores\":%llu,"
-                   "\"store_failures\":%llu}",
-              static_cast<unsigned long long>(d.hits),
-              static_cast<unsigned long long>(d.misses),
-              static_cast<unsigned long long>(d.rejects),
-              static_cast<unsigned long long>(d.stores),
-              static_cast<unsigned long long>(d.storeFailures));
-    }
-    out += "}";
-  }
   if (includeTimings) {
     // The unified metrics namespace (docs/OBSERVABILITY.md): the process
-    // registry snapshot plus the cache/disk counters above re-spelled
-    // under the kDiskStage* names. Same opt-in gate as every other
-    // wall-clock-style field; cache_stats stays for schema continuity.
+    // registry snapshot plus the batch cache's per-stage and disk-tier
+    // counters under the kDiskStage* names. Same opt-in gate as every
+    // other wall-clock-style field: the hit/wait split depends on thread
+    // timing.
     core::appendMetricsJson(out, cacheStats);
     appendf(out, ",\"total_wall_ms\":%.3f", totalWallMs);
   }

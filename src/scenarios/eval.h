@@ -8,24 +8,23 @@
 // source of the repo's perf trajectory: tools/argo_eval drives it from the
 // CLI and CI uploads its JSON report per PR.
 //
-// Parallelism and determinism: by default the batch runs on the
-// support::TaskGraph dependency-graph executor (support/graph.h). Each
-// scenario's generation is a shared upstream node; every (cell, policy)
-// unit then runs as a toolchain-stage node followed by a simulator-stage
-// node, with edges only on those true data dependences — so independent
-// chains overlap instead of rendezvousing at a batch-wide barrier. With
-// the stage cache enabled (the default), each (scenario, platform) cell
-// additionally gets a prefix node that warms the policy-independent
-// stages once, fanning out to the per-policy toolchain nodes. Every stage
-// writes into its own slot and the report is assembled strictly in unit
-// order afterwards, so the report is bit-identical for any thread count
-// (the ladder-order rule of docs/ARCHITECTURE.md) *and* byte-identical to
-// the retained EvalExecutor::Barrier path (one flat parallelFor over
-// fused units) and to a `--cache off` run — the two built-in differential
-// oracles (tests/eval_test.cpp, bench_parallel_eval). toJson() uses fixed
+// Parallelism and determinism: the batch runs on the support::TaskGraph
+// dependency-graph executor (support/graph.h). Each scenario's generation
+// is a shared upstream node; every (cell, policy) unit then runs as a
+// toolchain-stage node followed by a simulator-stage node, with edges
+// only on those true data dependences — so independent chains overlap
+// instead of rendezvousing at a batch-wide barrier. With the batch cache
+// enabled (the default), each (scenario, platform) cell additionally gets
+// a prefix node that warms the policy-independent stages once, fanning
+// out to the per-policy toolchain nodes. Every stage writes into its own
+// slot and the report is assembled strictly in unit order afterwards, so
+// the report is bit-identical for any thread count (the ladder-order rule
+// of docs/ARCHITECTURE.md) *and* byte-identical to a `--cache off` run,
+// where every unit computes on a fresh cache of its own — the
+// differential oracles of tests/eval_test.cpp. toJson() uses fixed
 // formatting; byte-identical values make byte-identical documents, which
-// CI checks by diffing --threads 1 vs --threads 8 runs, --executor
-// barrier vs the graph default, and --cache off vs the cached default.
+// CI checks by diffing --threads 1 vs --threads 8 runs and --cache off vs
+// the cached default.
 #pragma once
 
 #include <cstdint>
@@ -50,23 +49,6 @@ using adl::Cycles;
 /// the EvalOptions::toolchain default — override fields freely.
 [[nodiscard]] core::ToolchainOptions defaultEvalToolchainOptions();
 
-/// Which execution engine drives the batch. Both produce byte-identical
-/// reports for any thread count; they differ only in how the independent
-/// work overlaps (and hence in wall time).
-enum class EvalExecutor {
-  /// One flat support::parallelFor over fused (scenario x policy) units:
-  /// each unit regenerates its scenario and runs toolchain + simulator
-  /// back to back, and the whole batch rendezvouses once at the end. The
-  /// pre-TaskGraph implementation, retained as the differential oracle
-  /// for the graph path.
-  Barrier,
-  /// support::TaskGraph (the default): shared platform-sweep and
-  /// per-scenario generation nodes feed per-unit toolchain-stage and
-  /// simulator-stage nodes, so scenario A's simulation can run while
-  /// scenario B is still in its toolchain stage.
-  Graph,
-};
-
 /// How scenarios are paired with platform sweep cases.
 enum class SweepMode {
   /// Scenario i runs on sweep case i % caseCount (the default): every
@@ -85,7 +67,7 @@ enum class SweepMode {
 
 /// The sweep-case index scenario `scenarioIndex` is paired with in
 /// SweepMode::Modulo — the one definition of the documented
-/// `i % caseCount` rule. Both executors and the report assembly go
+/// `i % caseCount` rule. The graph nodes and the report assembly go
 /// through the cell list derived from this helper.
 [[nodiscard]] inline std::size_t moduloSweepCase(std::size_t scenarioIndex,
                                                  std::size_t sweepCases) {
@@ -110,9 +92,6 @@ struct EvalOptions {
   /// (0 = hardware threads, 1 = sequential; default 1). The report is
   /// bit-identical for any value.
   int threads = 1;
-  /// Execution engine (default Graph; Barrier is the differential
-  /// oracle). The report is byte-identical either way.
-  EvalExecutor executor = EvalExecutor::Graph;
   /// Simulator probes per (scenario, policy) run, each from an
   /// independently seeded random input (count, default 3; 0 skips the
   /// simulator check entirely — observed/tightness read as 0).
@@ -123,9 +102,10 @@ struct EvalOptions {
   /// 1 (the batch owns the pool; pools do not nest).
   core::ToolchainOptions toolchain = defaultEvalToolchainOptions();
   /// Memoize toolchain stages in one core::ToolchainCache shared by every
-  /// unit of the batch (default true). `false` runs every unit from
-  /// scratch — the built-in differential oracle: the report is
-  /// byte-identical either way (`argo_eval --cache off`, CI `cmp`).
+  /// unit of the batch (default true). `false` gives every unit a fresh
+  /// cache of its own, so nothing is shared across units — the built-in
+  /// differential oracle: the report is byte-identical either way
+  /// (`argo_eval --cache off`, CI `cmp`).
   bool cacheEnabled = true;
   /// Optional externally owned cache reused across runEval calls — an
   /// incremental re-sweep (same scenarios, a platform point or policy
@@ -202,8 +182,9 @@ struct EvalReport {
   bool allSimSafe = true;
   /// Cumulative stage-cache counters, set when caching was enabled (for
   /// an externally shared cache they cover its whole lifetime, not just
-  /// this batch). Rendered only under includeTimings: the hit/wait split
-  /// is thread-timing-dependent, so it must stay out of the canonical
+  /// this batch). Rendered only under includeTimings, as the cache.* and
+  /// disk.* keys of the `metrics` block: the hit/wait split is
+  /// thread-timing-dependent, so it must stay out of the canonical
   /// report.
   std::optional<core::ToolchainCacheStats> cacheStats;
 
@@ -211,9 +192,9 @@ struct EvalReport {
   /// bench/common.h --json house style ({"bench":..., "rows":[...],
   /// "summary":...}), one row per (cell, policy) unit plus per-policy
   /// aggregates. Deterministic: fixed field order and fixed float
-  /// formatting; byte-identical across thread counts, executors, and
-  /// cache settings. Wall-clock and cache-counter fields appear only
-  /// when `includeTimings` (they vary run to run).
+  /// formatting; byte-identical across thread counts and cache settings.
+  /// Wall-clock fields and the `metrics` block appear only when
+  /// `includeTimings` (they vary run to run).
   [[nodiscard]] std::string toJson(bool includeTimings = false) const;
 };
 

@@ -13,7 +13,6 @@
 #include "support/diagnostics.h"
 #include "support/metrics.h"
 #include "support/parallel.h"
-#include "support/thread_pool.h"
 #include "support/trace.h"
 
 namespace argo::support {
@@ -145,11 +144,6 @@ void TaskGraph::run(int threads) {
   if (resolved <= 1) {
     runInline();
     return;
-  }
-  if (inParallelTask()) {
-    throw ToolchainError(
-        "support::TaskGraph::run: nested pooled use from a parallel task; "
-        "inner phases must run with threads = 1");
   }
   runPooled(resolved);
 }
@@ -284,11 +278,9 @@ void TaskGraph::runPooled(unsigned resolved) {
     }
   };
 
-  // `resolved - 1` workers plus the helping caller give `resolved`
-  // executors for `resolved` drain loops: the existing ThreadPool workers
-  // are what drains the ready queue.
-  ThreadPool pool(resolved - 1);
-  pool.parallelFor(resolved, [&](std::size_t) { drain(); });
+  // One drain loop per team thread; the team is the calling thread plus
+  // `resolved - 1` transient threads, and runTeam rejects a nested run.
+  detail::runTeam(resolved, "support::TaskGraph::run", drain);
 
   for (NodeId id = 0; id < n; ++id) {
     if (errors[id]) std::rethrow_exception(errors[id]);

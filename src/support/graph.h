@@ -39,9 +39,10 @@
 //    threads = 1.
 //
 // Execution: run() seeds an indegree-countdown ready queue with the
-// sources and drains it on a transient work-stealing ThreadPool (the
-// calling thread participates); finishing a node atomically decrements
-// each successor's pending count and enqueues those that hit zero.
+// sources and drains it on a transient thread team (support::detail::
+// runTeam: the calling thread plus N-1 std::threads, one drain loop
+// each); finishing a node atomically decrements each successor's pending
+// count and enqueues those that hit zero.
 #pragma once
 
 #include <cstddef>

@@ -1,10 +1,9 @@
 // Batch-evaluator suite: thread-count determinism of the argo_eval
-// report, the graph-vs-barrier executor differential (the TaskGraph path
-// must reproduce the barrier path byte for byte), the cache differential
-// (a --cache off run must reproduce the cached default byte for byte),
-// the cross-product sweep mode, the policy-matrix smoke check (every
-// registered policy schedules every generated scenario, no unexpected
-// fallbacks), and the JSON shape.
+// report, the cache differentials ({cache on, off} x threads {1, 3, 8},
+// in modulo and cross mode, must reproduce a sequential --cache off run
+// byte for byte), the cross-product sweep mode, the policy-matrix smoke
+// check (every registered policy schedules every generated scenario, no
+// unexpected fallbacks), and the JSON shape.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -62,76 +61,42 @@ TEST(EvalDeterminism, ReportIsByteIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(EvalDeterminism, GraphExecutorMatchesBarrierByteForByte) {
-  // The executor differential: the TaskGraph pipeline (stages overlap
-  // across scenarios) must reproduce the pre-existing barrier report byte
-  // for byte, at every thread count. A wider slice than smallBatch() so
-  // the graph crosses every platform case several times and both
-  // executors hit the fallback paths.
-  scenarios::EvalOptions barrier = smallBatch();
-  barrier.scenarioCount = 25;
-  barrier.executor = scenarios::EvalExecutor::Barrier;
-  barrier.threads = 8;
-  const std::string reference = scenarios::runEval(barrier).toJson();
-
-  scenarios::EvalOptions graph = barrier;
-  graph.executor = scenarios::EvalExecutor::Graph;
-  for (int threads : {1, 3, 8}) {
-    graph.threads = threads;
-    EXPECT_EQ(scenarios::runEval(graph).toJson(), reference)
-        << "graph threads=" << threads;
+/// Every {cache on, off} x threads {1, 3, 8} run of `reference` must
+/// render the report of its sequential --cache off run byte for byte.
+void expectMatchesUncachedSequential(scenarios::EvalOptions reference) {
+  reference.cacheEnabled = false;
+  reference.threads = 1;
+  const std::string oracle = scenarios::runEval(reference).toJson();
+  for (const bool cacheEnabled : {false, true}) {
+    for (const int threads : {1, 3, 8}) {
+      scenarios::EvalOptions options = reference;
+      options.cacheEnabled = cacheEnabled;
+      options.threads = threads;
+      EXPECT_EQ(scenarios::runEval(options).toJson(), oracle)
+          << "cache=" << cacheEnabled << " threads=" << threads;
+    }
   }
 }
 
 TEST(EvalCacheDifferential, CacheOffMatchesCachedDefaultByteForByte) {
-  // The cache differential over the same 25-scenario slice the executor
-  // differential uses: an uncached run (every unit computed from scratch)
-  // is the oracle, and the cached default must reproduce it byte for
-  // byte at every thread count — hits return bit-identical values or
-  // this diff catches them.
-  scenarios::EvalOptions uncached = smallBatch();
-  uncached.scenarioCount = 25;
-  uncached.cacheEnabled = false;
-  uncached.threads = 1;
-  const std::string reference = scenarios::runEval(uncached).toJson();
-
-  scenarios::EvalOptions cached = uncached;
-  cached.cacheEnabled = true;
-  for (int threads : {1, 3, 8}) {
-    cached.threads = threads;
-    EXPECT_EQ(scenarios::runEval(cached).toJson(), reference)
-        << "cached threads=" << threads;
-  }
+  // The cache differential in modulo mode, on a slice wide enough to
+  // cross every platform case several times and hit both fallback paths:
+  // a sequential uncached run (every unit on a fresh cache of its own) is
+  // the oracle. Hits must return bit-identical values, and the graph must
+  // assemble the same report whatever the thread count.
+  scenarios::EvalOptions options = smallBatch();
+  options.scenarioCount = 25;
+  expectMatchesUncachedSequential(options);
 }
 
 TEST(EvalCacheDifferential, CrossModeMatchesAcrossExecutorsAndCache) {
-  // The full differential matrix in cross mode: {cache on, off} x
-  // {barrier, graph} x {1, 8 threads} against one uncached sequential
-  // barrier reference.
-  scenarios::EvalOptions reference = smallBatch();
-  reference.scenarioCount = 4;
-  reference.sweepMode = scenarios::SweepMode::Cross;
-  reference.cacheEnabled = false;
-  reference.executor = scenarios::EvalExecutor::Barrier;
-  reference.threads = 1;
-  const std::string oracle = scenarios::runEval(reference).toJson();
-
-  for (const bool cacheEnabled : {false, true}) {
-    for (const scenarios::EvalExecutor executor :
-         {scenarios::EvalExecutor::Barrier, scenarios::EvalExecutor::Graph}) {
-      for (const int threads : {1, 8}) {
-        scenarios::EvalOptions options = reference;
-        options.cacheEnabled = cacheEnabled;
-        options.executor = executor;
-        options.threads = threads;
-        EXPECT_EQ(scenarios::runEval(options).toJson(), oracle)
-            << "cache=" << cacheEnabled << " executor="
-            << (executor == scenarios::EvalExecutor::Barrier ? "barrier"
-                                                             : "graph")
-            << " threads=" << threads;
-      }
-    }
-  }
+  // The same differential matrix — the graph executor on 1, 3 and 8
+  // threads, cache on and off — on the full cross product, where cells
+  // sharing a scenario also share the stage prefix through the cache.
+  scenarios::EvalOptions options = smallBatch();
+  options.scenarioCount = 4;
+  options.sweepMode = scenarios::SweepMode::Cross;
+  expectMatchesUncachedSequential(options);
 }
 
 TEST(EvalCacheDifferential, SharedCacheRerunIsByteIdenticalAndAllHits) {
@@ -156,13 +121,12 @@ TEST(EvalDiskCacheDifferential, DiskWarmRerunMatchesCacheOffByteForByte) {
   // The cross-process disk-tier oracle, in-process: every runEval call
   // with a fresh (default) cache over the same --cache-dir models a
   // fresh process — only the directory is shared. Cold populate, then
-  // warm reruns across both executors and thread counts, all compared
-  // byte for byte against an uncached reference.
+  // warm reruns across thread counts, all compared byte for byte against
+  // an uncached reference.
   scenarios::EvalOptions reference = smallBatch();
   reference.scenarioCount = 3;
   reference.sweepMode = scenarios::SweepMode::Cross;
   reference.cacheEnabled = false;
-  reference.executor = scenarios::EvalExecutor::Barrier;
   reference.threads = 1;
   const std::string oracle = scenarios::runEval(reference).toJson();
 
@@ -170,7 +134,6 @@ TEST(EvalDiskCacheDifferential, DiskWarmRerunMatchesCacheOffByteForByte) {
   scenarios::EvalOptions cold = reference;
   cold.cacheEnabled = true;
   cold.cacheDir = dir.path;
-  cold.executor = scenarios::EvalExecutor::Graph;
   cold.threads = 8;
   const scenarios::EvalReport coldReport = scenarios::runEval(cold);
   EXPECT_EQ(coldReport.toJson(), oracle);
@@ -179,22 +142,14 @@ TEST(EvalDiskCacheDifferential, DiskWarmRerunMatchesCacheOffByteForByte) {
   EXPECT_GT(coldReport.cacheStats->disk->stores, 0u);
   EXPECT_EQ(coldReport.cacheStats->disk->rejects, 0u);
 
-  for (const scenarios::EvalExecutor executor :
-       {scenarios::EvalExecutor::Barrier, scenarios::EvalExecutor::Graph}) {
-    for (const int threads : {1, 8}) {
-      scenarios::EvalOptions warm = cold;
-      warm.executor = executor;
-      warm.threads = threads;
-      const scenarios::EvalReport report = scenarios::runEval(warm);
-      EXPECT_EQ(report.toJson(), oracle)
-          << "warm executor="
-          << (executor == scenarios::EvalExecutor::Barrier ? "barrier"
-                                                           : "graph")
-          << " threads=" << threads;
-      ASSERT_TRUE(report.cacheStats->disk.has_value());
-      EXPECT_GT(report.cacheStats->disk->hits, 0u);
-      EXPECT_EQ(report.cacheStats->disk->rejects, 0u);
-    }
+  for (const int threads : {1, 8}) {
+    scenarios::EvalOptions warm = cold;
+    warm.threads = threads;
+    const scenarios::EvalReport report = scenarios::runEval(warm);
+    EXPECT_EQ(report.toJson(), oracle) << "warm threads=" << threads;
+    ASSERT_TRUE(report.cacheStats->disk.has_value());
+    EXPECT_GT(report.cacheStats->disk->hits, 0u);
+    EXPECT_EQ(report.cacheStats->disk->rejects, 0u);
   }
 }
 
@@ -274,67 +229,69 @@ TEST(EvalCacheStats, RenderedOnlyWithTimingsAndWhenEnabled) {
   const scenarios::EvalReport cached = scenarios::runEval(options);
   ASSERT_TRUE(cached.cacheStats.has_value());
   // The counters exist but stay out of the canonical report: the
-  // hit/wait split depends on thread timing.
-  EXPECT_EQ(cached.toJson(false).find("cache_stats"), std::string::npos);
-  EXPECT_NE(cached.toJson(true).find("cache_stats"), std::string::npos);
+  // hit/wait split depends on thread timing. Under --timings they are
+  // keys of the `metrics` block, the report's one stats block.
+  const std::string canonical = cached.toJson(false);
+  const std::string timed = cached.toJson(true);
+  EXPECT_EQ(canonical.find("\"metrics\":"), std::string::npos);
+  EXPECT_EQ(canonical.find("\"cache."), std::string::npos);
+  EXPECT_EQ(timed.find("cache_stats"), std::string::npos);
+  for (const char* key :
+       {"\"cache.transforms.hits\":", "\"cache.seqwcet.misses\":",
+        "\"cache.expand.inflight_waits\":", "\"cache.timings.hits\":",
+        "\"cache.schedule.misses\":"}) {
+    EXPECT_NE(timed.find(key), std::string::npos) << key;
+  }
+  // No disk tier attached, so no disk.* keys.
+  EXPECT_EQ(timed.find("\"disk.hits\":"), std::string::npos);
 
   options.cacheEnabled = false;
   const scenarios::EvalReport uncached = scenarios::runEval(options);
   EXPECT_FALSE(uncached.cacheStats.has_value());
-  EXPECT_EQ(uncached.toJson(true).find("cache_stats"), std::string::npos);
+  EXPECT_EQ(uncached.toJson(true).find("\"cache.transforms.hits\":"),
+            std::string::npos);
 }
 
 TEST(EvalPolicyMatrix, EveryRegisteredPolicySchedulesEveryScenario) {
-  // The smoke check runs under both executors: the invariants are
-  // executor-independent, and a structural bug in either path (a dropped
-  // unit, a missed stage) would surface here before the byte diff does.
-  for (const scenarios::EvalExecutor executor :
-       {scenarios::EvalExecutor::Barrier, scenarios::EvalExecutor::Graph}) {
-    scenarios::EvalOptions options = smallBatch();
-    options.scenarioCount = 6;
-    options.executor = executor;
-    const char* label =
-        executor == scenarios::EvalExecutor::Barrier ? "barrier" : "graph";
-    const scenarios::EvalReport report = scenarios::runEval(options);
+  // A structural bug in the graph (a dropped unit, a missed stage) would
+  // surface here before the byte diff does.
+  scenarios::EvalOptions options = smallBatch();
+  options.scenarioCount = 6;
+  const scenarios::EvalReport report = scenarios::runEval(options);
 
-    // All registered policies took part.
-    EXPECT_EQ(report.policies, sched::registeredPolicyNames());
-    ASSERT_EQ(report.scenarios.size(), 6u);
-    for (const scenarios::ScenarioResult& row : report.scenarios) {
-      ASSERT_EQ(row.outcomes.size(), report.policies.size());
-      adl::Cycles bestBound = 0;
-      std::string bestPolicy;
-      for (const scenarios::PolicyOutcome& outcome : row.outcomes) {
-        // Scheduled for real: tasks placed, a positive bound, and the
-        // simulator stayed within it.
-        EXPECT_GT(outcome.tasks, 0)
-            << label << " " << row.scenario << "/" << outcome.policy;
-        EXPECT_GT(outcome.bound, 0)
-            << label << " " << row.scenario << "/" << outcome.policy;
-        EXPECT_TRUE(outcome.simSafe)
-            << label << " " << row.scenario << "/" << outcome.policy;
-        // The schedule label must belong to the requested policy...
-        EXPECT_EQ(outcome.scheduleLabel.rfind(outcome.policy, 0), 0u)
-            << label << " " << row.scenario << ": asked for "
-            << outcome.policy << ", got " << outcome.scheduleLabel;
-        // ...and the HEFT fallback may fire only where it is *expected*:
-        // graphs beyond the exact search's task cap.
-        if (outcome.scheduleLabel.find("fallback") != std::string::npos) {
-          EXPECT_FALSE(sched::bnbExactSearchFeasible(
-              static_cast<std::size_t>(outcome.tasks),
-              options.toolchain.sched))
-              << label << " " << row.scenario << ": fell back at "
-              << outcome.tasks << " tasks, within the exact-search cap";
-        }
-        if (bestPolicy.empty() || outcome.bound < bestBound) {
-          bestPolicy = outcome.policy;
-          bestBound = outcome.bound;
-        }
+  // All registered policies took part.
+  EXPECT_EQ(report.policies, sched::registeredPolicyNames());
+  ASSERT_EQ(report.scenarios.size(), 6u);
+  for (const scenarios::ScenarioResult& row : report.scenarios) {
+    ASSERT_EQ(row.outcomes.size(), report.policies.size());
+    adl::Cycles bestBound = 0;
+    std::string bestPolicy;
+    for (const scenarios::PolicyOutcome& outcome : row.outcomes) {
+      // Scheduled for real: tasks placed, a positive bound, and the
+      // simulator stayed within it.
+      EXPECT_GT(outcome.tasks, 0) << row.scenario << "/" << outcome.policy;
+      EXPECT_GT(outcome.bound, 0) << row.scenario << "/" << outcome.policy;
+      EXPECT_TRUE(outcome.simSafe) << row.scenario << "/" << outcome.policy;
+      // The schedule label must belong to the requested policy...
+      EXPECT_EQ(outcome.scheduleLabel.rfind(outcome.policy, 0), 0u)
+          << row.scenario << ": asked for " << outcome.policy << ", got "
+          << outcome.scheduleLabel;
+      // ...and the HEFT fallback may fire only where it is *expected*:
+      // graphs beyond the exact search's task cap.
+      if (outcome.scheduleLabel.find("fallback") != std::string::npos) {
+        EXPECT_FALSE(sched::bnbExactSearchFeasible(
+            static_cast<std::size_t>(outcome.tasks), options.toolchain.sched))
+            << row.scenario << ": fell back at " << outcome.tasks
+            << " tasks, within the exact-search cap";
       }
-      EXPECT_EQ(row.winner, bestPolicy) << label << " " << row.scenario;
+      if (bestPolicy.empty() || outcome.bound < bestBound) {
+        bestPolicy = outcome.policy;
+        bestBound = outcome.bound;
+      }
     }
-    EXPECT_TRUE(report.allSimSafe) << label;
+    EXPECT_EQ(row.winner, bestPolicy) << row.scenario;
   }
+  EXPECT_TRUE(report.allSimSafe);
 }
 
 TEST(EvalReportJson, ShapeAndTimingsFlag) {

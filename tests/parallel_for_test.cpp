@@ -1,17 +1,26 @@
 // support::parallelFor: the shared deterministic-parallelism layer. Covers
 // the knob resolution, empty/single ranges, the failure contract (every
 // index runs; the lowest failing index's exception propagates, on both the
-// inline and the pooled path) and the no-nested-pools rule.
+// inline and the pooled path), the no-nested-pools rule, and the thread
+// team a pooled call runs on: its size, back-to-back team churn, and a
+// ProgramGenerator-driven stress test (pooled evaluation of random
+// programs must match sequential evaluation bit for bit).
 #include "support/parallel.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <memory>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "ir/evaluator.h"
 #include "support/diagnostics.h"
+#include "testutil.h"
 
 namespace argo::support {
 namespace {
@@ -202,6 +211,162 @@ TEST(ParallelForOversubscribed, NestedPoolRejectionHoldsOnEveryWorker) {
                            }),
                ToolchainError);
   EXPECT_EQ(rejected.load(), 64);
+}
+
+// ------------------------------------------------- Thread team
+// The `ThreadPool` suites cover the pool of threads a pooled call runs on:
+// detail::runTeam's team size, and parallelFor on teams that start and
+// join on every call — index coverage, the failure contract, team churn,
+// and generated programs — right-sized and oversubscribed.
+
+TEST(ThreadPool, SizeDefaultsToAtLeastOne) {
+  // A team of N runs its body once on each of N distinct threads, the
+  // calling thread among them; the hardware-threads default (0) resolves
+  // to a team of at least one.
+  const auto memberThreads = [](unsigned executors) {
+    std::mutex mutex;
+    std::vector<std::thread::id> ids;
+    detail::runTeam(executors, "test", [&] {
+      const std::lock_guard<std::mutex> lock(mutex);
+      ids.push_back(std::this_thread::get_id());
+    });
+    return ids;
+  };
+  const unsigned defaultSize = effectiveParallelism(0, 1024);
+  EXPECT_GE(defaultSize, 1u);
+  EXPECT_EQ(memberThreads(defaultSize).size(), defaultSize);
+  const std::vector<std::thread::id> four = memberThreads(4);
+  ASSERT_EQ(four.size(), 4u);
+  EXPECT_EQ(std::set<std::thread::id>(four.begin(), four.end()).size(), 4u);
+  EXPECT_NE(std::find(four.begin(), four.end(), std::this_thread::get_id()),
+            four.end());
+}
+
+TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
+  constexpr std::size_t kN = 1000;
+  std::vector<std::atomic<int>> hits(kN);
+  parallelFor(kN, 4, [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (std::size_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(ThreadPool, ParallelForZeroIsANoOp) {
+  parallelFor(0, 2, [](std::size_t) { FAIL() << "must not be called"; });
+}
+
+TEST(ThreadPool, ParallelForRethrowsLowestFailingIndex) {
+  // Several indices throw; the team must deterministically surface the
+  // lowest one no matter which member hit its failure first.
+  for (int run = 0; run < 10; ++run) {
+    try {
+      parallelFor(64, 4, [](std::size_t i) {
+        if (i % 7 == 3) {  // lowest failing index is 3
+          throw ToolchainError("boom at " + std::to_string(i));
+        }
+      });
+      FAIL() << "expected ToolchainError";
+    } catch (const ToolchainError& e) {
+      EXPECT_STREQ(e.what(), "boom at 3");
+    }
+  }
+}
+
+TEST(ThreadPool, ParallelForFailureStillRunsAllIndices) {
+  std::atomic<int> executed{0};
+  EXPECT_THROW(parallelFor(100, 4,
+                           [&](std::size_t i) {
+                             executed.fetch_add(1);
+                             if (i == 0) throw std::runtime_error("x");
+                           }),
+               std::runtime_error);
+  EXPECT_EQ(executed.load(), 100);
+}
+
+TEST(ThreadPool, PoolReuseAcrossManyRuns) {
+  // Every pooled call starts a fresh team and joins it before returning,
+  // so back-to-back calls must neither lose an index nor leak a thread
+  // into the next call.
+  for (int run = 0; run < 50; ++run) {
+    std::atomic<long> sum{0};
+    parallelFor(128, 4, [&](std::size_t i) {
+      sum.fetch_add(static_cast<long>(i));
+    });
+    EXPECT_EQ(sum.load(), 128L * 127L / 2L) << "run " << run;
+  }
+}
+
+TEST(ThreadPool, StressRandomProgramsPooledMatchesSequential) {
+  // Evaluate 24 generated programs sequentially and pooled; each
+  // evaluation is independent, so the pooled outputs must be identical.
+  constexpr std::size_t kSeeds = 24;
+  std::vector<std::unique_ptr<ir::Function>> fns;
+  std::vector<ir::Environment> inputs;
+  for (std::size_t seed = 0; seed < kSeeds; ++seed) {
+    test::ProgramGenerator gen(1000 + seed);
+    fns.push_back(gen.generate("stress" + std::to_string(seed)));
+    inputs.push_back(gen.makeInputs(*fns.back()));
+  }
+  const auto evaluateAll = [&](int threads) {
+    std::vector<ir::Environment> out(kSeeds);
+    parallelFor(kSeeds, threads, [&](std::size_t i) {
+      ir::Environment env = inputs[i];
+      ir::Evaluator(*fns[i]).run(env);
+      out[i] = std::move(env);
+    });
+    return out;
+  };
+
+  const std::vector<ir::Environment> sequential = evaluateAll(1);
+  const std::vector<ir::Environment> pooled = evaluateAll(4);
+  for (std::size_t i = 0; i < kSeeds; ++i) {
+    EXPECT_TRUE(test::outputsMatch(*fns[i], sequential[i], pooled[i], 0.0))
+        << "seed " << i;
+  }
+}
+
+// Teams far larger than the hardware: constant preemption produces the
+// interleavings a right-sized team rarely does; counts and propagated
+// exceptions must never vary.
+
+TEST(ThreadPoolOversubscribed, CoverageAndReductionStayExactAcrossRuns) {
+  for (int run = 0; run < 20; ++run) {
+    std::vector<std::atomic<int>> hits(512);
+    std::atomic<long> sum{0};
+    parallelFor(512, 64, [&](std::size_t i) {
+      hits[i].fetch_add(1);
+      sum.fetch_add(static_cast<long>(i));
+    });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "run " << run << " index " << i;
+    }
+    EXPECT_EQ(sum.load(), 512L * 511L / 2L) << "run " << run;
+  }
+}
+
+TEST(ThreadPoolOversubscribed, LowestFailingIndexStillWins) {
+  for (int run = 0; run < 10; ++run) {
+    try {
+      parallelFor(256, 32, [](std::size_t i) {
+        if (i % 9 == 2) {  // lowest failing index is 2
+          throw ToolchainError("boom at " + std::to_string(i));
+        }
+      });
+      FAIL() << "expected ToolchainError";
+    } catch (const ToolchainError& e) {
+      EXPECT_STREQ(e.what(), "boom at 2") << "run " << run;
+    }
+  }
+}
+
+TEST(ThreadPoolOversubscribed, BackToBackPoolsConstructAndDrainCleanly) {
+  // Team churn: every call spins up a fresh 48-member team, runs one
+  // batch, and joins all of it.
+  for (int run = 0; run < 50; ++run) {
+    std::atomic<int> count{0};
+    parallelFor(100, 48, [&](std::size_t) { count.fetch_add(1); });
+    ASSERT_EQ(count.load(), 100) << "run " << run;
+  }
 }
 
 }  // namespace

@@ -19,8 +19,10 @@
 #include "core/cache.h"
 #include "core/toolchain.h"
 #include "diamond_fixture.h"
+#include "ir/evaluator.h"
 #include "ir/printer.h"
 #include "scenarios/generator.h"
+#include "sim/simulator.h"
 #include "support/hash.h"
 #include "support/stage_cache.h"
 
@@ -328,6 +330,48 @@ TEST(StageCacheToolchain, CachedRunMatchesUncachedByteForByte) {
 
   EXPECT_EQ(uncached.reportText(false), cold.reportText(false));
   EXPECT_EQ(uncached.reportText(false), warm.reportText(false));
+}
+
+TEST(StageCacheToolchain, ResultOutlivesItsCache) {
+  // A result shares the winner's stage values instead of cloning them:
+  // it must stay fully usable once every cache is gone — the run-private
+  // one of a no-cache run, or a shared one dropped by its last owner.
+  const scenarios::GeneratorOptions generator;
+  const scenarios::Scenario scenario = scenarios::generateScenario(generator, 5);
+  const adl::Platform platform = adl::makeRecoreXentiumBus(4);
+
+  core::ToolchainOptions options = fastToolchainOptions();
+  const core::Toolchain noCache(platform, options);
+  const core::ToolchainResult uncached = noCache.run(scenario.model);
+
+  options.cache = std::make_shared<core::ToolchainCache>();
+  const std::weak_ptr<core::ToolchainCache> watch = options.cache;
+  const core::ToolchainResult result =
+      core::Toolchain(platform, options).run(scenario.model);
+  options.cache.reset();
+  ASSERT_TRUE(watch.expired());  // the shared cache is gone
+
+  EXPECT_EQ(uncached.graph->fn, uncached.fn.get());
+  EXPECT_EQ(result.graph->fn, result.fn.get());
+  EXPECT_EQ(uncached.reportText(false), result.reportText(false));
+
+  // Simulate one step against the bound...
+  ir::Environment env = ir::makeZeroEnvironment(*result.fn);
+  for (const auto& [name, value] : result.constants) env[name] = value;
+  const sim::Simulator simulator(result.program, platform);
+  EXPECT_LE(simulator.step(env).makespan, result.system.makespan);
+
+  // ...and emit C: the sources match the no-cache run's byte for byte.
+  codegen::InputTrace trace;
+  trace.steps.push_back(ir::makeZeroEnvironment(*result.fn));
+  const codegen::Emission emitted = noCache.emitC(result, trace);
+  const codegen::Emission reference = noCache.emitC(uncached, trace);
+  ASSERT_EQ(emitted.files.size(), reference.files.size());
+  for (std::size_t i = 0; i < emitted.files.size(); ++i) {
+    EXPECT_EQ(emitted.files[i].name, reference.files[i].name);
+    EXPECT_EQ(emitted.files[i].contents, reference.files[i].contents)
+        << emitted.files[i].name;
+  }
 }
 
 TEST(StageCacheToolchain, WarmRerunHitsEveryStage) {

@@ -14,20 +14,15 @@
 //   --seed N            base seed of the scenario family       (default 1)
 //   --scenarios N       number of generated scenarios          (default 20)
 //   --threads N         batch workers; 0 = hardware threads    (default 1)
-//   --executor NAME     graph | barrier                  (default graph)
-//                       graph = support::TaskGraph dependency-graph
-//                       executor (stages overlap across scenarios);
-//                       barrier = one flat parallelFor over fused units.
-//                       The report is byte-identical either way — the A/B
-//                       pair is the executor-differential oracle.
 //   --sweep-mode NAME   modulo | cross                  (default modulo)
 //                       modulo = scenario i on sweep case i % caseCount;
 //                       cross = every scenario on every sweep case (the
 //                       full design-space product; rows scenario-major).
 //   --cache NAME        on | off                            (default on)
-//                       on = memoize toolchain stages in a shared
-//                       content-hash cache (core/cache.h); off = compute
-//                       every unit from scratch. The report is
+//                       on = memoize toolchain stages in one content-hash
+//                       cache shared by the batch (core/cache.h); off =
+//                       every unit runs on a fresh cache of its own, so
+//                       nothing is shared across units. The report is
 //                       byte-identical either way — the A/B pair is the
 //                       cache-differential oracle. Cache counters appear
 //                       in the JSON only together with --timings.
@@ -38,7 +33,7 @@
 //                       ARGO_CACHE_DIR environment variable; unset/empty
 //                       means in-memory only. Ignored with --cache off.
 //                       Disk hit/miss/reject/store counters join the
-//                       cache_stats JSON under --timings; a nonzero
+//                       `metrics` JSON under --timings; a nonzero
 //                       reject count (malformed records recomputed —
 //                       damage or version skew in DIR) is additionally
 //                       reported on stderr unconditionally.
@@ -58,12 +53,11 @@
 //   --platforms a,b,..  subset of bus_rr,bus_tdma,noc          (default all)
 //   --spm a,b,..        SPM bytes to sweep        (default: platform default)
 //   --timings           include wall-clock fields in the JSON (adds the
-//                       per-stage wall_ms fields, the cache_stats block,
-//                       and the unified `metrics` counter block — see
-//                       docs/OBSERVABILITY.md)
+//                       per-unit wall_ms fields and the unified `metrics`
+//                       counter block — see docs/OBSERVABILITY.md)
 //   --trace FILE        record a Chrome trace-event JSON execution trace
-//                       to FILE (support/trace.h): spans for pool tasks,
-//                       graph nodes, toolchain stages with cache
+//                       to FILE (support/trace.h): spans for graph nodes,
+//                       toolchain stages with cache
 //                       hit/miss attribution, disk cache I/O, per-unit
 //                       eval and simulator batches. Load in Perfetto or
 //                       summarize with tools/trace_summary.py. Defaults
@@ -96,8 +90,8 @@ using namespace argo;
   std::fprintf(
       stderr,
       "usage: %s [--seed N] [--scenarios N] [--threads N] [--policies a,b]\n"
-      "          [--executor graph|barrier] [--sweep-mode modulo|cross]\n"
-      "          [--cache on|off] [--cache-dir DIR]\n"
+      "          [--sweep-mode modulo|cross] [--cache on|off]\n"
+      "          [--cache-dir DIR]\n"
       "          [--sim-trials N] [--layers MIN:MAX] [--width MIN:MAX]\n"
       "          [--array-len MIN:MAX] [--ccr X] [--spread X]\n"
       "          [--shape layered_dag|stencil_chain] [--stencil-radius N]\n"
@@ -160,16 +154,6 @@ int main(int argc, char** argv) {
           else if (name == "oblivious")
             options.policies.push_back("contention_oblivious");
           else options.policies.push_back(name);
-        }
-      } else if (arg == "--executor") {
-        const std::string name = value(i);
-        if (name == "graph") {
-          options.executor = scenarios::EvalExecutor::Graph;
-        } else if (name == "barrier") {
-          options.executor = scenarios::EvalExecutor::Barrier;
-        } else {
-          throw support::ToolchainError("unknown executor '" + name +
-                                        "' (expected graph or barrier)");
         }
       } else if (arg == "--sweep-mode") {
         const std::string name = value(i);

@@ -109,11 +109,17 @@ def diff(old, new, out=sys.stdout):
                       new["summary"].get("total_wall_ms"))
     if total != "n/a":
         print(f"total_wall_ms: {total}", file=out)
-    # Stage-cache counters (PR 8+ schema, emitted only under --timings).
-    # Purely informational: the hit/wait split is thread-timing-dependent,
-    # so only the per-stage hit *rate* trajectory is worth reading.
-    old_cache = old["summary"].get("cache_stats") or {}
-    new_cache = new["summary"].get("cache_stats") or {}
+    # Unified metrics block (--timings only): the counter
+    # registry snapshot plus the batch cache's counters
+    # (docs/OBSERVABILITY.md). Informational — many counters are
+    # scheduling-dependent (hit/wait splits), so only deterministic sums
+    # are comparable run to run, and of the cache counters only the
+    # per-stage hit *rate* trajectory is worth reading.
+    old_metrics = old["summary"].get("metrics") or {}
+    new_metrics = new["summary"].get("metrics") or {}
+    old_cache, old_disk = cache_counters(old_metrics)
+    new_cache, new_disk = cache_counters(new_metrics)
+
     def hit_rate(stats):
         if not stats:
             return "n/a"
@@ -129,26 +135,33 @@ def diff(old, new, out=sys.stdout):
                 f"stores={stats.get('stores', 0)}")
 
     for stage in sorted(set(old_cache) | set(new_cache)):
-        if stage == "disk":
-            # PR 9+ schema: the on-disk tier's counters ride along inside
-            # cache_stats but have their own shape (no inflight_waits;
-            # a nonzero reject count is the health signal worth reading).
-            print(f"disk_cache: {disk_line(old_cache.get(stage))} -> "
-                  f"{disk_line(new_cache.get(stage))}", file=out)
-            continue
         print(f"cache_hit_rate[{stage}]: {hit_rate(old_cache.get(stage))} "
               f"-> {hit_rate(new_cache.get(stage))}", file=out)
-
-    # Unified metrics block (PR 10+ schema, --timings only): the counter
-    # registry snapshot (docs/OBSERVABILITY.md). Informational — many
-    # counters are scheduling-dependent (steals, hit/wait splits), so
-    # only deterministic sums are comparable run to run.
-    old_metrics = old["summary"].get("metrics") or {}
-    new_metrics = new["summary"].get("metrics") or {}
+    if old_disk or new_disk:
+        # The on-disk tier: a nonzero reject count is the health
+        # signal worth reading.
+        print(f"disk_cache: {disk_line(old_disk)} -> {disk_line(new_disk)}",
+              file=out)
     for name in sorted(set(old_metrics) | set(new_metrics)):
         print(f"metrics[{name}]: "
               f"{fmt_delta(old_metrics.get(name), new_metrics.get(name), percent=False)}",
               file=out)
+
+
+def cache_counters(metrics):
+    """The batch cache's counters in a `metrics` block: per stage
+    {hits, misses, inflight_waits} from cache.<stage>.<counter>, and the
+    disk tier's {hits, misses, rejects, stores, store_failures} from
+    disk.<counter>."""
+    stages = {}
+    disk = {}
+    for name, value in metrics.items():
+        parts = name.split(".")
+        if len(parts) == 3 and parts[0] == "cache":
+            stages.setdefault(parts[1], {})[parts[2]] = value
+        elif len(parts) == 2 and parts[0] == "disk":
+            disk[parts[1]] = value
+    return stages, disk
 
 
 def _fixture(bound, tightness, wall):
@@ -175,35 +188,28 @@ def _fixture(bound, tightness, wall):
 
 
 def _cross_fixture(bound, tightness, wall):
-    """A PR 8+ report: cross-product header plus cache counters."""
+    """A --timings report of the cross-product schema: the sweep header
+    plus a `metrics` block with registry and stage-cache counters."""
     report = _fixture(bound, tightness, wall)
     report["sweep_mode"] = "cross"
     report["platform_cases"] = 9
-    report["summary"]["cache_stats"] = {
-        "transforms": {"hits": 30, "misses": 10, "inflight_waits": 0},
-        "schedules": {"hits": 0, "misses": 40, "inflight_waits": 0},
+    report["summary"]["metrics"] = {
+        "cache.transforms.hits": 30, "cache.transforms.misses": 10,
+        "cache.transforms.inflight_waits": 0,
+        "cache.schedule.hits": 0, "cache.schedule.misses": 40,
+        "cache.schedule.inflight_waits": 0,
+        "graph.nodes_run": 12,
     }
     return report
 
 
 def _disk_fixture(bound, tightness, wall):
-    """A PR 9+ report: cache_stats additionally carries the disk tier."""
+    """The same with a disk tier: its counters join the metrics block."""
     report = _cross_fixture(bound, tightness, wall)
-    report["summary"]["cache_stats"]["disk"] = {
-        "hits": 40, "misses": 8, "rejects": 0, "stores": 8,
-        "store_failures": 0,
-    }
-    return report
-
-
-def _metrics_fixture(bound, tightness, wall):
-    """A PR 10+ report: the unified `metrics` counter block rides along."""
-    report = _disk_fixture(bound, tightness, wall)
-    report["summary"]["metrics"] = {
-        "pool.tasks": 64, "pool.steals": 3,
-        "cache.transforms.hits": 30, "cache.transforms.misses": 10,
-        "graph.nodes_run": 12,
-    }
+    report["summary"]["metrics"].update({
+        "disk.hits": 40, "disk.misses": 8, "disk.rejects": 0,
+        "disk.stores": 8, "disk.store_failures": 0,
+    })
     return report
 
 
@@ -218,25 +224,31 @@ def self_test():
         if needle not in text:
             raise SystemExit(
                 f"bench_diff --self-test: missing {needle!r} in:\n{text}")
-    # Legacy fields only when neither side carries the PR 8+ schema.
-    for absent in ("sweep_mode", "cache_hit_rate"):
+    # Cross-product and metrics lines only when a side carries them.
+    for absent in ("sweep_mode", "cache_hit_rate", "disk_cache", "metrics["):
         if absent in text:
             raise SystemExit(
                 f"bench_diff --self-test: unexpected {absent!r} in:\n{text}")
 
-    # Mixed schemas: an old pre-cross report diffed against a new
-    # cross-product one (the first CI run after the schema change) must
-    # not crash and must surface the mode change and the cache counters.
+    # Mixed schemas: a report without --timings or the cross header
+    # diffed against a cross-product --timings one must not crash, and
+    # must surface the mode change, the hit rates derived from the
+    # cache.<stage>.* metrics, and every metric.
     out = io.StringIO()
     diff(_fixture(1000, 0.8, 10.0), _cross_fixture(900, 0.85, 12.0), out=out)
     text = out.getvalue()
     for needle in ("sweep_mode: modulo -> cross",
                    "platform_cases: n/a -> 9",
                    "cache_hit_rate[transforms]: n/a -> 0.7500",
-                   "cache_hit_rate[schedules]: n/a -> 0.0000"):
+                   "cache_hit_rate[schedule]: n/a -> 0.0000",
+                   "metrics[cache.transforms.hits]: n/a",
+                   "metrics[graph.nodes_run]: n/a"):
         if needle not in text:
             raise SystemExit(
                 f"bench_diff --self-test: missing {needle!r} in:\n{text}")
+    if "disk_cache" in text:
+        raise SystemExit("bench_diff --self-test: disk line rendered "
+                         f"without disk.* metrics in:\n{text}")
     # And the reverse direction (comparing back across the schema change).
     out = io.StringIO()
     diff(_cross_fixture(1000, 0.8, 10.0), _fixture(900, 0.85, 12.0), out=out)
@@ -244,44 +256,23 @@ def self_test():
         raise SystemExit("bench_diff --self-test: reverse-direction "
                          f"sweep_mode line missing in:\n{out.getvalue()}")
 
-    # PR 9+ schema: a disk-tier entry inside cache_stats must render its
-    # own counter line (not a bogus hit-rate row) and must not break a
-    # diff against an older report without one.
+    # Disk tier: the disk.* metrics render one counter line (not a bogus
+    # hit-rate row), also against a report without them; same-schema
+    # metrics render old -> new.
     out = io.StringIO()
     diff(_cross_fixture(1000, 0.8, 10.0), _disk_fixture(900, 0.85, 12.0),
          out=out)
     text = out.getvalue()
     for needle in ("disk_cache: n/a -> hits=40 rejects=0 stores=8",
-                   "cache_hit_rate[transforms]"):
+                   "cache_hit_rate[transforms]: 0.7500 -> 0.7500",
+                   "metrics[disk.rejects]: n/a",
+                   "metrics[graph.nodes_run]: 12 -> 12"):
         if needle not in text:
             raise SystemExit(
                 f"bench_diff --self-test: missing {needle!r} in:\n{text}")
     if "cache_hit_rate[disk]" in text:
         raise SystemExit("bench_diff --self-test: disk tier leaked into "
                          f"cache_hit_rate in:\n{text}")
-    if "metrics[" in text:
-        raise SystemExit("bench_diff --self-test: metrics lines rendered "
-                         f"without a metrics block in:\n{text}")
-
-    # PR 10+ schema: the unified metrics block renders per-counter delta
-    # lines, tolerates the mixed case (older report without the block),
-    # and counters missing on one side degrade to n/a.
-    out = io.StringIO()
-    diff(_disk_fixture(1000, 0.8, 10.0), _metrics_fixture(900, 0.85, 12.0),
-         out=out)
-    text = out.getvalue()
-    for needle in ("metrics[pool.tasks]: n/a",
-                   "metrics[cache.transforms.hits]: n/a",
-                   "metrics[graph.nodes_run]: n/a"):
-        if needle not in text:
-            raise SystemExit(
-                f"bench_diff --self-test: missing {needle!r} in:\n{text}")
-    out = io.StringIO()
-    diff(_metrics_fixture(1000, 0.8, 10.0), _metrics_fixture(900, 0.85, 12.0),
-         out=out)
-    if "metrics[pool.tasks]: 64 -> 64" not in out.getvalue():
-        raise SystemExit("bench_diff --self-test: same-schema metrics delta "
-                         f"missing in:\n{out.getvalue()}")
     print("bench_diff self-test ok")
 
 

@@ -8,8 +8,10 @@ Usage:
     trace_summary.py --self-test
 
 Summary mode prints the top spans by duration, per-category and
-per-toolchain-stage totals, cache-outcome counts, and pool utilization
-(busy span time / (pool threads x trace wall time)).
+per-toolchain-stage totals, cache-outcome counts, and graph utilization:
+graph-node busy time / (executor threads x graph wall time), where the
+executors are the threads that ran graph nodes and the graph wall time
+runs from the first node's start to the last node's end.
 
 --validate checks the file is a well-formed trace (required fields,
 numeric timestamps, and per-thread span nesting: spans on one (pid,tid)
@@ -144,6 +146,20 @@ def cross_check_metrics(trace, eval_report):
     return problems
 
 
+def graph_utilization(spans):
+    """(utilization, executors, busy_us, wall_us) over the graph-node
+    spans, or None without any."""
+    nodes = [ev for ev in spans if ev.get("cat") == "graph"]
+    if not nodes:
+        return None
+    begin = min(ev["ts"] for ev in nodes)
+    wall = max(ev["ts"] + ev["dur"] for ev in nodes) - begin
+    busy = sum(ev["dur"] for ev in nodes)
+    executors = len({ev.get("tid") for ev in nodes})
+    utilization = busy / (wall * executors) if wall > 0 else 0.0
+    return utilization, executors, busy, wall
+
+
 def summarize(trace, out=sys.stdout, top=10):
     events = events_of(trace) or []
     spans = [ev for ev in events if ev.get("ph") == "X"]
@@ -182,13 +198,12 @@ def summarize(trace, out=sys.stdout, top=10):
         for (stage, outcome), count in sorted(outcomes.items()):
             print(f"  cache.{stage}.{outcome} = {count}", file=out)
 
-    pool = [ev for ev in spans if ev.get("cat") == "pool"]
-    if pool and wall_us > 0:
-        tids = {ev.get("tid") for ev in pool}
-        busy = sum(ev["dur"] for ev in pool)
-        print(f"\npool utilization: {busy / (wall_us * len(tids)):.3f} "
-              f"({len(tids)} worker(s), busy {busy / 1000.0:.3f} ms)",
-              file=out)
+    graph = graph_utilization(spans)
+    if graph is not None:
+        utilization, executors, busy, wall = graph
+        print(f"\ngraph utilization: {utilization:.3f} ({executors} "
+              f"executor(s), busy {busy / 1000.0:.3f} ms of "
+              f"{wall / 1000.0:.3f} ms wall)", file=out)
 
     print(f"\ntop {min(top, len(spans))} spans by duration:", file=out)
     for ev in sorted(spans, key=lambda s: -s["dur"])[:top]:
@@ -211,7 +226,7 @@ def _valid_fixture():
         _span("cache", "transforms", 0, 12.0, 5.0, {"cache": "miss"}),
         _span("toolchain", "code_level_wcet", 0, 40.0, 30.0),
         _span("cache", "seqwcet", 0, 41.0, 2.0, {"cache": "hit"}),
-        _span("pool", "task", 1, 5.0, 50.0),
+        _span("graph", "toolchain/0/heft", 1, 5.0, 50.0),
         _span("cache", "transforms", 1, 6.0, 4.0, {"cache": "hit"}),
         {"ph": "i", "pid": 1, "tid": 1, "ts": 8.0, "s": "t",
          "cat": "disk", "name": "reject"},
@@ -224,7 +239,7 @@ def _metrics_fixture():
         "cache.transforms.inflight_waits": 0,
         "cache.seqwcet.hits": 1, "cache.seqwcet.misses": 0,
         "cache.seqwcet.inflight_waits": 0,
-        "pool.tasks": 1,
+        "graph.nodes_run": 2,
     }}}
 
 
@@ -236,13 +251,15 @@ def self_test():
         raise SystemExit(f"trace_summary --self-test: valid fixture "
                          f"rejected: {problems}")
 
-    # Summary must surface the categories, cache outcomes and pool line.
+    # Summary must surface the categories, cache outcomes and the graph
+    # utilization: 150 us of node time over 2 executors x 100 us.
     out = io.StringIO()
     summarize(fixture, out=out)
     text = out.getvalue()
     for needle in ("8 events, 7 spans", "toolchain", "transforms",
                    "cache.transforms.hits = 1", "cache.seqwcet.hits = 1",
-                   "pool utilization:", "graph/scenario/0"):
+                   "graph utilization: 0.750 (2 executor(s), busy 0.150 ms "
+                   "of 0.100 ms wall)", "graph/scenario/0"):
         if needle not in text:
             raise SystemExit(
                 f"trace_summary --self-test: missing {needle!r} in:\n{text}")
