@@ -17,8 +17,7 @@
 // rendered JSON reports are byte-identical across thread counts and cache
 // settings — the per-unit slots plus ladder-order assembly make the batch
 // independent of how units interleave, and the uncached runs double as
-// the differential oracle for the cached ones. `--json` emits the same
-// rows as one machine-readable JSON document.
+// the differential oracle for the cached ones.
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -48,9 +47,8 @@ std::string timedEval(const argo::scenarios::EvalOptions& options,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool json = argo::bench::jsonRequested(argc, argv);
-  argo::bench::ParallelBenchReport report("bench_parallel_eval", "units",
-                                          json);
+  argo::bench::rejectArguments(argc, argv);
+  argo::bench::ParallelBenchReport report("units");
 
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
 
@@ -59,13 +57,11 @@ int main(int argc, char** argv) {
   options.scenarioCount = 8;
   options.simTrials = 1;
 
-  if (!json) {
-    argo::bench::printHeader(
-        "bench_parallel_eval: pooled scenario batch evaluation",
-        "independent (scenario x policy) units run concurrently, "
-        "byte-identical JSON report for any thread count");
-    std::printf("hardware threads: %u (speedup needs >= 4)\n", hw);
-  }
+  argo::bench::printHeader(
+      "bench_parallel_eval: pooled scenario batch evaluation",
+      "independent (scenario x policy) units run concurrently, "
+      "byte-identical JSON report for any thread count");
+  std::printf("hardware threads: %u (speedup needs >= 4)\n", hw);
 
   const std::size_t policyCount =
       argo::sched::registeredPolicyNames().size();

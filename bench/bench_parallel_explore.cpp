@@ -2,7 +2,6 @@
 // exploration (the schedule_and_system_wcet stage of core::Toolchain).
 // Prints per-app wall-clock for both paths, the speedup, and verifies the
 // chosen candidate and deterministic report are bit-identical.
-// `--json` emits the same rows as one machine-readable JSON document.
 #include <algorithm>
 #include <thread>
 
@@ -22,21 +21,18 @@ double explorationMs(const argo::core::ToolchainResult& result) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool json = argo::bench::jsonRequested(argc, argv);
-  argo::bench::ParallelBenchReport report("bench_parallel_explore", "points",
-                                          json);
+  argo::bench::rejectArguments(argc, argv);
+  argo::bench::ParallelBenchReport report("points");
 
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   const argo::adl::Platform platform = argo::adl::makeRecoreXentiumBus(8);
   // A wide ladder so there is enough independent work to distribute.
   const std::vector<int> ladder = {1, 2, 3, 4, 6, 8, 12, 16};
 
-  if (!json) {
-    argo::bench::printHeader(
-        "bench_parallel_explore: pooled feedback exploration",
-        "candidate ladder evaluated concurrently, bit-identical results");
-    std::printf("hardware threads: %u (speedup needs >= 4)\n", hw);
-  }
+  argo::bench::printHeader(
+      "bench_parallel_explore: pooled feedback exploration",
+      "candidate ladder evaluated concurrently, bit-identical results");
+  std::printf("hardware threads: %u (speedup needs >= 4)\n", hw);
 
   for (AppCase& app : argo::bench::allApps()) {
     const argo::model::CompiledModel model = app.diagram.compile();

@@ -2,7 +2,6 @@
 // (sched::computeTaskTimings) and MHP-based system analysis
 // (syswcet::analyzeSystem). Prints per-app wall-clock for both paths, the
 // speedup, and verifies the pooled tables and bounds are bit-identical.
-// `--json` emits the same rows as one machine-readable JSON document.
 #include <chrono>
 #include <thread>
 
@@ -27,22 +26,19 @@ double msSince(Clock::time_point begin) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool json = argo::bench::jsonRequested(argc, argv);
-  argo::bench::ParallelBenchReport report("bench_parallel_wcet", "tasks",
-                                          json);
+  argo::bench::rejectArguments(argc, argv);
+  argo::bench::ParallelBenchReport report("tasks");
 
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   const argo::adl::Platform platform = argo::adl::makeRecoreXentiumBus(8);
   // A fine granularity so there are many independent tasks to distribute.
   const int chunks = 16;
 
-  if (!json) {
-    argo::bench::printHeader(
-        "bench_parallel_wcet: pooled per-task timing + system analysis",
-        "per-task WCET tables and MHP rows computed concurrently, "
-        "bit-identical results");
-    std::printf("hardware threads: %u (speedup needs >= 4)\n", hw);
-  }
+  argo::bench::printHeader(
+      "bench_parallel_wcet: pooled per-task timing + system analysis",
+      "per-task WCET tables and MHP rows computed concurrently, "
+      "bit-identical results");
+  std::printf("hardware threads: %u (speedup needs >= 4)\n", hw);
 
   for (AppCase& app : argo::bench::allApps()) {
     const argo::model::CompiledModel model = app.diagram.compile();

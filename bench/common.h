@@ -109,21 +109,13 @@ inline void printHeader(const char* experiment, const char* claim) {
   std::printf("==============================================================\n");
 }
 
-/// True when the bench was invoked with `--json`: emit one machine-readable
-/// JSON document on stdout instead of the human table, so CI can record the
-/// perf trajectory per PR. Any other argument is rejected loudly — a typo
-/// silently falling back to table output would corrupt the recorded series.
-inline bool jsonRequested(int argc, char** argv) {
-  bool json = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--json") {
-      json = true;
-    } else {
-      std::fprintf(stderr, "usage: %s [--json]\n", argv[0]);
-      std::exit(2);
-    }
+/// The `bench_parallel_*` binaries take no arguments; any argument is a
+/// usage error (exit 2) rather than silently ignored.
+inline void rejectArguments(int argc, char** argv) {
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: %s (takes no arguments)\n", argv[0]);
+    std::exit(2);
   }
-  return json;
 }
 
 /// One sequential-vs-pooled comparison of a parallel-infrastructure bench.
@@ -139,38 +131,28 @@ struct ParallelBenchRow {
   }
 };
 
-/// Collects the rows of a `bench_parallel_*` run and renders them either
-/// as the classic streaming table or, with --json, as a single JSON
-/// document (emitted by finish()). The exit-code policy is shared too:
-/// finish() returns 0 iff every row was bit-identical, so CI treats any
-/// determinism mismatch as a failure in both output modes.
+/// Prints the rows of a `bench_parallel_*` run as a streaming table plus
+/// a totals line. finish() returns the process exit code: 0 iff every row
+/// was bit-identical, so CI treats any determinism mismatch as a failure.
 class ParallelBenchReport {
  public:
-  ParallelBenchReport(std::string bench, std::string itemsHeader, bool json)
-      : bench_(std::move(bench)),
-        itemsHeader_(std::move(itemsHeader)),
-        json_(json) {}
-
-  [[nodiscard]] bool json() const noexcept { return json_; }
+  explicit ParallelBenchReport(std::string itemsHeader)
+      : itemsHeader_(std::move(itemsHeader)) {}
 
   void addRow(ParallelBenchRow row) {
-    if (!json_) {
-      if (rows_.empty()) {
-        std::printf("%-8s %8s %-8s %12s %12s %9s  %s\n", "app",
-                    itemsHeader_.c_str(), "phase", "seq(ms)", "pooled(ms)",
-                    "speedup", "identical?");
-      }
-      std::printf("%-8s %8zu %-8s %12.2f %12.2f %8.2fx  %s\n",
-                  row.app.c_str(), row.items,
-                  row.phase.empty() ? "-" : row.phase.c_str(), row.seqMs,
-                  row.pooledMs, row.speedup(),
-                  row.identical ? "yes" : "NO (BUG)");
+    if (rows_.empty()) {
+      std::printf("%-8s %8s %-8s %12s %12s %9s  %s\n", "app",
+                  itemsHeader_.c_str(), "phase", "seq(ms)", "pooled(ms)",
+                  "speedup", "identical?");
     }
+    std::printf("%-8s %8zu %-8s %12.2f %12.2f %8.2fx  %s\n", row.app.c_str(),
+                row.items, row.phase.empty() ? "-" : row.phase.c_str(),
+                row.seqMs, row.pooledMs, row.speedup(),
+                row.identical ? "yes" : "NO (BUG)");
     rows_.push_back(std::move(row));
   }
 
-  /// Totals line (table) or the whole document (json); returns the
-  /// process exit code.
+  /// Prints the totals line; returns the process exit code.
   [[nodiscard]] int finish() const {
     double totalSeq = 0.0;
     double totalPooled = 0.0;
@@ -180,39 +162,15 @@ class ParallelBenchReport {
       totalPooled += row.pooledMs;
       allIdentical = allIdentical && row.identical;
     }
-    if (json_) {
-      std::printf("{\"bench\":\"%s\",\"rows\":[", bench_.c_str());
-      for (std::size_t i = 0; i < rows_.size(); ++i) {
-        const ParallelBenchRow& row = rows_[i];
-        std::printf(
-            "%s{\"app\":\"%s\",%s\"%s\":%zu,\"seq_ms\":%.3f,"
-            "\"pooled_ms\":%.3f,\"speedup\":%.3f,\"identical\":%s}",
-            i == 0 ? "" : ",", row.app.c_str(),
-            row.phase.empty()
-                ? ""
-                : ("\"phase\":\"" + row.phase + "\",").c_str(),
-            itemsHeader_.c_str(), row.items, row.seqMs, row.pooledMs,
-            row.speedup(), row.identical ? "true" : "false");
-      }
-      std::printf(
-          "],\"total\":{\"seq_ms\":%.3f,\"pooled_ms\":%.3f,"
-          "\"speedup\":%.3f},\"all_identical\":%s}\n",
-          totalSeq, totalPooled,
-          totalPooled > 0.0 ? totalSeq / totalPooled : 0.0,
-          allIdentical ? "true" : "false");
-    } else {
-      std::printf("%-8s %8s %-8s %12.2f %12.2f %8.2fx  %s\n", "total", "-",
-                  "-", totalSeq, totalPooled,
-                  totalPooled > 0.0 ? totalSeq / totalPooled : 0.0,
-                  allIdentical ? "yes" : "NO (BUG)");
-    }
+    std::printf("%-8s %8s %-8s %12.2f %12.2f %8.2fx  %s\n", "total", "-", "-",
+                totalSeq, totalPooled,
+                totalPooled > 0.0 ? totalSeq / totalPooled : 0.0,
+                allIdentical ? "yes" : "NO (BUG)");
     return allIdentical ? 0 : 1;
   }
 
  private:
-  std::string bench_;
   std::string itemsHeader_;
-  bool json_;
   std::vector<ParallelBenchRow> rows_;
 };
 

@@ -1,7 +1,6 @@
 #include "codegen/codegen.h"
 
 #include <algorithm>
-#include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -9,9 +8,11 @@
 
 #include "codegen/lower.h"
 #include "support/diagnostics.h"
+#include "support/strings.h"
 
 namespace argo::codegen {
 
+using support::appendf;
 using support::ToolchainError;
 
 namespace {
@@ -367,26 +368,6 @@ void checkDeclaredWidth(const ir::VarDecl& decl, const ir::Value& value,
                            "docs/CODEGEN.md)");
     }
   }
-}
-
-void appendf(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void appendf(std::string& out, const char* fmt, ...) {
-  va_list args;
-  va_start(args, fmt);
-  va_list measure;
-  va_copy(measure, args);
-  const int needed = std::vsnprintf(nullptr, 0, fmt, measure);
-  va_end(measure);
-  if (needed > 0) {
-    const std::size_t at = out.size();
-    out.resize(at + static_cast<std::size_t>(needed) + 1);
-    std::vsnprintf(out.data() + at, static_cast<std::size_t>(needed) + 1, fmt,
-                   args);
-    out.resize(at + static_cast<std::size_t>(needed));
-  }
-  va_end(args);
 }
 
 /// Renders one element value as a C initializer literal of the declared

@@ -6,29 +6,13 @@
 #include <vector>
 
 #include "support/metrics.h"
+#include "support/strings.h"
 
 namespace argo::core {
 
 namespace {
 
-/// Minimal JSON string escaping for metric names (dotted identifiers in
-/// practice, but the registry accepts anything).
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buf;
-      continue;
-    }
-    out += c;
-  }
-  return out;
-}
+using support::jsonEscape;
 
 void addStage(std::vector<std::pair<std::string, std::uint64_t>>& entries,
               std::string_view stage, const support::StageCacheStats& s) {

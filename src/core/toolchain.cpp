@@ -270,9 +270,8 @@ ToolchainResult Toolchain::run(const model::CompiledModel& model) const {
     sched::SchedOptions schedOptions = options_.sched;
     if (plans[i].coreLimit > 0) schedOptions.coreLimit = plans[i].coreLimit;
     // A pooled exploration owns the thread budget, so the per-candidate
-    // scheduler phases (timing analysis, annealing restarts, BnB subtrees)
-    // must stay inline; a sequential exploration lets the scheduler pool
-    // its own phases (results are identical either way).
+    // phases (timing analysis, MHP rows) must stay inline; a sequential
+    // exploration lets them pool (results are identical either way).
     if (threads > 1) schedOptions.parallelThreads = 1;
 
     const support::StageKey timKey =

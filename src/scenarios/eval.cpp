@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 #include <map>
 #include <optional>
@@ -14,12 +13,15 @@
 #include "support/diagnostics.h"
 #include "support/graph.h"
 #include "support/rng.h"
+#include "support/strings.h"
 #include "support/trace.h"
 
 namespace argo::scenarios {
 
 namespace {
 
+using support::appendf;
+using support::jsonEscape;
 using support::ToolchainError;
 
 /// Fills every Input-role variable of `env` with uniform values in
@@ -143,45 +145,6 @@ std::vector<EvalCell> buildEvalCells(std::size_t scenarioCount,
     }
   }
   return cells;
-}
-
-void appendf(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void appendf(std::string& out, const char* fmt, ...) {
-  va_list args;
-  va_start(args, fmt);
-  va_list measure;
-  va_copy(measure, args);
-  const int needed = std::vsnprintf(nullptr, 0, fmt, measure);
-  va_end(measure);
-  if (needed > 0) {
-    const std::size_t at = out.size();
-    out.resize(at + static_cast<std::size_t>(needed) + 1);
-    std::vsnprintf(out.data() + at, static_cast<std::size_t>(needed) + 1, fmt,
-                   args);
-    out.resize(at + static_cast<std::size_t>(needed));
-  }
-  va_end(args);
-}
-
-/// Minimal JSON string escaping (names are generated, but a custom policy
-/// name could contain anything).
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buf;
-      continue;
-    }
-    out += c;
-  }
-  return out;
 }
 
 }  // namespace

@@ -188,11 +188,11 @@ struct EvalReport {
   /// report.
   std::optional<core::ToolchainCacheStats> cacheStats;
 
-  /// Renders the machine-readable report: one JSON document in the
-  /// bench/common.h --json house style ({"bench":..., "rows":[...],
-  /// "summary":...}), one row per (cell, policy) unit plus per-policy
-  /// aggregates. Deterministic: fixed field order and fixed float
-  /// formatting; byte-identical across thread counts and cache settings.
+  /// Renders the machine-readable report: one JSON document
+  /// ({"bench":..., "rows":[...], "summary":...}), one row per (cell,
+  /// policy) unit plus per-policy aggregates. Deterministic: fixed field
+  /// order and fixed float formatting; byte-identical across thread
+  /// counts and cache settings.
   /// Wall-clock fields and the `metrics` block appear only when
   /// `includeTimings` (they vary run to run).
   [[nodiscard]] std::string toJson(bool includeTimings = false) const;

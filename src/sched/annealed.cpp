@@ -1,19 +1,18 @@
 // The "annealed" policy: HEFT seed refined by simulated annealing over
 // tile assignments (the paper's "advanced heuristic"). Runs
-// SchedOptions::saRestarts independent chains, pooled through the shared
-// support::parallelFor layer when parallelThreads != 1, with a
-// deterministic ladder-order selection of the best chain.
+// SchedOptions::saRestarts independent chains one after another and keeps
+// the best assignment any of them accepted.
 //
 // A move is evaluated as a makespan only: the communication table and the
 // HEFT priority order depend on the context alone, so they are built once
-// per run, and each chain re-places its assignment on one reusable
+// per run, and every chain re-places its assignment on one reusable
 // ListPlacer. The chain loop allocates nothing.
+#include <algorithm>
 #include <cmath>
 
 #include "sched/list_placement.h"
 #include "sched/policy.h"
 #include "support/metrics.h"
-#include "support/parallel.h"
 #include "support/rng.h"
 
 namespace argo::sched {
@@ -51,30 +50,25 @@ class AnnealedPolicy final : public SchedulingPolicy {
       seedAssignment[i] = seed.placements[i].tile;
     }
 
-    // One independent annealing chain. Chain state is entirely local (the
-    // context is only read), so chains run concurrently; chain r's random
-    // stream is fixed by `options.seed + r` alone, which keeps every
-    // chain's outcome reproducible regardless of thread count or
-    // interleaving.
-    struct ChainResult {
-      Cycles makespan = 0;
-      std::vector<int> assignment;
-      std::uint64_t moves = 0;     ///< assignments evaluated
-      std::uint64_t accepted = 0;  ///< of those, accepted
-    };
-    const auto runChain = [&](std::uint64_t chainSeed) {
-      ChainResult out;
-      out.makespan = seed.makespan;
-      out.assignment = seedAssignment;
-      std::vector<int> assignment = seedAssignment;
+    // The chains run one after another, each from the seed assignment,
+    // chain r drawing from an Rng seeded with `options.seed + r` alone.
+    // `best` is the best accepted assignment of all chains so far; strict
+    // `<` lets the lowest chain, and within it the earliest move, win ties.
+    detail::ListPlacer placer(ctx, comm, options.interferenceAware);
+    Cycles bestMakespan = seed.makespan;
+    std::vector<int> best = seedAssignment;
+    std::vector<int> assignment(n);
+    std::uint64_t moves = 0;     // assignments evaluated
+    std::uint64_t accepted = 0;  // of those, accepted
+    const double cooling =
+        std::pow(0.01, 1.0 / std::max(1, options.saIterations));
+    const int restarts = std::max(1, options.saRestarts);
+    for (int r = 0; r < restarts; ++r) {
+      assignment = seedAssignment;
       Cycles current = seed.makespan;
-      detail::ListPlacer placer(ctx, comm, options.interferenceAware);
-
-      support::Rng rng(chainSeed);
+      support::Rng rng(options.seed + static_cast<std::uint64_t>(r));
       double temperature =
           options.saInitialTemp * static_cast<double>(seed.makespan);
-      const double cooling =
-          std::pow(0.01, 1.0 / std::max(1, options.saIterations));
 
       for (int iter = 0; iter < options.saIterations; ++iter) {
         const std::size_t task = static_cast<std::size_t>(
@@ -85,7 +79,7 @@ class AnnealedPolicy final : public SchedulingPolicy {
         if (newTile == oldTile) continue;
         assignment[task] = newTile;
         const Cycles candidate = placer.placeAssignment(order, assignment);
-        ++out.moves;
+        ++moves;
         const double delta = static_cast<double>(candidate) -
                              static_cast<double>(current);
         const bool accept =
@@ -93,50 +87,23 @@ class AnnealedPolicy final : public SchedulingPolicy {
             rng.uniformDouble() <
                 std::exp(-delta / std::max(1.0, temperature));
         if (accept) {
-          ++out.accepted;
+          ++accepted;
           current = candidate;
-          if (candidate < out.makespan) {
-            out.makespan = candidate;
-            out.assignment = assignment;
+          if (candidate < bestMakespan) {
+            bestMakespan = candidate;
+            best = assignment;
           }
         } else {
           assignment[task] = oldTile;
         }
         temperature *= cooling;
       }
-      return out;
-    };
-
-    // Restarts write into per-chain slots; the reduction below walks them
-    // in ladder order (strict `<`, lowest chain wins ties), so the
-    // selected assignment is bit-identical to running the chains one after
-    // another.
-    const std::size_t restarts =
-        static_cast<std::size_t>(std::max(1, options.saRestarts));
-    std::vector<ChainResult> chains(restarts);
-    support::parallelFor(restarts, options.parallelThreads,
-                         [&](std::size_t r) {
-                           chains[r] = runChain(options.seed + r);
-                         });
-
-    Cycles bestMakespan = seed.makespan;
-    const std::vector<int>* best = &seedAssignment;
-    std::uint64_t moves = 0;
-    std::uint64_t accepted = 0;
-    for (const ChainResult& chain : chains) {
-      moves += chain.moves;
-      accepted += chain.accepted;
-      if (chain.makespan < bestMakespan) {
-        bestMakespan = chain.makespan;
-        best = &chain.assignment;
-      }
     }
     movesCounter().add(moves);
     acceptedCounter().add(accepted);
 
-    detail::ListPlacer placer(ctx, comm, options.interferenceAware);
     // Annealing never returns something worse than its seed.
-    if (placer.placeAssignment(order, *best) > seed.makespan) return seed;
+    if (placer.placeAssignment(order, best) > seed.makespan) return seed;
     return placer.finish(std::string(name()));
   }
 };

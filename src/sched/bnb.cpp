@@ -2,22 +2,19 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
 #include <numeric>
 #include <utility>
 
 #include "sched/list_placement.h"
 #include "sched/policy.h"
 #include "support/metrics.h"
-#include "support/parallel.h"
-#include "support/shared_incumbent.h"
 
 namespace argo::sched {
 
 namespace {
 
 // ---------------------------------------------------------------------------
-// Why the pooled search is bit-identical to the classic sequential DFS
+// Why the split search is identical to the classic DFS
 // ---------------------------------------------------------------------------
 //
 // The classic search is a depth-first traversal: a node's children are
@@ -35,57 +32,61 @@ namespace {
 // nothing beats it).
 //
 // The split search partitions the same tree at a frontier depth d: every
-// surviving node with d placed tasks becomes the root of an independent
-// subtree search. Three choices make the combined result identical to the
-// classic traversal, for every depth and thread count:
+// surviving node with d placed tasks becomes the root of a subtree
+// search, and the subtrees are searched one after another on the calling
+// thread. Three choices make the combined result identical to the classic
+// traversal, for every depth:
 //
 //  1. *Ladder order equals classic visit order.* The frontier is generated
 //     level by level, children appended in (task, tile) ascending order,
 //     which lists the depth-d nodes in ascending lexicographic order of
 //     their construction paths; the classic traversal visits them in
 //     exactly the reverse order (descending, newest-first). Reversing the
-//     list and reducing the per-subtree results in ladder order (strict
-//     `<`, first optimum wins) therefore selects the same subtree whose
+//     list, searching the subtrees in that (ladder) order and keeping a
+//     subtree's record only when it strictly beats every earlier one
+//     (first optimum wins) therefore selects the same subtree whose
 //     first-in-DFS attainer the classic search would have kept. Frontier
 //     generation prunes only against the fixed seed bound; nodes the
 //     classic search would additionally prune with its evolving bound have
 //     subtree minima no smaller than some earlier-in-ladder subtree's
 //     result, so the ladder never selects them either.
 //
-//  2. *Subtree results depend only on local, deterministic state.* Each
-//     subtree records a schedule only when it strictly improves on its own
-//     `localBest`, which starts at the seed makespan. An induction over
-//     the DFS shows the subtree's final record is the first (in DFS order)
-//     complete schedule attaining the subtree minimum m_i, *independent of
-//     the initial bound* as long as that bound exceeds m_i: on the path to
+//  2. *A subtree records its first attainer.* Each subtree records a
+//     schedule only when it strictly improves on its own `localBest`,
+//     which starts at the seed makespan. An induction over the DFS shows
+//     the subtree's final record is the first (in DFS order) complete
+//     schedule attaining the subtree minimum m_i, *independent of the
+//     initial bound* as long as that bound exceeds m_i: on the path to
 //     that first attainer every lower bound is <= m_i < localBest (no
-//     earlier attainer exists to lower localBest to m_i), so no
-//     deterministic prune can cut it.
+//     earlier attainer exists to lower localBest to m_i), so no prune
+//     against localBest can cut it.
 //
-//  3. *The shared incumbent prunes strictly.* Subtrees additionally skip a
-//     node when `lb > shared.get()`. Every value the SharedIncumbent ever
-//     holds is the makespan of some complete schedule, hence >= the global
-//     optimum; the bound is monotone non-increasing, and which value a
-//     reader sees is the only racy quantity. A node skipped this way has
-//     every completion >= lb > shared >= optimum — strictly worse than the
-//     optimum, so it can contain neither the optimum nor anything tying
-//     it. In particular the path to the first attainer of any subtree with
-//     m_i == optimum has lb <= optimum <= shared and is never skipped:
-//     every such subtree still reports its deterministic record, and the
-//     ladder picks the same one regardless of interleaving. (A non-strict
-//     `lb >= shared` would skip *tying* completions and make the recorded
-//     placements depend on the race — this strictness is load-bearing.)
+//  3. *The incumbent prunes strictly.* Subtrees additionally skip a node
+//     when `lb > bound`, where `bound` is the incumbent's makespan: the
+//     best recorded so far by this subtree or an earlier one (the seed
+//     makespan to begin with). Every value it holds is the makespan of
+//     some complete schedule, hence >= the global optimum. A node skipped
+//     this way has every completion >= lb > bound >= optimum — strictly
+//     worse than the optimum, so it can contain neither the optimum nor
+//     anything tying it. In particular the path to the first attainer of
+//     any subtree with m_i == optimum has lb <= optimum <= bound and is
+//     never skipped: every such subtree still records its first attainer
+//     (point 2), and the ladder picks the same one as the classic search.
+//     (A non-strict `lb >= bound` would also skip completions that merely
+//     *tie* the bound; the argument above needs the strict comparison.)
 //
-// Budget is the one caveat: per-subtree budgets are fixed up front (they
-// sum to bnbNodeBudget minus the frontier nodes, see bnbSplitNodeBudget),
-// so total work is bounded identically, but *which* nodes fit inside an
-// exhausted budget depends on how much the racy bound pruned. A search
-// that exhausts any budget reports policy "branch_and_bound(budget)" and
-// guarantees validity and seed-quality, not cross-thread-count
-// bit-identity. Every visited node — leaf, pruned or expanded — costs one
-// unit, so a single-threaded search is cut at the same node whatever its
-// frame representation. The determinism suite (tests/bnb_test.cpp) pins
-// both behaviours, and the budget path's exact results.
+// Budget: per-subtree budgets are fixed up front (they sum to
+// bnbNodeBudget minus the frontier nodes, see bnbSplitNodeBudget), so
+// total work is bounded however the tree is split. Which nodes fit inside
+// an exhausted budget depends on the frontier depth, but nothing else: the
+// subtree order and every bound compared are functions of (graph,
+// options). A search that exhausts any budget reports policy
+// "branch_and_bound(budget)" and guarantees validity and seed quality,
+// not identity with the classic search. Every visited node — leaf, pruned
+// or expanded — costs one unit, so a search is cut at the same node
+// whatever its frame representation. The determinism suite
+// (tests/bnb_test.cpp) pins both behaviours, and the budget path's exact
+// results.
 // ---------------------------------------------------------------------------
 
 support::MetricCounter& nodesCounter() {
@@ -256,26 +257,30 @@ std::size_t expandChildren(const SearchContext& sc, const Frame& frame,
   return count;
 }
 
-/// What one subtree reports back for the ladder-order reduction. Only
-/// strict improvements over the seed are recorded, so `placements` is
-/// empty when the subtree found nothing better.
-struct SubtreeResult {
-  Cycles makespan = std::numeric_limits<Cycles>::max();
+/// The best complete schedule found so far: the HEFT seed until a subtree
+/// strictly beats it.
+struct Incumbent {
+  Cycles makespan = 0;
   std::vector<Placement> placements;
-  std::int64_t expanded = 0;  ///< nodes visited, charged to the budget
-  bool exhausted = false;
-  [[nodiscard]] bool improved() const noexcept { return !placements.empty(); }
 };
 
-/// Classic DFS over one subtree, in place on one frame. With `root` = the
-/// whole tree and `budget` = the full node budget this *is* the classic
-/// sequential search; the shared incumbent then only ever holds this
-/// searcher's own bound, so the `lb > shared` check is subsumed by
-/// `lb >= localBest`.
-SubtreeResult searchSubtree(const SearchContext& sc, Frame frame,
+/// What one subtree search charged to its budget.
+struct SubtreeEffort {
+  std::int64_t expanded = 0;  ///< nodes visited
+  bool exhausted = false;
+};
+
+/// Classic DFS over one subtree, in place on one frame. The subtree keeps
+/// its own record, `localBest`, which starts at the seed makespan; a
+/// record that strictly beats `best` — the best of this and every earlier
+/// subtree — also replaces it. With `root` = the whole tree and `budget` =
+/// the full node budget this *is* the classic search; `best` then only
+/// ever holds this search's own records, so the `lb > best.makespan` check
+/// is subsumed by `lb >= localBest`.
+SubtreeEffort searchSubtree(const SearchContext& sc, Frame frame,
                             Cycles seedBound, std::int64_t budget,
-                            support::SharedIncumbent& shared) {
-  SubtreeResult out;
+                            Incumbent& best) {
+  SubtreeEffort out;
   Cycles localBest = seedBound;
   const std::size_t cores = static_cast<std::size_t>(sc.ctx.cores);
   // Children of every node on the current path, stacked: a node with k
@@ -294,17 +299,18 @@ SubtreeResult searchSubtree(const SearchContext& sc, Frame frame,
     if (frame.done == sc.allDone) {
       if (frame.makespan < localBest) {
         localBest = frame.makespan;
-        out.makespan = frame.makespan;
-        out.placements = frame.placements;
-        shared.offer(out.makespan);
+        if (frame.makespan < best.makespan) {
+          best.makespan = frame.makespan;
+          best.placements = frame.placements;
+        }
       }
       return true;
     }
 
     const Cycles lb = lowerBound(sc, frame);
-    if (lb >= localBest) return true;  // deterministic, local knowledge only
-    // Racy monotone bound; STRICT comparison (see proof above).
-    if (lb > shared.get()) return true;
+    if (lb >= localBest) return true;
+    // STRICT comparison (see proof above, point 3).
+    if (lb > best.makespan) return true;
     const std::size_t count = expandChildren(sc, frame, localBest,
                                              moves.data() + base, est.data());
     for (std::size_t k = base + count; k-- > base;) {
@@ -323,7 +329,7 @@ SubtreeResult searchSubtree(const SearchContext& sc, Frame frame,
 
 /// Depth-`depth` frontier in ascending lexicographic (generation) order,
 /// plus the number of nodes expanded to build it (counted against the
-/// shared budget). Generation prunes only against the fixed seed bound,
+/// node budget). Generation prunes only against the fixed seed bound,
 /// which keeps the frontier a function of (graph, options) alone.
 struct FrontierResult {
   std::vector<Frame> nodes;
@@ -413,27 +419,17 @@ class BnbPolicy final : public SchedulingPolicy {
     const std::vector<std::int64_t> budgets = bnbSplitNodeBudget(
         options.bnbNodeBudget - frontier.expanded, frontier.nodes.size());
 
-    support::SharedIncumbent shared(seed.makespan);
-    std::vector<SubtreeResult> results(frontier.nodes.size());
-    support::parallelFor(
-        frontier.nodes.size(), options.parallelThreads, [&](std::size_t i) {
-          results[i] = searchSubtree(sc, std::move(frontier.nodes[i]),
-                                     seed.makespan, budgets[i], shared);
-        });
-
-    // Ladder-order reduction over the per-subtree bests: strict `<`, first
-    // optimum wins, starting from the seed incumbent.
-    Cycles bestMakespan = seed.makespan;
-    const std::vector<Placement>* bestPlacements = &seed.placements;
+    // The subtrees run one after another in ladder order, all pruning
+    // against the incumbent (proof, point 3), which keeps only strict
+    // improvements: the first optimum wins.
+    Incumbent best{seed.makespan, seed.placements};
     bool budgetExhausted = false;
     std::int64_t nodes = frontier.expanded;
-    for (const SubtreeResult& r : results) {
-      budgetExhausted = budgetExhausted || r.exhausted;
-      nodes += r.expanded;
-      if (r.improved() && r.makespan < bestMakespan) {
-        bestMakespan = r.makespan;
-        bestPlacements = &r.placements;
-      }
+    for (std::size_t i = 0; i < frontier.nodes.size(); ++i) {
+      const SubtreeEffort effort = searchSubtree(
+          sc, std::move(frontier.nodes[i]), seed.makespan, budgets[i], best);
+      budgetExhausted = budgetExhausted || effort.exhausted;
+      nodes += effort.expanded;
     }
 
     nodesCounter().add(static_cast<std::uint64_t>(nodes));
@@ -441,8 +437,8 @@ class BnbPolicy final : public SchedulingPolicy {
 
     // Rebuild tile order / usage from the winning placements.
     Schedule result;
-    result.placements = *bestPlacements;
-    result.makespan = bestMakespan;
+    result.placements = std::move(best.placements);
+    result.makespan = best.makespan;
     result.tileOrder.assign(
         static_cast<std::size_t>(ctx.platform.coreCount()), {});
     std::vector<int> byStart(n);

@@ -15,11 +15,11 @@
 // back to HEFT (label "branch_and_bound(fallback=heft)").
 //
 // When SchedOptions::bnbFrontierDepth > 0 the search splits at that depth
-// into independent subtrees executed through support::parallelFor, pruned
-// against a shared monotone incumbent (support::SharedIncumbent). The
-// returned schedule is bit-identical to the classic monolithic DFS for
-// every frontier depth and thread count as long as the node budget is not
-// exhausted — the proof lives in bnb.cpp.
+// into subtrees, each with its own share of the node budget, searched one
+// after another on the calling thread and pruned against the best
+// makespan recorded so far. The returned schedule is bit-identical to the
+// classic monolithic DFS for every frontier depth as long as the node
+// budget is not exhausted — the proof lives in bnb.cpp.
 #pragma once
 
 #include <cstdint>
@@ -53,7 +53,7 @@ inline constexpr int kBnbMaxTasks = 31;
 }
 
 /// Deterministic split of the node budget that remains after frontier
-/// generation over `subtrees` independent searches: even shares, with the
+/// generation over `subtrees` subtree searches: even shares, with the
 /// remainder going to the lowest subtree indices. The shares sum exactly
 /// to max(remaining, 0), so total work stays bounded by
 /// SchedOptions::bnbNodeBudget however the search is split. Exposed for

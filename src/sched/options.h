@@ -35,11 +35,11 @@ struct SchedOptions {
   /// the HEFT seed when nothing better was explored.
   std::int64_t bnbNodeBudget = 2'000'000;
   /// Depth (number of placed tasks) at which the branch-and-bound search
-  /// splits into independent subtrees that run through the shared
-  /// support::parallelFor layer (placed tasks, default 2; 0 = classic
-  /// monolithic DFS). The returned schedule is bit-identical for every
-  /// depth and thread count as long as the node budget is not exhausted
-  /// (proof in sched/bnb.cpp).
+  /// splits into subtrees, searched one after another in classic visit
+  /// order, each with its own share of the node budget (placed tasks,
+  /// default 2; 0 = classic monolithic DFS). The returned schedule is
+  /// bit-identical for every depth as long as the node budget is not
+  /// exhausted (proof in sched/bnb.cpp).
   int bnbFrontierDepth = 2;
   /// Simulated-annealing chain length (iterations per chain, default
   /// 4000).
@@ -50,20 +50,19 @@ struct SchedOptions {
   /// Seed for every randomized policy; the only sanctioned randomness
   /// source under the determinism contract (unitless, default 1).
   std::uint64_t seed = 1;
-  /// Independent annealing chains, all starting from the HEFT seed
-  /// (chains, default 1 = the classic single chain). Chain r draws from
-  /// its own Rng seeded with `seed + r`, so the set of chains is fixed by
-  /// the options alone; the best chain is selected by a ladder-order
-  /// reduction (strict `<`, lowest chain index wins ties), making the
-  /// result identical however the chains are executed.
+  /// Independent annealing chains, all starting from the HEFT seed and
+  /// run one after another (chains, default 1 = the classic single
+  /// chain). Chain r draws from its own Rng seeded with `seed + r`; the
+  /// best chain wins, the lowest chain index on ties.
   int saRestarts = 1;
-  /// Worker threads for every parallel phase the scheduler owns: the
-  /// per-task timing analysis at Scheduler construction, annealing
-  /// restarts, and branch-and-bound subtrees (threads, default 1 =
-  /// sequential; 0 = one per hardware thread). Results are bit-identical
-  /// either way. Must be 1 when the scheduler itself runs inside a pooled
-  /// phase (core::Toolchain's feedback exploration and scenarios::runEval
-  /// both do this), since pools do not nest.
+  /// Worker threads for the per-task timing analysis at Scheduler
+  /// construction (threads, default 1 = sequential; 0 = one per hardware
+  /// thread); core::Toolchain also passes it to the system analysis's MHP
+  /// rows. Results are bit-identical either way. Policies themselves run
+  /// on the calling thread and ignore it. Must be 1 when the scheduler
+  /// itself runs inside a pooled phase (core::Toolchain's feedback
+  /// exploration and scenarios::runEval both do this), since pools do not
+  /// nest.
   int parallelThreads = 1;
 };
 

@@ -81,4 +81,10 @@ std::vector<std::string> registeredPolicyNames() {
   return names;  // std::map iteration: already sorted
 }
 
+std::string resolvePolicyAlias(std::string_view name) {
+  if (name == "bnb") return "branch_and_bound";
+  if (name == "oblivious") return "contention_oblivious";
+  return std::string(name);
+}
+
 }  // namespace argo::sched

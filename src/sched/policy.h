@@ -7,8 +7,7 @@
 //
 //  * "heft"                 — WCET-aware list scheduling (the workhorse).
 //  * "branch_and_bound"     — exact makespan-optimal search for small
-//                             graphs, optionally split across the thread
-//                             pool (sched/bnb.h).
+//                             graphs (sched/bnb.h).
 //  * "annealed"             — HEFT seed refined by simulated annealing.
 //  * "contention_oblivious" — interference-blind HEFT baseline
 //                             (the parMERASA-style comparison).
@@ -55,9 +54,10 @@ class SchedulingPolicy {
   /// Stable registry name, also the default Schedule::policy label.
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 
-  /// Computes a complete, valid schedule. Determinism contract: the result
-  /// may depend only on `ctx` and `options` — never on thread count,
-  /// wall-clock, or interleaving (docs/ARCHITECTURE.md).
+  /// Computes a complete, valid schedule on the calling thread.
+  /// Determinism contract: the result may depend only on `ctx` and
+  /// `options` — never on thread count, wall-clock, or interleaving
+  /// (docs/ARCHITECTURE.md).
   [[nodiscard]] virtual Schedule run(const SchedContext& ctx,
                                      const SchedOptions& options) const = 0;
 };
@@ -77,6 +77,12 @@ void registerPolicy(std::unique_ptr<SchedulingPolicy> policy);
 
 /// Sorted names of all registered policies.
 [[nodiscard]] std::vector<std::string> registeredPolicyNames();
+
+/// Resolves the CLIs' short aliases for built-ins — "bnb" is
+/// "branch_and_bound", "oblivious" is "contention_oblivious" — and returns
+/// any other name verbatim, so custom registered policies pass through
+/// unchanged. Unknown names are diagnosed later, by policyOrThrow.
+[[nodiscard]] std::string resolvePolicyAlias(std::string_view name);
 
 namespace detail {
 // Built-in policy factories (one per translation unit under sched/).

@@ -20,10 +20,9 @@ namespace argo::sched {
 class Scheduler {
  public:
   /// The per-task timing analysis runs at construction and is pooled per
-  /// `options.parallelThreads` (see computeTaskTimings) — the same knob
-  /// that governs the policies' own parallel phases, so callers configure
-  /// scheduling parallelism in exactly one place. The default keeps it
-  /// inline.
+  /// `options.parallelThreads` (see computeTaskTimings) — the scheduler's
+  /// only pooled phase, since policies run on the calling thread. The
+  /// default keeps it inline.
   Scheduler(const htg::TaskGraph& graph, const adl::Platform& platform,
             const SchedOptions& options = {});
 

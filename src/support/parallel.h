@@ -1,10 +1,9 @@
 // Deterministic data parallelism for the tool-chain's hot phases.
 //
 // The one layer every embarrassingly parallel phase (cross-layer feedback
-// exploration, per-task timing analysis, annealing restarts,
-// branch-and-bound subtrees, MHP rows, simulator trials) shares instead of
-// hand-rolling its own thread handling. The contract, identical for the
-// sequential and the pooled path:
+// exploration, per-task timing analysis, MHP rows, simulator trials)
+// shares instead of hand-rolling its own thread handling. The contract,
+// identical for the sequential and the pooled path:
 //
 //  * parallelFor(n, threads, fn) runs fn(i) for every i in [0, n). Every
 //    index executes even if another index throws; when several indices
@@ -15,10 +14,7 @@
 //    need bit-identical results against a sequential run write into
 //    per-index slots and reduce strictly in index order afterwards
 //    ("ladder-order reduction"; see docs/ARCHITECTURE.md, "Determinism
-//    contract"). The one sanctioned piece of shared mutable state between
-//    tasks is a support::SharedIncumbent used for strictly-non-improving
-//    pruning (see shared_incumbent.h for why that preserves determinism);
-//    results themselves always go through slots.
+//    contract"). Tasks share no mutable state.
 //  * Pools do not nest: requesting a pooled run (resolved parallelism > 1)
 //    from inside a parallelFor task — or from inside a TaskGraph node —
 //    throws ToolchainError. Inner phases invoked from a pooled outer phase

@@ -1,6 +1,8 @@
 #include "support/strings.h"
 
 #include <cctype>
+#include <cstdarg>
+#include <cstdio>
 
 namespace argo::support {
 
@@ -53,6 +55,40 @@ std::string formatCycles(long long cycles) {
     out += raw[i];
   }
   return neg ? "-" + out : out;
+}
+
+void appendf(std::string& out, const char* fmt, ...) {
+  va_list args;
+  va_start(args, fmt);
+  va_list measure;
+  va_copy(measure, args);
+  const int needed = std::vsnprintf(nullptr, 0, fmt, measure);
+  va_end(measure);
+  if (needed > 0) {
+    const std::size_t at = out.size();
+    out.resize(at + static_cast<std::size_t>(needed) + 1);
+    std::vsnprintf(out.data() + at, static_cast<std::size_t>(needed) + 1, fmt,
+                   args);
+    out.resize(at + static_cast<std::size_t>(needed));
+  }
+  va_end(args);
+}
+
+std::string jsonEscape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  for (char c : text) {
+    if (c == '"' || c == '\\') out += '\\';
+    if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x",
+                    static_cast<unsigned>(static_cast<unsigned char>(c)));
+      out += buf;
+      continue;
+    }
+    out += c;
+  }
+  return out;
 }
 
 }  // namespace argo::support

@@ -3,9 +3,11 @@
 // Pure functions over string_view/string only — no locale, no allocation
 // surprises, no dependency on anything else in support/. The ADL parser
 // and Scilab front end tokenize with split/trim/startsWith; report and
-// bench code formats with join/formatCycles. All helpers are deterministic
-// (ASCII-only semantics), which keeps every printed report byte-stable
-// across platforms — the determinism tests compare reports verbatim.
+// bench code formats with join/formatCycles; the JSON writers (eval
+// report, metrics block, trace export) and the C emitter build their text
+// with appendf/jsonEscape. All helpers are deterministic (ASCII-only
+// semantics), which keeps every printed report byte-stable across
+// platforms — the determinism tests compare reports verbatim.
 #pragma once
 
 #include <string>
@@ -30,5 +32,15 @@ namespace argo::support {
 
 /// Formats a cycle count with thousands separators for reports, e.g. 1_234_567.
 [[nodiscard]] std::string formatCycles(long long cycles);
+
+/// Appends printf-style formatted text to `out`, growing it to fit (no
+/// truncation, however long the arguments).
+void appendf(std::string& out, const char* fmt, ...)
+    __attribute__((format(printf, 2, 3)));
+
+/// Escapes `text` for use inside a JSON string literal: a backslash goes
+/// before every quote and backslash, control characters (below 0x20)
+/// become six-character unicode escapes, and every other byte is copied.
+[[nodiscard]] std::string jsonEscape(std::string_view text);
 
 }  // namespace argo::support

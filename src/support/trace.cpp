@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "support/strings.h"
+
 namespace argo::support {
 
 namespace detail {
@@ -18,23 +20,6 @@ std::uint64_t steadyNowNs() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buf;
-      continue;
-    }
-    out += c;
-  }
-  return out;
 }
 
 /// ts/dur in microseconds with 3 decimals: exact for nanosecond inputs.

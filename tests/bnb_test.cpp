@@ -1,23 +1,28 @@
-// Determinism and budget-accounting suite for the parallel branch-and-bound
-// policy (sched/bnb.h). The contract under test: for any frontier depth and
-// any thread count, the pooled search returns a schedule bit-identical to
-// the classic monolithic DFS (bnbFrontierDepth = 0, parallelThreads = 1),
-// as long as the node budget is not exhausted; a 1-thread search that
-// exhausts its budget reproduces recorded goldens; per-subtree budgets
-// always sum to the configured bnbNodeBudget; the search-effort counters
-// tally exactly the nodes charged to the budget; and oversized graphs fall
-// back to HEFT instead of throwing. (Lower-case suite names keep
+// Determinism and budget-accounting suite for the branch-and-bound policy
+// (sched/bnb.h). The contract under test: for any frontier depth, the
+// split search returns a schedule bit-identical to the classic monolithic
+// DFS (bnbFrontierDepth = 0), as long as the node budget is not
+// exhausted; a search that exhausts its budget reproduces recorded
+// goldens; no result depends on SchedOptions::parallelThreads, which the
+// schedule cache key leaves out (core/cache.h); per-subtree budgets always
+// sum to the configured bnbNodeBudget; the search-effort counters tally
+// exactly the nodes charged to the budget; and oversized graphs fall back
+// to HEFT instead of throwing. (Lower-case suite names keep
 // `ctest -R bnb` selecting exactly this file.)
 #include <gtest/gtest.h>
 
 #include <array>
 #include <numeric>
 
+#include "core/toolchain.h"
 #include "diamond_fixture.h"
 #include "htg/htg.h"
 #include "ir/builder.h"
 #include "sched/bnb.h"
 #include "sched/scheduler.h"
+#include "scenarios/eval.h"
+#include "scenarios/generator.h"
+#include "scenarios/sweep.h"
 #include "support/metrics.h"
 
 namespace argo::sched {
@@ -114,10 +119,10 @@ TEST(bnb_determinism, PooledSearchMatchesClassicForAllDepthsAndThreadCounts) {
 }
 
 TEST(bnb_determinism, HoldsOnADeepTwelveTaskSearchTree) {
-  // A search with hundreds of thousands of expanded nodes (the bench
-  // graph): the pooled subtrees overlap heavily in time here, so a racy
-  // pruning bug that the 8-task sweep is too quick to expose would
-  // surface. One depth/thread sample each keeps the suite affordable.
+  // A search with hundreds of thousands of expanded nodes, where many
+  // subtrees prune against records of earlier ones, so a pruning bug that
+  // the 8-task sweep is too quick to expose would surface. One
+  // depth/thread sample each keeps the suite affordable.
   Fixture fx(/*chunks=*/3, /*cores=*/3);
   ASSERT_EQ(fx.graph.tasks.size(), 12u);
   const Scheduler scheduler(fx.graph, fx.platform);
@@ -156,6 +161,41 @@ TEST(bnb_determinism, HoldsWithInterferenceAwareSeedToo) {
     options.parallelThreads = threads;
     expectSameSchedule(scheduler.run(options), classic,
                        "threads " + std::to_string(threads));
+  }
+}
+
+TEST(bnb_determinism, EvalScenarioReportIsThreadCountInvariant) {
+  // A budget-cut search inside the full tool-chain, the way argo_eval runs
+  // it: seed-7 scenario 2 on its modulo sweep case. Its chunks=2 feedback
+  // point exhausts the 100k-node budget, so the report depends on exactly
+  // which nodes were visited — any thread-count dependence in the search
+  // would show here, and repeated runs give an interleaving-dependent one
+  // the chance to. The schedule cache key leaves parallelThreads out, so
+  // every run must agree.
+  scenarios::GeneratorOptions generator;
+  generator.seed = 7;
+  const scenarios::Scenario scenario =
+      scenarios::generateScenario(generator, 2);
+  const std::vector<scenarios::PlatformCase> sweep =
+      scenarios::buildPlatformSweep(scenarios::SweepOptions{});
+  const scenarios::PlatformCase& platformCase =
+      sweep[scenarios::moduloSweepCase(2, sweep.size())];
+  ASSERT_EQ(platformCase.name, "noc_c2");
+
+  core::ToolchainOptions options = scenarios::defaultEvalToolchainOptions();
+  options.sched.policy = "branch_and_bound";
+  options.sched.parallelThreads = 1;
+  const std::string sequential =
+      core::Toolchain(platformCase.platform, options)
+          .run(scenario.model)
+          .reportText(false);
+  options.sched.parallelThreads = 4;
+  for (int run = 0; run < 40; ++run) {
+    EXPECT_EQ(core::Toolchain(platformCase.platform, options)
+                  .run(scenario.model)
+                  .reportText(false),
+              sequential)
+        << "run " << run;
   }
 }
 
@@ -250,7 +290,8 @@ TEST(bnb_budget, CutOffsReproduceTheRecordedVisitOrder) {
   // A budget that runs out mid-search keeps whatever incumbent the first
   // `budget` visited nodes produced, so these goldens pin the visit order:
   // child order, bound filtering and budget charging. They were recorded
-  // with the explicit-stack search whose order the in-place search keeps.
+  // with the explicit-stack search whose order the in-place search keeps,
+  // and hold at every parallelThreads value.
   struct Golden {
     std::int64_t budget;
     int depth;
@@ -279,23 +320,28 @@ TEST(bnb_budget, CutOffsReproduceTheRecordedVisitOrder) {
   };
   MeshFixture fx;
   const Scheduler scheduler(fx.graph, fx.platform);
-  for (const Golden& g : goldens) {
-    const std::string what = "budget " + std::to_string(g.budget) +
-                             " depth " + std::to_string(g.depth);
-    const Schedule s = scheduler.run(meshOptions(g.budget, g.depth));
-    EXPECT_EQ(s.makespan, g.makespan) << what;
-    EXPECT_EQ(s.policy, "branch_and_bound(budget)") << what;
-    ASSERT_EQ(s.placements.size(), g.placements.size()) << what;
-    for (std::size_t i = 0; i < g.placements.size(); ++i) {
-      const std::string task = what + " task " + std::to_string(i);
-      EXPECT_EQ(s.placements[i].tile, g.placements[i][0]) << task;
-      EXPECT_EQ(s.placements[i].start, g.placements[i][1]) << task;
-      EXPECT_EQ(s.placements[i].finish, g.placements[i][2]) << task;
+  for (const int threads : {1, 4, 0}) {
+    for (const Golden& g : goldens) {
+      const std::string what = "threads " + std::to_string(threads) +
+                               " budget " + std::to_string(g.budget) +
+                               " depth " + std::to_string(g.depth);
+      SchedOptions options = meshOptions(g.budget, g.depth);
+      options.parallelThreads = threads;
+      const Schedule s = scheduler.run(options);
+      EXPECT_EQ(s.makespan, g.makespan) << what;
+      EXPECT_EQ(s.policy, "branch_and_bound(budget)") << what;
+      ASSERT_EQ(s.placements.size(), g.placements.size()) << what;
+      for (std::size_t i = 0; i < g.placements.size(); ++i) {
+        const std::string task = what + " task " + std::to_string(i);
+        EXPECT_EQ(s.placements[i].tile, g.placements[i][0]) << task;
+        EXPECT_EQ(s.placements[i].start, g.placements[i][1]) << task;
+        EXPECT_EQ(s.placements[i].finish, g.placements[i][2]) << task;
+      }
+      EXPECT_TRUE(validateSchedule(s, fx.graph, fx.platform,
+                                   scheduler.timings())
+                      .empty())
+          << what;
     }
-    EXPECT_TRUE(validateSchedule(s, fx.graph, fx.platform,
-                                 scheduler.timings())
-                    .empty())
-        << what;
   }
 }
 

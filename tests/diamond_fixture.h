@@ -2,9 +2,7 @@
 // over shared arrays. Enough structure for distinct per-tile timings, real
 // dependences and a non-trivial search tree, and — expanded at different
 // chunks/loop — graph sizes from 4 tasks to beyond the branch-and-bound
-// mask width. Used by the sched/ test suites and by bench_parallel_bnb, so
-// the graph the benches time is pinned to the one the determinism tests
-// prove things about.
+// mask width. Shared by the sched/, codegen and cache test suites.
 #pragma once
 
 #include <memory>

@@ -1,8 +1,10 @@
-// Determinism regressions for the phases migrated onto support::parallelFor
-// in addition to the feedback exploration (see toolchain_parallel_test.cpp):
-// per-task timing analysis, MHP reachability, simulated-annealing restarts,
-// and repeated simulator trials. Every pooled run must be bit-identical to
-// its sequential counterpart — same tables, same schedules, same makespans.
+// Determinism regressions for the phases on support::parallelFor in
+// addition to the feedback exploration (see toolchain_parallel_test.cpp):
+// per-task timing analysis, MHP reachability and repeated simulator
+// trials. Every pooled run must be bit-identical to its sequential
+// counterpart — same tables, same schedules, same makespans. The annealed
+// policy runs its restarts on the calling thread, so its schedules must
+// not move with SchedOptions::parallelThreads either.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -69,8 +71,8 @@ TEST(ParallelTimings, PooledTableMatchesSequentialBitForBit) {
 }
 
 TEST(ParallelTimings, SchedulerTimingThreadsDoNotChangeSchedules) {
-  // Timing parallelism comes from the same SchedOptions::parallelThreads
-  // knob as every other scheduler phase (there is no separate ctor knob).
+  // Timing parallelism comes from SchedOptions::parallelThreads (there is
+  // no separate ctor knob).
   Fixture fx;
   sched::SchedOptions seqKnobs;
   seqKnobs.parallelThreads = 1;

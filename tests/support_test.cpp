@@ -1,13 +1,9 @@
 // Unit tests for the support utilities.
 #include <gtest/gtest.h>
 
-#include <thread>
-#include <vector>
-
 #include "support/diagnostics.h"
 #include "support/interval.h"
 #include "support/rng.h"
-#include "support/shared_incumbent.h"
 #include "support/strings.h"
 
 namespace argo::support {
@@ -204,39 +200,6 @@ TEST(Strings, FormatCycles) {
   EXPECT_EQ(formatCycles(1234), "1_234");
   EXPECT_EQ(formatCycles(1234567), "1_234_567");
   EXPECT_EQ(formatCycles(-1234), "-1_234");
-}
-
-TEST(SharedIncumbent, StartsAtInitialAndOnlyEverLowers) {
-  SharedIncumbent bound(100);
-  EXPECT_EQ(bound.get(), 100);
-  EXPECT_FALSE(bound.offer(100));  // equal is not an improvement
-  EXPECT_FALSE(bound.offer(150));  // raising is rejected outright
-  EXPECT_EQ(bound.get(), 100);
-  EXPECT_TRUE(bound.offer(40));
-  EXPECT_EQ(bound.get(), 40);
-  EXPECT_FALSE(bound.offer(60));  // stale (worse) offer after a lowering
-  EXPECT_EQ(bound.get(), 40);
-}
-
-TEST(SharedIncumbent, ConcurrentOffersConvergeToTheMinimum) {
-  // The value is racy while threads run, but monotone: after the join it
-  // must be exactly the minimum ever offered, whatever the interleaving.
-  SharedIncumbent bound(1'000'000);
-  constexpr int kThreads = 8;
-  constexpr int kOffersPerThread = 2'000;
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&bound, t] {
-      for (int i = 0; i < kOffersPerThread; ++i) {
-        // Distinct per-thread sequences; global minimum is 7 (t = 0,
-        // i = kOffersPerThread - 1).
-        bound.offer(7 + t * 13 + (kOffersPerThread - 1 - i));
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  EXPECT_EQ(bound.get(), 7);
 }
 
 }  // namespace

@@ -67,6 +67,7 @@
 #include "core/metrics_report.h"
 #include "core/report.h"
 #include "core/toolchain.h"
+#include "sched/policy.h"
 #include "sim/simulator.h"
 #include "support/diagnostics.h"
 #include "support/strings.h"
@@ -184,16 +185,6 @@ adl::Platform makePlatform(const Options& options) {
   throw support::ToolchainError("unknown platform '" + options.platform + "'");
 }
 
-std::string parsePolicy(const std::string& name) {
-  // Short CLI aliases for the built-ins; anything else is passed through
-  // to the policy registry verbatim, so custom registered policies are
-  // selectable without touching the driver. Unknown names fail inside
-  // sched::policyOrThrow with the list of registered policies.
-  if (name == "bnb") return "branch_and_bound";
-  if (name == "oblivious") return "contention_oblivious";
-  return name;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -203,7 +194,7 @@ int main(int argc, char** argv) {
     const adl::Platform platform = makePlatform(options);
 
     core::ToolchainOptions toolchainOptions;
-    toolchainOptions.sched.policy = parsePolicy(options.policy);
+    toolchainOptions.sched.policy = sched::resolvePolicyAlias(options.policy);
     toolchainOptions.sched.interferenceAware =
         toolchainOptions.sched.policy != "contention_oblivious";
     toolchainOptions.spmAllocation = options.spm;

@@ -150,10 +150,7 @@ int main(int argc, char** argv) {
         // everything else passed to the registry verbatim.
         options.policies.clear();
         for (const std::string& name : support::split(value(i), ',')) {
-          if (name == "bnb") options.policies.push_back("branch_and_bound");
-          else if (name == "oblivious")
-            options.policies.push_back("contention_oblivious");
-          else options.policies.push_back(name);
+          options.policies.push_back(sched::resolvePolicyAlias(name));
         }
       } else if (arg == "--sweep-mode") {
         const std::string name = value(i);
