@@ -276,8 +276,9 @@ EvalReport runEval(const EvalOptions& options) {
   }
   graph.run(options.threads);
 
-  // Ladder-order assembly: strictly in unit order, strict < for the
-  // winner, so the report is identical however the units were executed.
+  // Ladder-order assembly: strictly in unit order, and a winner only for
+  // a strict minimum, so the report is identical however the units were
+  // executed.
   report.scenarios.reserve(cells.size());
   for (std::size_t cellIndex = 0; cellIndex < cells.size(); ++cellIndex) {
     const EvalCell& cell = cells[cellIndex];
@@ -291,16 +292,20 @@ EvalReport runEval(const EvalOptions& options) {
     row.arrayLen = scenario.arrayLen;
     row.platformCase = platformCase.name;
     row.cores = platformCase.platform.coreCount();
-    Cycles bestBound = 0;
+    int atBest = 0;
     for (std::size_t p = 0; p < policyCount; ++p) {
       PolicyOutcome outcome = std::move(slots[cellIndex * policyCount + p]);
       report.allSimSafe = report.allSimSafe && outcome.simSafe;
-      if (row.winner.empty() || outcome.bound < bestBound) {
+      if (p == 0 || outcome.bound < row.bestBound) {
         row.winner = outcome.policy;
-        bestBound = outcome.bound;
+        row.bestBound = outcome.bound;
+        atBest = 1;
+      } else if (outcome.bound == row.bestBound) {
+        ++atBest;
       }
       row.outcomes.push_back(std::move(outcome));
     }
+    if (atBest > 1) row.winner.clear();
     report.scenarios.push_back(std::move(row));
   }
   if (cache != nullptr) report.cacheStats = cache->stats();
@@ -322,6 +327,7 @@ std::string EvalReport::toJson(bool includeTimings) const {
 
   struct Aggregate {
     int wins = 0;
+    int sharedBest = 0;
     int rows = 0;
     double tightnessSum = 0.0;
     double speedupSum = 0.0;
@@ -333,6 +339,8 @@ std::string EvalReport::toJson(bool includeTimings) const {
   bool firstRow = true;
   for (const ScenarioResult& row : scenarios) {
     for (const PolicyOutcome& o : row.outcomes) {
+      const bool best = o.bound == row.bestBound;
+      const bool won = o.policy == row.winner;
       appendf(out, "%s{\"scenario\":\"%s\",\"seed\":%" PRIu64
                    ",\"platform\":\"%s\",\"cores\":%d,\"layers\":%d,"
                    "\"nodes\":%d,\"array_len\":%d",
@@ -347,18 +355,19 @@ std::string EvalReport::toJson(bool includeTimings) const {
               o.chosenChunks);
       appendf(out, ",\"sequential_wcet\":%lld,\"bound\":%lld,"
                    "\"observed\":%lld,\"sim_safe\":%s,\"tightness\":%.6f,"
-                   "\"bound_speedup\":%.6f,\"winner\":%s",
+                   "\"bound_speedup\":%.6f,\"best\":%s,\"winner\":%s",
               static_cast<long long>(o.sequentialWcet),
               static_cast<long long>(o.bound),
               static_cast<long long>(o.observed), o.simSafe ? "true" : "false",
-              o.tightness(), o.boundSpeedup(),
-              o.policy == row.winner ? "true" : "false");
+              o.tightness(), o.boundSpeedup(), best ? "true" : "false",
+              won ? "true" : "false");
       if (includeTimings) appendf(out, ",\"wall_ms\":%.3f", o.wallMs);
       out += "}";
 
       Aggregate& agg = aggregates[o.policy];
       agg.rows += 1;
-      agg.wins += o.policy == row.winner ? 1 : 0;
+      agg.wins += won ? 1 : 0;
+      agg.sharedBest += best && !won ? 1 : 0;
       agg.tightnessSum += o.tightness();
       agg.speedupSum += o.boundSpeedup();
       agg.wallMsSum += o.wallMs;
@@ -371,9 +380,10 @@ std::string EvalReport::toJson(bool includeTimings) const {
   // the stable, documented order).
   for (std::size_t p = 0; p < policies.size(); ++p) {
     const Aggregate& agg = aggregates[policies[p]];
-    appendf(out, "%s{\"policy\":\"%s\",\"wins\":%d,\"mean_tightness\":%.6f,"
-                 "\"mean_bound_speedup\":%.6f",
+    appendf(out, "%s{\"policy\":\"%s\",\"wins\":%d,\"shared_best\":%d,"
+                 "\"mean_tightness\":%.6f,\"mean_bound_speedup\":%.6f",
             p == 0 ? "" : ",", jsonEscape(policies[p]).c_str(), agg.wins,
+            agg.sharedBest,
             agg.rows > 0 ? agg.tightnessSum / agg.rows : 0.0,
             agg.rows > 0 ? agg.speedupSum / agg.rows : 0.0);
     if (includeTimings) appendf(out, ",\"wall_ms\":%.3f", agg.wallMsSum);

@@ -166,8 +166,12 @@ struct ScenarioResult {
   int cores = 0;             ///< Tile count of that case.
   /// One outcome per requested policy, in request order.
   std::vector<PolicyOutcome> outcomes;
-  /// Policy with the smallest bound (strict <, first in request order
-  /// wins ties) — the per-scenario "policy winner" of the report.
+  /// Smallest bound over `outcomes`: every policy that reaches it is
+  /// "best" in the report.
+  Cycles bestBound = 0;
+  /// The one policy with the strictly smallest bound — the per-scenario
+  /// "policy winner" of the report. Empty when two or more policies tie
+  /// at bestBound.
   std::string winner;
 };
 

@@ -266,6 +266,7 @@ TEST(EvalPolicyMatrix, EveryRegisteredPolicySchedulesEveryScenario) {
     ASSERT_EQ(row.outcomes.size(), report.policies.size());
     adl::Cycles bestBound = 0;
     std::string bestPolicy;
+    int atBest = 0;
     for (const scenarios::PolicyOutcome& outcome : row.outcomes) {
       // Scheduled for real: tasks placed, a positive bound, and the
       // simulator stayed within it.
@@ -287,9 +288,14 @@ TEST(EvalPolicyMatrix, EveryRegisteredPolicySchedulesEveryScenario) {
       if (bestPolicy.empty() || outcome.bound < bestBound) {
         bestPolicy = outcome.policy;
         bestBound = outcome.bound;
+        atBest = 1;
+      } else if (outcome.bound == bestBound) {
+        ++atBest;
       }
     }
-    EXPECT_EQ(row.winner, bestPolicy) << row.scenario;
+    // A winner only for a strict minimum; a tie has none.
+    EXPECT_EQ(row.bestBound, bestBound) << row.scenario;
+    EXPECT_EQ(row.winner, atBest == 1 ? bestPolicy : "") << row.scenario;
   }
   EXPECT_TRUE(report.allSimSafe);
 }
@@ -314,13 +320,32 @@ TEST(EvalReportJson, ShapeAndTimingsFlag) {
   // the report that legitimately varies run to run.
   EXPECT_EQ(json.find("wall_ms"), std::string::npos);
   EXPECT_NE(report.toJson(true).find("wall_ms"), std::string::npos);
-  // Exactly one winner per scenario.
-  std::size_t winners = 0;
-  for (std::size_t at = json.find("\"winner\":true"); at != std::string::npos;
-       at = json.find("\"winner\":true", at + 1)) {
-    ++winners;
+  // Every policy at a cell's minimum bound is "best"; a cell has a
+  // "winner" only when exactly one policy is, and that row is also best.
+  const auto count = [&json](const std::string& needle) {
+    std::size_t found = 0;
+    for (std::size_t at = json.find(needle); at != std::string::npos;
+         at = json.find(needle, at + 1)) {
+      ++found;
+    }
+    return found;
+  };
+  std::size_t bestRows = 0;
+  std::size_t strictCells = 0;
+  for (const scenarios::ScenarioResult& row : report.scenarios) {
+    std::size_t best = 0;
+    for (const scenarios::PolicyOutcome& o : row.outcomes) {
+      best += o.bound == row.bestBound ? 1 : 0;
+    }
+    EXPECT_GE(best, 1u) << row.scenario;
+    EXPECT_EQ(row.winner.empty(), best > 1) << row.scenario;
+    bestRows += best;
+    strictCells += best == 1 ? 1 : 0;
   }
-  EXPECT_EQ(winners, 2u);
+  EXPECT_EQ(count("\"best\":true"), bestRows);
+  EXPECT_EQ(count("\"winner\":true"), strictCells);
+  EXPECT_EQ(count("\"best\":true,\"winner\":true"), strictCells);
+  EXPECT_EQ(count("\"shared_best\":"), 2u);
 }
 
 TEST(EvalOptionsValidation, UnknownPolicyAndBadCountsThrow) {

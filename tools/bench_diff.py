@@ -5,10 +5,12 @@ Usage:
     bench_diff.py OLD.json NEW.json
     bench_diff.py --self-test
 
-Prints a per-policy delta table — wins, mean tightness, mean bound
-speedup, and (when both reports carry --timings) wall time — plus the
-mean per-row bound delta over the rows the two reports share (matched by
-(scenario, platform, policy)). Purely informational: exit 0 on success,
+Prints a per-policy delta table — strict wins, shared-best cells, mean
+tightness, mean bound speedup, and (when both reports carry --timings)
+wall time — plus the mean per-row bound delta over the rows the two
+reports share (matched by (scenario, platform, policy)), and lists every
+matched row whose bound or schedule label moved, with a better / worse /
+label-only tally. Purely informational: exit 0 on success,
 1 on malformed input, 2 on usage. CI runs this against the previous
 run's BENCH_eval artifact to expose the bound/wall-time trajectory of
 every PR (see .github/workflows/ci.yml and docs/SCENARIOS.md).
@@ -53,6 +55,34 @@ def row_key(row):
     return (row.get("scenario"), row.get("platform"), row.get("policy"))
 
 
+def print_changed_rows(old_rows, new_rows, out):
+    """Every matched row whose bound or schedule label moved, in the new
+    report's order, then a better / worse / label-only tally."""
+    better = worse = label_only = 0
+    for row in new_rows:
+        prev = old_rows.get(row_key(row))
+        if prev is None:
+            continue
+        old_bound, new_bound = prev.get("bound"), row.get("bound")
+        if (old_bound == new_bound and
+                prev.get("schedule") == row.get("schedule")):
+            continue
+        if old_bound == new_bound:
+            label_only += 1
+        elif new_bound < old_bound:
+            better += 1
+        else:
+            worse += 1
+        text = (f"{prev.get('schedule')} {old_bound} -> "
+                f"{row.get('schedule')} {new_bound}")
+        if old_bound:
+            text += f" ({100.0 * (new_bound - old_bound) / old_bound:+.1f}%)"
+        print(f"  {row.get('scenario')} {row.get('platform')} "
+              f"{row.get('policy')}: {text}", file=out)
+    print(f"changed rows: {better} better, {worse} worse, "
+          f"{label_only} label-only", file=out)
+
+
 def diff(old, new, out=sys.stdout):
     old_sum = per_policy_summary(old)
     new_sum = per_policy_summary(new)
@@ -85,8 +115,9 @@ def diff(old, new, out=sys.stdout):
               f"{new.get('sweep_mode', 'modulo')}, platform_cases: "
               f"{old.get('platform_cases', 'n/a')} -> "
               f"{new.get('platform_cases', 'n/a')}", file=out)
-    header = (f"{'policy':<22} {'wins':<16} {'mean_tightness':<28} "
-              f"{'mean_bound_speedup':<28} {'mean_bound_delta':<16} wall_ms")
+    header = (f"{'policy':<22} {'wins':<16} {'shared_best':<16} "
+              f"{'mean_tightness':<28} {'mean_bound_speedup':<28} "
+              f"{'mean_bound_delta':<16} wall_ms")
     print(header, file=out)
     print("-" * len(header), file=out)
     for policy in policies:
@@ -98,9 +129,11 @@ def diff(old, new, out=sys.stdout):
         wall = fmt_delta(o.get("wall_ms"), n.get("wall_ms"))
         print(f"{policy:<22} "
               f"{fmt_delta(o.get('wins'), n.get('wins'), percent=False):<16} "
+              f"{fmt_delta(o.get('shared_best'), n.get('shared_best'), percent=False):<16} "
               f"{fmt_delta(o.get('mean_tightness'), n.get('mean_tightness')):<28} "
               f"{fmt_delta(o.get('mean_bound_speedup'), n.get('mean_bound_speedup')):<28} "
               f"{bound_delta:<16} {wall}", file=out)
+    print_changed_rows(old_rows, new["rows"], out)
 
     old_safe = old["summary"].get("all_sim_safe")
     new_safe = new["summary"].get("all_sim_safe")
@@ -185,6 +218,22 @@ def _fixture(bound, tightness, wall):
             "total_wall_ms": wall * 3,
         },
     }
+
+
+def _changed_fixture(bnb_label, bnb_bound, annealed_label):
+    """The current schema (schedule labels, shared_best) plus a
+    branch_and_bound row, for the changed-rows section."""
+    report = _fixture(1000, 0.8, 10.0)
+    report["policies"].append("branch_and_bound")
+    report["rows"][0]["schedule"] = "heft"
+    report["rows"][1]["schedule"] = annealed_label
+    report["rows"].append(
+        {"scenario": "scn018", "platform": "bus_rr_c2",
+         "policy": "branch_and_bound", "schedule": bnb_label,
+         "bound": bnb_bound, "tightness": 0.7})
+    for entry in report["summary"]["per_policy"]:
+        entry["shared_best"] = 0
+    return report
 
 
 def _cross_fixture(bound, tightness, wall):
@@ -273,6 +322,42 @@ def self_test():
     if "cache_hit_rate[disk]" in text:
         raise SystemExit("bench_diff --self-test: disk tier leaked into "
                          f"cache_hit_rate in:\n{text}")
+
+    # Changed rows: every matched row whose bound or label moved is listed
+    # with both labels, unchanged rows are not, and the tally splits
+    # better / worse / label-only. shared_best reads n/a against a report
+    # without it.
+    out = io.StringIO()
+    diff(_changed_fixture("branch_and_bound(budget)", 9028, "annealed"),
+         _changed_fixture("branch_and_bound", 9674, "annealed(x)"), out=out)
+    text = out.getvalue()
+    for needle in ("3 matched",
+                   "  scn018 bus_rr_c2 branch_and_bound: "
+                   "branch_and_bound(budget) 9028 -> branch_and_bound 9674 "
+                   "(+7.2%)",
+                   "  scn000 bus_rr_c2 annealed: annealed 1050 -> "
+                   "annealed(x) 1050 (+0.0%)",
+                   "changed rows: 0 better, 1 worse, 1 label-only"):
+        if needle not in text:
+            raise SystemExit(
+                f"bench_diff --self-test: missing {needle!r} in:\n{text}")
+    if "scn000 bus_rr_c2 heft:" in text:
+        raise SystemExit("bench_diff --self-test: unchanged row listed "
+                         f"in:\n{text}")
+    heft_line = next(line for line in text.splitlines()
+                     if line.startswith("heft "))
+    if heft_line.split()[4:7] != ["0", "->", "0"]:
+        raise SystemExit("bench_diff --self-test: shared_best column "
+                         f"missing in:\n{text}")
+    out = io.StringIO()
+    diff(_fixture(1000, 0.8, 10.0),
+         _changed_fixture("branch_and_bound", 900, "annealed"), out=out)
+    text = out.getvalue()
+    heft_line = next(line for line in text.splitlines()
+                     if line.startswith("heft "))
+    if heft_line.split()[4] != "n/a":
+        raise SystemExit("bench_diff --self-test: shared_best of an older "
+                         f"report must read n/a in:\n{text}")
     print("bench_diff self-test ok")
 
 
