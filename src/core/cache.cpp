@@ -226,7 +226,6 @@ std::string encodeScheduleStage(const ScheduleStage& stage) {
     w.i64(b.interference);
     w.i32(b.contenders);
   }
-  w.i32(stage.system.fixpointIterations);
   return w.take();
 }
 
@@ -268,7 +267,6 @@ std::optional<ScheduleStage> decodeScheduleStage(std::string_view payload) {
     b.contenders = r.i32();
     stage.system.tasks.push_back(b);
   }
-  stage.system.fixpointIterations = r.i32();
   if (!r.atEnd()) return std::nullopt;
   return stage;
 }
@@ -348,11 +346,9 @@ support::StageKey scheduleKey(const support::StageKey& timings,
   h.i32(options.coreLimit);
   h.i32(options.bnbTaskLimit);
   h.i64(options.bnbNodeBudget);
-  h.i32(options.bnbFrontierDepth);
   h.i32(options.saIterations);
   h.f64(options.saInitialTemp);
   h.u64(options.seed);
-  h.i32(options.saRestarts);
   // options.parallelThreads is deliberately NOT keyed: it selects how the
   // bit-identical result is computed, not what it is.
   h.i32(static_cast<std::int32_t>(method));

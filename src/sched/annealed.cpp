@@ -1,11 +1,11 @@
 // The "annealed" policy: HEFT seed refined by simulated annealing over
-// tile assignments (the paper's "advanced heuristic"). Runs
-// SchedOptions::saRestarts independent chains one after another and keeps
-// the best assignment any of them accepted.
+// tile assignments (the paper's "advanced heuristic"). Runs one chain,
+// seeded with SchedOptions::seed, and keeps the best assignment it
+// accepted.
 //
 // A move is evaluated as a makespan only: the communication table and the
 // HEFT priority order depend on the context alone, so they are built once
-// per run, and every chain re-places its assignment on one reusable
+// per run, and every move re-places the assignment on one reusable
 // ListPlacer. The chain loop allocates nothing.
 #include <algorithm>
 #include <cmath>
@@ -50,54 +50,45 @@ class AnnealedPolicy final : public SchedulingPolicy {
       seedAssignment[i] = seed.placements[i].tile;
     }
 
-    // The chains run one after another, each from the seed assignment,
-    // chain r drawing from an Rng seeded with `options.seed + r` alone.
-    // `best` is the best accepted assignment of all chains so far; strict
-    // `<` lets the lowest chain, and within it the earliest move, win ties.
+    // The chain starts from the seed assignment. `best` is the best
+    // assignment it accepted; strict `<` lets the earliest move win ties.
     detail::ListPlacer placer(ctx, comm, options.interferenceAware);
     Cycles bestMakespan = seed.makespan;
     std::vector<int> best = seedAssignment;
-    std::vector<int> assignment(n);
+    std::vector<int> assignment = seedAssignment;
+    Cycles current = seed.makespan;
     std::uint64_t moves = 0;     // assignments evaluated
     std::uint64_t accepted = 0;  // of those, accepted
+    support::Rng rng(options.seed);
+    double temperature =
+        options.saInitialTemp * static_cast<double>(seed.makespan);
     const double cooling =
         std::pow(0.01, 1.0 / std::max(1, options.saIterations));
-    const int restarts = std::max(1, options.saRestarts);
-    for (int r = 0; r < restarts; ++r) {
-      assignment = seedAssignment;
-      Cycles current = seed.makespan;
-      support::Rng rng(options.seed + static_cast<std::uint64_t>(r));
-      double temperature =
-          options.saInitialTemp * static_cast<double>(seed.makespan);
-
-      for (int iter = 0; iter < options.saIterations; ++iter) {
-        const std::size_t task = static_cast<std::size_t>(
-            rng.uniformInt(0, static_cast<int>(n) - 1));
-        const int oldTile = assignment[task];
-        const int newTile =
-            static_cast<int>(rng.uniformInt(0, ctx.cores - 1));
-        if (newTile == oldTile) continue;
-        assignment[task] = newTile;
-        const Cycles candidate = placer.placeAssignment(order, assignment);
-        ++moves;
-        const double delta = static_cast<double>(candidate) -
-                             static_cast<double>(current);
-        const bool accept =
-            delta <= 0.0 ||
-            rng.uniformDouble() <
-                std::exp(-delta / std::max(1.0, temperature));
-        if (accept) {
-          ++accepted;
-          current = candidate;
-          if (candidate < bestMakespan) {
-            bestMakespan = candidate;
-            best = assignment;
-          }
-        } else {
-          assignment[task] = oldTile;
+    for (int iter = 0; iter < options.saIterations; ++iter) {
+      const std::size_t task = static_cast<std::size_t>(
+          rng.uniformInt(0, static_cast<int>(n) - 1));
+      const int oldTile = assignment[task];
+      const int newTile = static_cast<int>(rng.uniformInt(0, ctx.cores - 1));
+      if (newTile == oldTile) continue;
+      assignment[task] = newTile;
+      const Cycles candidate = placer.placeAssignment(order, assignment);
+      ++moves;
+      const double delta =
+          static_cast<double>(candidate) - static_cast<double>(current);
+      const bool accept =
+          delta <= 0.0 ||
+          rng.uniformDouble() < std::exp(-delta / std::max(1.0, temperature));
+      if (accept) {
+        ++accepted;
+        current = candidate;
+        if (candidate < bestMakespan) {
+          bestMakespan = candidate;
+          best = assignment;
         }
-        temperature *= cooling;
+      } else {
+        assignment[task] = oldTile;
       }
+      temperature *= cooling;
     }
     movesCounter().add(moves);
     acceptedCounter().add(accepted);

@@ -1,7 +1,6 @@
 #include "sched/bnb.h"
 
 #include <algorithm>
-#include <bit>
 #include <numeric>
 #include <utility>
 
@@ -14,79 +13,42 @@ namespace argo::sched {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Why the split search is identical to the classic DFS
+// What the search returns
 // ---------------------------------------------------------------------------
 //
-// The classic search is a depth-first traversal: a node's children are
-// generated in (task ascending, tile ascending) order, keeping those whose
-// makespan stays below the bound in force at that moment, and visited in
-// the reverse of that order, newest first — the order an explicit stack
-// of pushed children pops them in. The search recurses into each child in
-// turn on one frame, applying the child's placement and undoing it on
-// return; a child list, once generated, is not re-filtered as the bound
-// drops, exactly like children already sitting on a stack. A node is
-// pruned when its admissible lower bound `lb` reaches the best complete
-// makespan seen so far (strict improvements only), which starts at the
-// HEFT seed. Its result is the *first complete schedule, in that traversal
-// order, attaining the search-space optimum* (or the seed incumbent when
-// nothing beats it).
+// One depth-first search over append-only schedules, in place on one
+// frame. A node's children are generated in (task ascending, tile
+// ascending) order, keeping those whose makespan stays below the
+// incumbent at that moment, and visited newest first. A node is pruned
+// when its admissible lower bound reaches the incumbent, and a complete
+// schedule replaces the incumbent only when it is strictly shorter; the
+// incumbent starts as the HEFT seed. The result is therefore the first
+// complete schedule, in visit order, that attains the optimum (or the
+// seed when nothing beats it). Two facts make that result safe to keep
+// across changes to the bound:
 //
-// The split search partitions the same tree at a frontier depth d: every
-// surviving node with d placed tasks becomes the root of a subtree
-// search, and the subtrees are searched one after another on the calling
-// thread. Three choices make the combined result identical to the classic
-// traversal, for every depth:
+//  1. An admissible bound never cuts the path to the first optimal
+//     schedule: every node on that path has a completion at the optimum,
+//     so its bound and its own makespan are at most the optimum, and until
+//     that schedule is recorded the incumbent is above the optimum (when
+//     the optimum beats the seed at all). Neither the bound check nor the
+//     child filter can cut the path, so exact results do not depend on
+//     which admissible bound prunes.
 //
-//  1. *Ladder order equals classic visit order.* The frontier is generated
-//     level by level, children appended in (task, tile) ascending order,
-//     which lists the depth-d nodes in ascending lexicographic order of
-//     their construction paths; the classic traversal visits them in
-//     exactly the reverse order (descending, newest-first). Reversing the
-//     list, searching the subtrees in that (ladder) order and keeping a
-//     subtree's record only when it strictly beats every earlier one
-//     (first optimum wins) therefore selects the same subtree whose
-//     first-in-DFS attainer the classic search would have kept. Frontier
-//     generation prunes only against the fixed seed bound; nodes the
-//     classic search would additionally prune with its evolving bound have
-//     subtree minima no smaller than some earlier-in-ladder subtree's
-//     result, so the ladder never selects them either.
+//  2. A stronger admissible bound visits a subsequence of a weaker one's
+//     nodes, in the same order. A node only the stronger bound prunes has
+//     no completion below the incumbent, so the weaker search records
+//     nothing in its subtree, and both searches leave it with the same
+//     incumbent and go on to the same next node. At a fixed budget the
+//     stronger search has therefore seen at least as much of the weaker
+//     one's visit order: its result is never worse, and it never runs out
+//     of budget more often.
 //
-//  2. *A subtree records its first attainer.* Each subtree records a
-//     schedule only when it strictly improves on its own `localBest`,
-//     which starts at the seed makespan. An induction over the DFS shows
-//     the subtree's final record is the first (in DFS order) complete
-//     schedule attaining the subtree minimum m_i, *independent of the
-//     initial bound* as long as that bound exceeds m_i: on the path to
-//     that first attainer every lower bound is <= m_i < localBest (no
-//     earlier attainer exists to lower localBest to m_i), so no prune
-//     against localBest can cut it.
-//
-//  3. *The incumbent prunes strictly.* Subtrees additionally skip a node
-//     when `lb > bound`, where `bound` is the incumbent's makespan: the
-//     best recorded so far by this subtree or an earlier one (the seed
-//     makespan to begin with). Every value it holds is the makespan of
-//     some complete schedule, hence >= the global optimum. A node skipped
-//     this way has every completion >= lb > bound >= optimum — strictly
-//     worse than the optimum, so it can contain neither the optimum nor
-//     anything tying it. In particular the path to the first attainer of
-//     any subtree with m_i == optimum has lb <= optimum <= bound and is
-//     never skipped: every such subtree still records its first attainer
-//     (point 2), and the ladder picks the same one as the classic search.
-//     (A non-strict `lb >= bound` would also skip completions that merely
-//     *tie* the bound; the argument above needs the strict comparison.)
-//
-// Budget: per-subtree budgets are fixed up front (they sum to
-// bnbNodeBudget minus the frontier nodes, see bnbSplitNodeBudget), so
-// total work is bounded however the tree is split. Which nodes fit inside
-// an exhausted budget depends on the frontier depth, but nothing else: the
-// subtree order and every bound compared are functions of (graph,
-// options). A search that exhausts any budget reports policy
-// "branch_and_bound(budget)" and guarantees validity and seed quality,
-// not identity with the classic search. Every visited node — leaf, pruned
-// or expanded — costs one unit, so a search is cut at the same node
-// whatever its frame representation. The determinism suite
-// (tests/bnb_test.cpp) pins both behaviours, and the budget path's exact
-// results.
+// Every visited node (leaf, pruned or expanded) costs one unit of
+// SchedOptions::bnbNodeBudget. A search that runs out reports policy
+// "branch_and_bound(budget)" and keeps its incumbent, which is valid and
+// never worse than the seed. The goldens in tests/bnb_test.cpp pin both
+// the exact results and the budget-cut visit order.
 // ---------------------------------------------------------------------------
 
 support::MetricCounter& nodesCounter() {
@@ -102,8 +64,7 @@ support::MetricCounter& budgetExhaustedCounter() {
   return counter;
 }
 
-/// Immutable per-search facts shared by frontier generation and every
-/// subtree.
+/// Immutable per-search facts.
 struct SearchContext {
   const SchedContext& ctx;
   const detail::CommTable& comm;
@@ -151,13 +112,9 @@ struct Frame {
 
 /// Remaining critical path per task (min-WCET weights, no communication):
 /// an admissible lower bound for pruning.
-std::vector<Cycles> remainingCriticalPath(const SchedContext& ctx) {
-  const std::size_t n = ctx.graph.tasks.size();
-  std::vector<Cycles> minW(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    minW[i] = *std::min_element(ctx.timings[i].wcetByTile.begin(),
-                                ctx.timings[i].wcetByTile.end());
-  }
+std::vector<Cycles> remainingCriticalPath(const SchedContext& ctx,
+                                          const std::vector<Cycles>& minW) {
+  const std::size_t n = minW.size();
   std::vector<Cycles> cp(n, -1);
   // Reverse topological accumulation (iterate until stable; graphs are
   // small when BnB is enabled).
@@ -185,24 +142,35 @@ std::vector<Cycles> remainingCriticalPath(const SchedContext& ctx) {
   return cp;
 }
 
-/// Admissible lower bound on any completion of `frame`: critical path of
-/// any unscheduled task, and total remaining work spread over all cores.
+/// Admissible lower bound on any completion of `frame`: the total
+/// remaining work spread over all cores, and for every unscheduled task
+/// its ready time plus its remaining critical path. The task starts no
+/// earlier than the least-loaded tile is free (placements only append)
+/// and its placed predecessors finish, and each task on the path after it
+/// costs at least its minimum WCET.
 Cycles lowerBound(const SearchContext& sc, const Frame& frame) {
-  Cycles lb = frame.makespan;
-  for (std::size_t i = 0; i < sc.n; ++i) {
-    if ((frame.done & (1u << i)) == 0) lb = std::max(lb, sc.cp[i]);
-  }
   const Cycles minAvail =
       *std::min_element(frame.tileAvail.begin(), frame.tileAvail.end());
-  lb = std::max(lb, minAvail + frame.workLeft / sc.ctx.cores);
+  Cycles lb =
+      std::max(frame.makespan, minAvail + frame.workLeft / sc.ctx.cores);
+  for (std::size_t i = 0; i < sc.n; ++i) {
+    if ((frame.done & (1u << i)) != 0) continue;
+    Cycles ready = minAvail;
+    for (int p : sc.ctx.pred[i]) {
+      if ((frame.done & (1u << p)) != 0) {
+        ready = std::max(
+            ready, frame.placements[static_cast<std::size_t>(p)].finish);
+      }
+    }
+    lb = std::max(lb, ready + sc.cp[i]);
+  }
   return lb;
 }
 
 /// Writes the children of `frame` to `moves` in (task ascending, tile
-/// ascending) order — the one order every part of the search shares —
-/// keeping each child whose makespan stays strictly below `pushBound`, and
-/// returns how many it wrote. `moves` must hold (unplaced tasks) x cores
-/// entries; `est` is scratch for cores entries.
+/// ascending) order, keeping each child whose makespan stays strictly
+/// below `pushBound`, and returns how many it wrote. `moves` must hold
+/// (unplaced tasks) x cores entries; `est` is scratch for cores entries.
 std::size_t expandChildren(const SearchContext& sc, const Frame& frame,
                            Cycles pushBound, Placement* moves, Cycles* est) {
   const std::size_t cores = static_cast<std::size_t>(sc.ctx.cores);
@@ -257,31 +225,18 @@ std::size_t expandChildren(const SearchContext& sc, const Frame& frame,
   return count;
 }
 
-/// The best complete schedule found so far: the HEFT seed until a subtree
-/// strictly beats it.
+/// The best complete schedule found so far: the HEFT seed until the
+/// search strictly beats it.
 struct Incumbent {
   Cycles makespan = 0;
   std::vector<Placement> placements;
 };
 
-/// What one subtree search charged to its budget.
-struct SubtreeEffort {
-  std::int64_t expanded = 0;  ///< nodes visited
-  bool exhausted = false;
-};
-
-/// Classic DFS over one subtree, in place on one frame. The subtree keeps
-/// its own record, `localBest`, which starts at the seed makespan; a
-/// record that strictly beats `best` — the best of this and every earlier
-/// subtree — also replaces it. With `root` = the whole tree and `budget` =
-/// the full node budget this *is* the classic search; `best` then only
-/// ever holds this search's own records, so the `lb > best.makespan` check
-/// is subsumed by `lb >= localBest`.
-SubtreeEffort searchSubtree(const SearchContext& sc, Frame frame,
-                            Cycles seedBound, std::int64_t budget,
-                            Incumbent& best) {
-  SubtreeEffort out;
-  Cycles localBest = seedBound;
+/// The depth-first search from `frame`, in place on that one frame,
+/// charging one of `nodesLeft` per visited node. Returns false when the
+/// budget ran out before the search finished.
+bool search(const SearchContext& sc, Frame& frame, std::int64_t& nodesLeft,
+            Incumbent& best) {
   const std::size_t cores = static_cast<std::size_t>(sc.ctx.cores);
   // Children of every node on the current path, stacked: a node with k
   // placed tasks has at most (n - k) x cores of them.
@@ -290,28 +245,19 @@ SubtreeEffort searchSubtree(const SearchContext& sc, Frame frame,
   // Visits the node `frame` holds, writing its children to `moves` from
   // `base` on. Returns false once the budget has run out.
   const auto visit = [&](const auto& self, std::size_t base) -> bool {
-    if (out.expanded >= budget) {
-      out.exhausted = true;
-      return false;
-    }
-    ++out.expanded;
+    if (nodesLeft <= 0) return false;
+    --nodesLeft;
 
     if (frame.done == sc.allDone) {
-      if (frame.makespan < localBest) {
-        localBest = frame.makespan;
-        if (frame.makespan < best.makespan) {
-          best.makespan = frame.makespan;
-          best.placements = frame.placements;
-        }
+      if (frame.makespan < best.makespan) {
+        best.makespan = frame.makespan;
+        best.placements = frame.placements;
       }
       return true;
     }
 
-    const Cycles lb = lowerBound(sc, frame);
-    if (lb >= localBest) return true;
-    // STRICT comparison (see proof above, point 3).
-    if (lb > best.makespan) return true;
-    const std::size_t count = expandChildren(sc, frame, localBest,
+    if (lowerBound(sc, frame) >= best.makespan) return true;
+    const std::size_t count = expandChildren(sc, frame, best.makespan,
                                              moves.data() + base, est.data());
     for (std::size_t k = base + count; k-- > base;) {
       const Placement& move = moves[k];
@@ -323,49 +269,7 @@ SubtreeEffort searchSubtree(const SearchContext& sc, Frame frame,
     }
     return true;
   };
-  visit(visit, 0);
-  return out;
-}
-
-/// Depth-`depth` frontier in ascending lexicographic (generation) order,
-/// plus the number of nodes expanded to build it (counted against the
-/// node budget). Generation prunes only against the fixed seed bound,
-/// which keeps the frontier a function of (graph, options) alone.
-struct FrontierResult {
-  std::vector<Frame> nodes;
-  std::int64_t expanded = 0;
-};
-
-/// Deepening stops early once a level reaches this many nodes: deeper
-/// frontiers stop paying off long before this, and the cap bounds the
-/// transient memory of the next expansion. Depends only on sizes, so the
-/// frontier stays deterministic.
-constexpr std::size_t kMaxFrontierNodes = 1024;
-
-FrontierResult generateFrontier(const SearchContext& sc, Frame root,
-                                Cycles seedBound, int depth) {
-  FrontierResult out;
-  out.nodes.push_back(std::move(root));
-  std::vector<Placement> moves(sc.n * static_cast<std::size_t>(sc.ctx.cores));
-  std::vector<Cycles> est(static_cast<std::size_t>(sc.ctx.cores));
-  for (int level = 0; level < depth && !out.nodes.empty(); ++level) {
-    if (out.nodes.size() >= kMaxFrontierNodes) break;
-    std::vector<Frame> next;
-    for (const Frame& frame : out.nodes) {
-      ++out.expanded;
-      const Cycles lb = lowerBound(sc, frame);
-      if (lb >= seedBound) continue;
-      const std::size_t count =
-          expandChildren(sc, frame, seedBound, moves.data(), est.data());
-      for (std::size_t k = 0; k < count; ++k) {
-        next.push_back(frame);
-        next.back().apply(moves[k],
-                          sc.minW[static_cast<std::size_t>(moves[k].task)]);
-      }
-    }
-    out.nodes = std::move(next);
-  }
-  return out;
+  return visit(visit, 0);
 }
 
 class BnbPolicy final : public SchedulingPolicy {
@@ -387,17 +291,17 @@ class BnbPolicy final : public SchedulingPolicy {
                                   "branch_and_bound(fallback=heft)");
     }
 
-    SearchContext sc{ctx, comm, remainingCriticalPath(ctx), {}, {}, n,
+    SearchContext sc{ctx, comm, {}, std::vector<Cycles>(n),
+                     std::vector<std::uint32_t>(n), n,
                      n >= 32 ? ~0u : (1u << n) - 1u};
     Cycles totalMinWork = 0;
-    sc.minW.resize(n);
-    sc.predMask.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
       sc.minW[i] = *std::min_element(ctx.timings[i].wcetByTile.begin(),
                                      ctx.timings[i].wcetByTile.end());
       totalMinWork += sc.minW[i];
       for (int p : ctx.pred[i]) sc.predMask[i] |= 1u << p;
     }
+    sc.cp = remainingCriticalPath(ctx, sc.minW);
 
     // Seed incumbent with HEFT: the search only has to *improve* on it.
     const Schedule seed =
@@ -408,31 +312,13 @@ class BnbPolicy final : public SchedulingPolicy {
     root.tileAvail.assign(static_cast<std::size_t>(ctx.cores), 0);
     root.workLeft = totalMinWork;
 
-    const int depth =
-        std::clamp(options.bnbFrontierDepth, 0, static_cast<int>(n));
-    FrontierResult frontier =
-        generateFrontier(sc, std::move(root), seed.makespan, depth);
-    // Ladder order = classic visit order: the stack explores newest-first,
-    // i.e. descending generation order (see proof, point 1).
-    std::reverse(frontier.nodes.begin(), frontier.nodes.end());
-
-    const std::vector<std::int64_t> budgets = bnbSplitNodeBudget(
-        options.bnbNodeBudget - frontier.expanded, frontier.nodes.size());
-
-    // The subtrees run one after another in ladder order, all pruning
-    // against the incumbent (proof, point 3), which keeps only strict
-    // improvements: the first optimum wins.
     Incumbent best{seed.makespan, seed.placements};
-    bool budgetExhausted = false;
-    std::int64_t nodes = frontier.expanded;
-    for (std::size_t i = 0; i < frontier.nodes.size(); ++i) {
-      const SubtreeEffort effort = searchSubtree(
-          sc, std::move(frontier.nodes[i]), seed.makespan, budgets[i], best);
-      budgetExhausted = budgetExhausted || effort.exhausted;
-      nodes += effort.expanded;
-    }
+    const std::int64_t budget =
+        std::max<std::int64_t>(options.bnbNodeBudget, 0);
+    std::int64_t nodesLeft = budget;
+    const bool budgetExhausted = !search(sc, root, nodesLeft, best);
 
-    nodesCounter().add(static_cast<std::uint64_t>(nodes));
+    nodesCounter().add(static_cast<std::uint64_t>(budget - nodesLeft));
     if (budgetExhausted) budgetExhaustedCounter().add();
 
     // Rebuild tile order / usage from the winning placements.
@@ -463,20 +349,6 @@ class BnbPolicy final : public SchedulingPolicy {
 };
 
 }  // namespace
-
-std::vector<std::int64_t> bnbSplitNodeBudget(std::int64_t remaining,
-                                             std::size_t subtrees) {
-  if (subtrees == 0) return {};
-  if (remaining < 0) remaining = 0;
-  const std::int64_t count = static_cast<std::int64_t>(subtrees);
-  const std::int64_t share = remaining / count;
-  const std::int64_t extra = remaining % count;
-  std::vector<std::int64_t> budgets(subtrees, share);
-  for (std::int64_t i = 0; i < extra; ++i) {
-    ++budgets[static_cast<std::size_t>(i)];
-  }
-  return budgets;
-}
 
 namespace detail {
 

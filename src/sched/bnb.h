@@ -1,29 +1,23 @@
 // The "branch_and_bound" policy: exact makespan-optimal search (the
-// paper's "exact technique", Section III-C), plus the public constants and
-// accounting helpers other layers and the tests need.
+// paper's "exact technique", Section III-C), plus the task-cap constants
+// other layers and the tests need.
 //
-// The search enumerates append-only schedules: repeatedly pick a ready
-// (all predecessors placed) task and a tile, in (task ascending, tile
-// ascending) order, pruning with an admissible lower bound against the
-// best complete schedule seen so far. Tiles indistinguishable at placement
-// time are deduplicated, so the search is makespan-optimal up to that tile
-// symmetry — exact outright on uniform-interconnect (bus) platforms; see
-// the symmetry-breaking comment in bnb.cpp for the NoC caveat.
-// Scheduled-task sets are tracked in a
+// The search enumerates append-only schedules depth first: repeatedly pick
+// a ready (all predecessors placed) task and a tile, in (task ascending,
+// tile ascending) order, pruning with an admissible lower bound against
+// the best complete schedule seen so far, and charging every visited node
+// to SchedOptions::bnbNodeBudget. bnb.cpp states what it returns, and why
+// an exact result does not depend on which admissible bound prunes it.
+// Tiles indistinguishable at placement time are deduplicated, so the
+// search is makespan-optimal up to that tile symmetry — exact outright on
+// uniform-interconnect (bus) platforms; see the symmetry-breaking comment
+// in bnb.cpp for the NoC caveat. Scheduled-task sets are tracked in a
 // 32-bit mask, which caps the representable graph at kBnbMaxTasks tasks;
 // beyond min(kBnbMaxTasks, SchedOptions::bnbTaskLimit) the policy falls
 // back to HEFT (label "branch_and_bound(fallback=heft)").
-//
-// When SchedOptions::bnbFrontierDepth > 0 the search splits at that depth
-// into subtrees, each with its own share of the node budget, searched one
-// after another on the calling thread and pruned against the best
-// makespan recorded so far. The returned schedule is bit-identical to the
-// classic monolithic DFS for every frontier depth as long as the node
-// budget is not exhausted — the proof lives in bnb.cpp.
 #pragma once
 
-#include <cstdint>
-#include <vector>
+#include <cstddef>
 
 #include "sched/options.h"
 
@@ -51,14 +45,5 @@ inline constexpr int kBnbMaxTasks = 31;
     std::size_t tasks, const SchedOptions& options) noexcept {
   return tasks <= static_cast<std::size_t>(bnbEffectiveTaskLimit(options));
 }
-
-/// Deterministic split of the node budget that remains after frontier
-/// generation over `subtrees` subtree searches: even shares, with the
-/// remainder going to the lowest subtree indices. The shares sum exactly
-/// to max(remaining, 0), so total work stays bounded by
-/// SchedOptions::bnbNodeBudget however the search is split. Exposed for
-/// the budget-accounting tests.
-[[nodiscard]] std::vector<std::int64_t> bnbSplitNodeBudget(
-    std::int64_t remaining, std::size_t subtrees);
 
 }  // namespace argo::sched

@@ -29,18 +29,12 @@ struct SchedOptions {
   /// falling back to HEFT (tasks, default 14; capped further by
   /// kBnbMaxTasks, the bitmask width — see sched/bnb.h).
   int bnbTaskLimit = 14;
-  /// Branch-and-bound total search budget: frontier generation plus all
-  /// subtrees (search nodes, default 2'000'000). Exhaustion is
-  /// deterministic — the result is annotated "(budget)" and falls back to
-  /// the HEFT seed when nothing better was explored.
+  /// Branch-and-bound search budget: every node the one depth-first
+  /// search visits, leaf, pruned or expanded (search nodes, default
+  /// 2'000'000). Exhaustion is deterministic — the result is annotated
+  /// "(budget)" and falls back to the HEFT seed when nothing better was
+  /// explored.
   std::int64_t bnbNodeBudget = 2'000'000;
-  /// Depth (number of placed tasks) at which the branch-and-bound search
-  /// splits into subtrees, searched one after another in classic visit
-  /// order, each with its own share of the node budget (placed tasks,
-  /// default 2; 0 = classic monolithic DFS). The returned schedule is
-  /// bit-identical for every depth as long as the node budget is not
-  /// exhausted (proof in sched/bnb.cpp).
-  int bnbFrontierDepth = 2;
   /// Simulated-annealing chain length (iterations per chain, default
   /// 4000).
   int saIterations = 4000;
@@ -50,11 +44,6 @@ struct SchedOptions {
   /// Seed for every randomized policy; the only sanctioned randomness
   /// source under the determinism contract (unitless, default 1).
   std::uint64_t seed = 1;
-  /// Independent annealing chains, all starting from the HEFT seed and
-  /// run one after another (chains, default 1 = the classic single
-  /// chain). Chain r draws from its own Rng seeded with `seed + r`; the
-  /// best chain wins, the lowest chain index on ties.
-  int saRestarts = 1;
   /// Worker threads for the per-task timing analysis at Scheduler
   /// construction (threads, default 1 = sequential; 0 = one per hardware
   /// thread); core::Toolchain also passes it to the system analysis's MHP

@@ -211,7 +211,6 @@ SystemWcet analyzeSystem(const par::ParallelProgram& program,
     }
   }
 
-  result.fixpointIterations = 1;
   for (const TaskBound& t : result.tasks) {
     result.makespan = std::max(result.makespan, t.finish);
   }

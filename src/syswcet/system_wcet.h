@@ -10,13 +10,17 @@
 //  * Happens-before (HB): program order per core + signal->wait edges,
 //    closed transitively. Two tasks May-Happen-in-Parallel (MHP) iff
 //    neither reaches the other.
-//  * Interference fixpoint: every task's duration is its code-level WCET
-//    plus sync overhead plus sharedAccesses x (worst-case access under its
-//    contender count - uncontended access). Contender counts are derived
-//    from worst-case execution windows (longest path over HB), which in
-//    turn depend on durations — iterated monotonically to a fixpoint
-//    (contender counts never decrease across iterations, so convergence is
-//    bounded by the core count).
+//  * Interference from MHP: a task's contender count is one plus the
+//    number of distinct other tiles hosting a task that may happen in
+//    parallel with it and uses the interconnect. The count is derived once
+//    from the structural MHP relation, which holds for any interleaving
+//    (worst-case windows would miss executions that run earlier than their
+//    worst case, so they are not used). Every task's duration is then its
+//    code-level WCET plus sync overhead plus (sharedAccesses + sync flag
+//    accesses) x (worst-case access under its contender count -
+//    uncontended access). The bound is the longest path over HB under
+//    those durations, each communication edge paying its worst-case
+//    transfer under the producer's contender count.
 //  * Pessimistic baseline (InterferenceMethod::AllContenders): every access
 //    pays for all cores being live, the assumption a WCET tool must make
 //    for a manually parallelized program whose parallel structure it cannot
@@ -33,7 +37,7 @@ using adl::Cycles;
 
 /// How interference is accounted.
 enum class InterferenceMethod : std::uint8_t {
-  MhpRefined,     ///< Contenders from MHP windows (the ARGO approach).
+  MhpRefined,     ///< Contenders from the MHP relation (the ARGO approach).
   AllContenders,  ///< Every core contends always (pessimistic baseline).
 };
 
@@ -52,7 +56,6 @@ struct TaskBound {
 struct SystemWcet {
   Cycles makespan = 0;
   std::vector<TaskBound> tasks;  ///< Indexed like TaskGraph::tasks.
-  int fixpointIterations = 0;
 
   /// Field-complete equality: the determinism tests/benches compare whole
   /// results, and a defaulted == keeps them covering future fields.

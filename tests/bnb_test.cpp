@@ -1,18 +1,17 @@
 // Determinism and budget-accounting suite for the branch-and-bound policy
-// (sched/bnb.h). The contract under test: for any frontier depth, the
-// split search returns a schedule bit-identical to the classic monolithic
-// DFS (bnbFrontierDepth = 0), as long as the node budget is not
-// exhausted; a search that exhausts its budget reproduces recorded
-// goldens; no result depends on SchedOptions::parallelThreads, which the
-// schedule cache key leaves out (core/cache.h); per-subtree budgets always
-// sum to the configured bnbNodeBudget; the search-effort counters tally
-// exactly the nodes charged to the budget; and oversized graphs fall back
-// to HEFT instead of throwing. (Lower-case suite names keep
-// `ctest -R bnb` selecting exactly this file.)
+// (sched/bnb.h). The contract under test: a search that finishes within
+// its node budget returns the recorded exact schedule, placement for
+// placement, whichever admissible bound prunes it (the goldens predate the
+// ready-time bound); a search that exhausts its budget reproduces recorded
+// goldens of its visit order; no result depends on
+// SchedOptions::parallelThreads, which the schedule cache key leaves out
+// (core/cache.h); the search-effort counters tally exactly the nodes
+// charged to the budget; and oversized graphs fall back to HEFT instead of
+// throwing. (Lower-case suite names keep `ctest -R bnb` selecting exactly
+// this file.)
 #include <gtest/gtest.h>
 
 #include <array>
-#include <numeric>
 
 #include "core/toolchain.h"
 #include "diamond_fixture.h"
@@ -89,106 +88,102 @@ SchedOptions bnbOptions() {
   return options;
 }
 
+/// Tile, start, finish of each task, in task order.
+using Placements = std::vector<std::array<Cycles, 3>>;
+
+void expectPlacements(const Schedule& s, Cycles makespan,
+                      const Placements& placements, const std::string& what) {
+  EXPECT_EQ(s.makespan, makespan) << what;
+  ASSERT_EQ(s.placements.size(), placements.size()) << what;
+  for (std::size_t i = 0; i < placements.size(); ++i) {
+    const std::string task = what + " task " + std::to_string(i);
+    EXPECT_EQ(s.placements[i].tile, placements[i][0]) << task;
+    EXPECT_EQ(s.placements[i].start, placements[i][1]) << task;
+    EXPECT_EQ(s.placements[i].finish, placements[i][2]) << task;
+  }
+}
+
+/// Runs an exact search at parallelThreads 1, 2 and 0 and checks that each
+/// finishes within budget, is valid, and returns the recorded schedule.
+/// The goldens were recorded with the classic DFS under the critical-path
+/// and work bounds alone; a stronger admissible bound must not move them.
+void expectExactGolden(const Fixture& fx, SchedOptions options,
+                       Cycles makespan, const Placements& placements) {
+  const Scheduler scheduler(fx.graph, fx.platform);
+  for (const int threads : {1, 2, 0}) {
+    const std::string what = "threads " + std::to_string(threads);
+    options.parallelThreads = threads;
+    const Schedule s = scheduler.run(options);
+    ASSERT_EQ(s.policy, "branch_and_bound") << what;
+    expectPlacements(s, makespan, placements, what);
+    EXPECT_TRUE(validateSchedule(s, fx.graph, fx.platform,
+                                 scheduler.timings())
+                    .empty())
+        << what;
+  }
+}
+
 TEST(bnb_determinism, PooledSearchMatchesClassicForAllDepthsAndThreadCounts) {
   Fixture fx;
   ASSERT_LE(fx.graph.tasks.size(),
             static_cast<std::size_t>(kBnbMaxTasks));
-  const Scheduler scheduler(fx.graph, fx.platform);
-
-  SchedOptions classicOpt = bnbOptions();
-  classicOpt.bnbFrontierDepth = 0;  // classic monolithic DFS
-  classicOpt.parallelThreads = 1;
-  const Schedule classic = scheduler.run(classicOpt);
-  // The whole search must fit the budget: exhaustion voids the
-  // bit-identity guarantee, so the contract check requires a clean run.
-  ASSERT_EQ(classic.policy, "branch_and_bound");
-  EXPECT_TRUE(validateSchedule(classic, fx.graph, fx.platform,
-                               scheduler.timings())
-                  .empty());
-
-  for (const int depth : {0, 1, 2, 3}) {
-    for (const int threads : {1, 2, 0}) {
-      SchedOptions options = bnbOptions();
-      options.bnbFrontierDepth = depth;
-      options.parallelThreads = threads;
-      expectSameSchedule(scheduler.run(options), classic,
-                         "depth " + std::to_string(depth) + " threads " +
-                             std::to_string(threads));
-    }
-  }
+  expectExactGolden(fx, bnbOptions(), 1194,
+                    {{0, 0, 278}, {1, 0, 278}, {0, 398, 676}, {1, 398, 676},
+                     {2, 398, 676}, {3, 398, 676}, {0, 796, 1194},
+                     {1, 796, 1194}});
 }
 
 TEST(bnb_determinism, HoldsOnADeepTwelveTaskSearchTree) {
-  // A search with hundreds of thousands of expanded nodes, where many
-  // subtrees prune against records of earlier ones, so a pruning bug that
-  // the 8-task sweep is too quick to expose would surface. One
-  // depth/thread sample each keeps the suite affordable.
+  // A search of about a hundred thousand nodes (over a million under the
+  // weaker bound), deep enough that a pruning bug the 8-task fixture is
+  // too quick to expose would move the schedule.
   Fixture fx(/*chunks=*/3, /*cores=*/3);
   ASSERT_EQ(fx.graph.tasks.size(), 12u);
-  const Scheduler scheduler(fx.graph, fx.platform);
-
-  SchedOptions classicOpt = bnbOptions();
-  classicOpt.bnbFrontierDepth = 0;
-  classicOpt.parallelThreads = 1;
-  const Schedule classic = scheduler.run(classicOpt);
-  ASSERT_EQ(classic.policy, "branch_and_bound");
-
-  for (const int threads : {2, 0}) {
-    SchedOptions options = bnbOptions();
-    options.bnbFrontierDepth = 2;
-    options.parallelThreads = threads;
-    expectSameSchedule(scheduler.run(options), classic,
-                       "threads " + std::to_string(threads));
-  }
+  expectExactGolden(fx, bnbOptions(), 944,
+                    {{0, 0, 186}, {1, 0, 186}, {2, 0, 186}, {0, 246, 432},
+                     {1, 246, 432}, {2, 246, 432}, {0, 432, 618},
+                     {1, 432, 618}, {2, 432, 618}, {0, 678, 944},
+                     {1, 678, 944}, {2, 678, 944}});
 }
 
 TEST(bnb_determinism, HoldsWithInterferenceAwareSeedToo) {
   // The HEFT seed (and therefore the incumbent the search must beat)
-  // changes with interference awareness; the determinism argument may not
-  // depend on which seed is in play.
+  // changes with interference awareness; the exact result may not depend
+  // on which seed is in play.
   Fixture fx;
-  const Scheduler scheduler(fx.graph, fx.platform);
-
-  SchedOptions classicOpt = bnbOptions();
-  classicOpt.interferenceAware = true;
-  classicOpt.bnbFrontierDepth = 0;
-  classicOpt.parallelThreads = 1;
-  const Schedule classic = scheduler.run(classicOpt);
-
-  for (const int threads : {2, 0}) {
-    SchedOptions options = classicOpt;
-    options.bnbFrontierDepth = 2;
-    options.parallelThreads = threads;
-    expectSameSchedule(scheduler.run(options), classic,
-                       "threads " + std::to_string(threads));
-  }
+  SchedOptions options = bnbOptions();
+  options.interferenceAware = true;
+  expectExactGolden(fx, options, 1194,
+                    {{1, 0, 278}, {0, 0, 278}, {1, 398, 676}, {0, 398, 676},
+                     {3, 398, 676}, {2, 398, 676}, {1, 796, 1194},
+                     {0, 796, 1194}});
 }
 
 TEST(bnb_determinism, EvalScenarioReportIsThreadCountInvariant) {
   // A budget-cut search inside the full tool-chain, the way argo_eval runs
-  // it: seed-7 scenario 2 on its modulo sweep case. Its chunks=2 feedback
-  // point exhausts the 100k-node budget, so the report depends on exactly
-  // which nodes were visited — any thread-count dependence in the search
-  // would show here, and repeated runs give an interleaving-dependent one
-  // the chance to. The schedule cache key leaves parallelThreads out, so
-  // every run must agree.
+  // it: seed-7 scenario 11 on its modulo sweep case. The schedule it
+  // reports exhausts the 100k-node budget, so the report depends on
+  // exactly which nodes were visited — any thread-count dependence in the
+  // search would show here, and repeated runs give an
+  // interleaving-dependent one the chance to. The schedule cache key
+  // leaves parallelThreads out, so every run must agree.
   scenarios::GeneratorOptions generator;
   generator.seed = 7;
   const scenarios::Scenario scenario =
-      scenarios::generateScenario(generator, 2);
+      scenarios::generateScenario(generator, 11);
   const std::vector<scenarios::PlatformCase> sweep =
       scenarios::buildPlatformSweep(scenarios::SweepOptions{});
   const scenarios::PlatformCase& platformCase =
-      sweep[scenarios::moduloSweepCase(2, sweep.size())];
+      sweep[scenarios::moduloSweepCase(11, sweep.size())];
   ASSERT_EQ(platformCase.name, "noc_c2");
 
   core::ToolchainOptions options = scenarios::defaultEvalToolchainOptions();
   options.sched.policy = "branch_and_bound";
   options.sched.parallelThreads = 1;
-  const std::string sequential =
-      core::Toolchain(platformCase.platform, options)
-          .run(scenario.model)
-          .reportText(false);
+  const core::ToolchainResult result =
+      core::Toolchain(platformCase.platform, options).run(scenario.model);
+  ASSERT_EQ(result.schedule.policy, "branch_and_bound(budget)");
+  const std::string sequential = result.reportText(false);
   options.sched.parallelThreads = 4;
   for (int run = 0; run < 40; ++run) {
     EXPECT_EQ(core::Toolchain(platformCase.platform, options)
@@ -200,44 +195,19 @@ TEST(bnb_determinism, EvalScenarioReportIsThreadCountInvariant) {
 }
 
 TEST(bnb_determinism, NeverWorseThanHeftAtAnyDepth) {
+  // Exact or cut off by its budget, the search starts from the HEFT seed
+  // and only keeps strict improvements on it.
   Fixture fx;
   const Scheduler scheduler(fx.graph, fx.platform);
   SchedOptions heftOpt;
   heftOpt.interferenceAware = false;
   const Cycles heft = scheduler.run(heftOpt).makespan;
-  for (const int depth : {0, 2}) {
+  for (const std::int64_t budget :
+       {std::int64_t{100}, SchedOptions{}.bnbNodeBudget}) {
     SchedOptions options = bnbOptions();
-    options.bnbFrontierDepth = depth;
-    options.parallelThreads = 0;
-    EXPECT_LE(scheduler.run(options).makespan, heft) << "depth " << depth;
+    options.bnbNodeBudget = budget;
+    EXPECT_LE(scheduler.run(options).makespan, heft) << "budget " << budget;
   }
-}
-
-TEST(bnb_budget, PerSubtreeSharesSumExactlyToTheBudget) {
-  const auto shares = bnbSplitNodeBudget(100, 7);
-  ASSERT_EQ(shares.size(), 7u);
-  EXPECT_EQ(std::accumulate(shares.begin(), shares.end(), std::int64_t{0}),
-            100);
-  // Even split, remainder front-loaded onto the lowest subtree indices
-  // (the subtrees the classic traversal would have reached first).
-  EXPECT_EQ(shares.front(), 15);
-  EXPECT_EQ(shares.back(), 14);
-  EXPECT_TRUE(std::is_sorted(shares.rbegin(), shares.rend()));
-}
-
-TEST(bnb_budget, DegenerateSplitsStayAccountable) {
-  EXPECT_TRUE(bnbSplitNodeBudget(10, 0).empty());
-  const auto scarce = bnbSplitNodeBudget(3, 5);
-  EXPECT_EQ(std::accumulate(scarce.begin(), scarce.end(), std::int64_t{0}),
-            3);
-  EXPECT_EQ(scarce.front(), 1);
-  EXPECT_EQ(scarce.back(), 0);
-  // Frontier generation overspending the whole budget leaves zero shares,
-  // never negative ones.
-  const auto overdrawn = bnbSplitNodeBudget(-4, 3);
-  EXPECT_EQ(std::accumulate(overdrawn.begin(), overdrawn.end(),
-                            std::int64_t{0}),
-            0);
 }
 
 TEST(bnb_budget, ExhaustionIsAnnotatedAndFallsBackToTheSeed) {
@@ -253,7 +223,6 @@ TEST(bnb_budget, ExhaustionIsAnnotatedAndFallsBackToTheSeed) {
 
   SchedOptions options = bnbOptions();
   options.bnbNodeBudget = 1;
-  options.bnbFrontierDepth = 2;
   options.parallelThreads = 1;
   const Schedule truncated = scheduler.run(options);
   EXPECT_EQ(truncated.policy, "branch_and_bound(budget)");
@@ -277,11 +246,10 @@ struct MeshFixture {
   adl::Platform platform = adl::makeKitLeon3Inoc(2, 2);
 };
 
-SchedOptions meshOptions(std::int64_t budget, int depth) {
+SchedOptions meshOptions(std::int64_t budget) {
   SchedOptions options = bnbOptions();
   options.interferenceAware = true;
   options.bnbNodeBudget = budget;
-  options.bnbFrontierDepth = depth;
   options.parallelThreads = 1;
   return options;
 }
@@ -290,53 +258,37 @@ TEST(bnb_budget, CutOffsReproduceTheRecordedVisitOrder) {
   // A budget that runs out mid-search keeps whatever incumbent the first
   // `budget` visited nodes produced, so these goldens pin the visit order:
   // child order, bound filtering and budget charging. They were recorded
-  // with the explicit-stack search whose order the in-place search keeps,
-  // and hold at every parallelThreads value.
+  // with the explicit-stack search under the critical-path and work
+  // bounds; the ready-time bound keeps them, as a stronger admissible
+  // bound only skips nodes whose subtrees hold no improvement. They hold
+  // at every parallelThreads value.
   struct Golden {
     std::int64_t budget;
-    int depth;
     Cycles makespan;
-    std::vector<std::array<Cycles, 3>> placements;  ///< tile, start, finish
+    Placements placements;
   };
   const std::vector<Golden> goldens = {
-      {50, 0, 3484, {{3, 843, 1686}, {3, 0, 843}, {0, 1706, 2165},
-                     {2, 1702, 2353}, {1, 1702, 2353}, {3, 1686, 2529},
-                     {2, 2545, 3484}, {1, 2545, 3484}}},
-      {50, 2, 3767, {{0, 0, 459}, {0, 459, 918}, {0, 918, 1377},
-                     {0, 1377, 1836}, {1, 934, 2017}, {2, 934, 2449},
-                     {0, 2465, 3116}, {0, 3116, 3767}}},
-      {500, 0, 3484, {{3, 843, 1686}, {3, 0, 843}, {0, 1706, 2165},
-                      {2, 1702, 2353}, {1, 1702, 2353}, {3, 1686, 2529},
-                      {2, 2545, 3484}, {1, 2545, 3484}}},
-      {500, 2, 3308, {{2, 0, 651}, {1, 0, 651}, {2, 671, 1322},
-                      {1, 671, 1322}, {3, 1510, 2353}, {3, 667, 1510},
-                      {2, 2369, 3308}, {1, 2369, 3308}}},
-      {5000, 0, 2641, {{1, 0, 651}, {3, 0, 843}, {0, 863, 1322},
-                       {1, 859, 1510}, {2, 859, 1510}, {3, 843, 1686},
-                       {2, 1702, 2641}, {1, 1702, 2641}}},
-      {5000, 2, 2465, {{2, 0, 651}, {1, 0, 651}, {0, 667, 1126},
-                       {2, 671, 1322}, {1, 671, 1322}, {3, 667, 1510},
-                       {2, 1526, 2465}, {1, 1526, 2465}}},
+      {50, 3484, {{3, 843, 1686}, {3, 0, 843}, {0, 1706, 2165},
+                  {2, 1702, 2353}, {1, 1702, 2353}, {3, 1686, 2529},
+                  {2, 2545, 3484}, {1, 2545, 3484}}},
+      {500, 3484, {{3, 843, 1686}, {3, 0, 843}, {0, 1706, 2165},
+                   {2, 1702, 2353}, {1, 1702, 2353}, {3, 1686, 2529},
+                   {2, 2545, 3484}, {1, 2545, 3484}}},
+      {5000, 2641, {{1, 0, 651}, {3, 0, 843}, {0, 863, 1322},
+                    {1, 859, 1510}, {2, 859, 1510}, {3, 843, 1686},
+                    {2, 1702, 2641}, {1, 1702, 2641}}},
   };
   MeshFixture fx;
   const Scheduler scheduler(fx.graph, fx.platform);
   for (const int threads : {1, 4, 0}) {
     for (const Golden& g : goldens) {
       const std::string what = "threads " + std::to_string(threads) +
-                               " budget " + std::to_string(g.budget) +
-                               " depth " + std::to_string(g.depth);
-      SchedOptions options = meshOptions(g.budget, g.depth);
+                               " budget " + std::to_string(g.budget);
+      SchedOptions options = meshOptions(g.budget);
       options.parallelThreads = threads;
       const Schedule s = scheduler.run(options);
-      EXPECT_EQ(s.makespan, g.makespan) << what;
       EXPECT_EQ(s.policy, "branch_and_bound(budget)") << what;
-      ASSERT_EQ(s.placements.size(), g.placements.size()) << what;
-      for (std::size_t i = 0; i < g.placements.size(); ++i) {
-        const std::string task = what + " task " + std::to_string(i);
-        EXPECT_EQ(s.placements[i].tile, g.placements[i][0]) << task;
-        EXPECT_EQ(s.placements[i].start, g.placements[i][1]) << task;
-        EXPECT_EQ(s.placements[i].finish, g.placements[i][2]) << task;
-      }
+      expectPlacements(s, g.makespan, g.placements, what);
       EXPECT_TRUE(validateSchedule(s, fx.graph, fx.platform,
                                    scheduler.timings())
                       .empty())
@@ -353,21 +305,22 @@ TEST(bnb_counters, NodesAndExhaustionAreTalliedPerSearch) {
   MeshFixture fx;
   const Scheduler scheduler(fx.graph, fx.platform);
 
-  // The classic search is charged exactly the budget it ran out of.
+  // A search that runs out is charged exactly its budget.
   std::uint64_t nodesBefore = nodes.value();
   std::uint64_t exhaustedBefore = exhausted.value();
-  (void)scheduler.run(meshOptions(500, 0));
+  (void)scheduler.run(meshOptions(500));
   EXPECT_EQ(nodes.value() - nodesBefore, 500u);
   EXPECT_EQ(exhausted.value() - exhaustedBefore, 1u);
 
-  // A complete split search: frontier expansion plus every subtree node
-  // (the same count the explicit-stack search charged its budget).
+  // A complete search is charged every node it visited: leaves, pruned
+  // and expanded nodes alike. (Without the ready-time bound the same
+  // search visits 115,606 nodes.)
   nodesBefore = nodes.value();
   exhaustedBefore = exhausted.value();
   const Schedule full =
-      scheduler.run(meshOptions(SchedOptions{}.bnbNodeBudget, 2));
+      scheduler.run(meshOptions(SchedOptions{}.bnbNodeBudget));
   ASSERT_EQ(full.policy, "branch_and_bound");
-  EXPECT_EQ(nodes.value() - nodesBefore, 150894u);
+  EXPECT_EQ(nodes.value() - nodesBefore, 86738u);
   EXPECT_EQ(exhausted.value() - exhaustedBefore, 0u);
 }
 

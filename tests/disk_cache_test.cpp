@@ -487,7 +487,6 @@ TEST(DiskCacheStageCodecs, ScheduleStageRoundTrips) {
   original.schedule.policy = "heft";
   original.system.makespan = 240;
   original.system.tasks = {{0, 110, 110, 10, 2}, {55, 240, 185, 15, 2}};
-  original.system.fixpointIterations = 3;
 
   const std::optional<core::ScheduleStage> decoded =
       core::decodeScheduleStage(core::encodeScheduleStage(original));

@@ -3,7 +3,7 @@
 // per-task timing analysis, MHP reachability and repeated simulator
 // trials. Every pooled run must be bit-identical to its sequential
 // counterpart — same tables, same schedules, same makespans. The annealed
-// policy runs its restarts on the calling thread, so its schedules must
+// policy runs its one chain on the calling thread, so its schedules must
 // not move with SchedOptions::parallelThreads either.
 #include <gtest/gtest.h>
 
@@ -90,7 +90,6 @@ TEST(ParallelAnneal, PooledRestartsMatchSequentialBitForBit) {
   sched::SchedOptions options;
   options.policy = "annealed";
   options.saIterations = 400;
-  options.saRestarts = 4;
 
   options.parallelThreads = 1;
   const sched::Schedule sequential = scheduler.run(options);
@@ -101,33 +100,18 @@ TEST(ParallelAnneal, PooledRestartsMatchSequentialBitForBit) {
 }
 
 TEST(ParallelAnneal, SingleRestartReproducesTheClassicChain) {
-  // saRestarts = 1 with any thread count must equal the one-chain result:
-  // chain 0 is seeded with `seed + 0`, i.e. exactly the configured seed.
+  // Any thread count must equal the one-chain result: the chain is seeded
+  // with exactly the configured seed.
   Fixture fx;
   const sched::Scheduler scheduler(fx.graph, fx.platform);
   sched::SchedOptions options;
   options.policy = "annealed";
   options.saIterations = 400;
 
-  options.saRestarts = 1;
   options.parallelThreads = 1;
   const sched::Schedule classic = scheduler.run(options);
   options.parallelThreads = 4;
   expectSameSchedule(scheduler.run(options), classic);
-}
-
-TEST(ParallelAnneal, MoreRestartsNeverWorsenTheSchedule) {
-  Fixture fx;
-  const sched::Scheduler scheduler(fx.graph, fx.platform);
-  sched::SchedOptions options;
-  options.policy = "annealed";
-  options.saIterations = 400;
-
-  options.saRestarts = 1;
-  const adl::Cycles one = scheduler.run(options).makespan;
-  options.saRestarts = 6;
-  options.parallelThreads = 0;
-  EXPECT_LE(scheduler.run(options).makespan, one);
 }
 
 class PolkaPipeline : public ::testing::Test {
