@@ -35,8 +35,7 @@ struct SchedOptions {
   /// "(budget)" and falls back to the HEFT seed when nothing better was
   /// explored.
   std::int64_t bnbNodeBudget = 2'000'000;
-  /// Simulated-annealing chain length (iterations per chain, default
-  /// 4000).
+  /// Simulated-annealing chain length (iterations, default 4000).
   int saIterations = 4000;
   /// Simulated-annealing initial temperature, as a fraction of the HEFT
   /// seed makespan (dimensionless, default 0.20).

@@ -1,9 +1,9 @@
 // Determinism and budget-accounting suite for the branch-and-bound policy
 // (sched/bnb.h). The contract under test: a search that finishes within
 // its node budget returns the recorded exact schedule, placement for
-// placement, whichever admissible bound prunes it (the goldens predate the
-// ready-time bound); a search that exhausts its budget reproduces recorded
-// goldens of its visit order; no result depends on
+// placement, whichever admissible bound prunes it (the goldens were
+// recorded under a weaker bound); a search that exhausts its budget
+// reproduces recorded goldens of its visit order; no result depends on
 // SchedOptions::parallelThreads, which the schedule cache key leaves out
 // (core/cache.h); the search-effort counters tally exactly the nodes
 // charged to the budget; and oversized graphs fall back to HEFT instead of
@@ -313,8 +313,7 @@ TEST(bnb_counters, NodesAndExhaustionAreTalliedPerSearch) {
   EXPECT_EQ(exhausted.value() - exhaustedBefore, 1u);
 
   // A complete search is charged every node it visited: leaves, pruned
-  // and expanded nodes alike. (Without the ready-time bound the same
-  // search visits 115,606 nodes.)
+  // and expanded nodes alike.
   nodesBefore = nodes.value();
   exhaustedBefore = exhausted.value();
   const Schedule full =
