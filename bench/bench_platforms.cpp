@@ -30,9 +30,8 @@ int main() {
     for (PlatformCase& p : platforms) {
       const core::Toolchain toolchain(p.platform, core::ToolchainOptions{});
       const core::ToolchainResult result = toolchain.run(app.diagram);
-      // Pooled independent trials (bit-identical to threads = 1).
       const adl::Cycles observed = bench::observedWorst(
-          result, p.platform, app.name, /*trials=*/10, /*threads=*/0);
+          result, p.platform, app.name, /*trials=*/10);
       std::printf("%-8s %-18s %14s %14s %6.2fx\n", app.name.c_str(), p.name,
                   support::formatCycles(result.system.makespan).c_str(),
                   support::formatCycles(observed).c_str(),

@@ -20,9 +20,8 @@ int main() {
     for (bench::AppCase& app : bench::allApps()) {
       const core::Toolchain toolchain(platform, core::ToolchainOptions{});
       const core::ToolchainResult result = toolchain.run(app.diagram);
-      // Pooled independent trials (bit-identical to threads = 1).
       const adl::Cycles observed = bench::observedWorst(
-          result, platform, app.name, /*trials=*/25, /*threads=*/0);
+          result, platform, app.name, /*trials=*/25);
       std::printf("%-8s %-18s %14s %14s %6.2fx %6s\n", app.name.c_str(),
                   platform.name().c_str(),
                   support::formatCycles(result.system.makespan).c_str(),

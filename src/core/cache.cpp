@@ -344,10 +344,8 @@ support::StageKey scheduleKey(const support::StageKey& timings,
   h.str(options.policy);
   h.boolean(options.interferenceAware);
   h.i32(options.coreLimit);
-  h.i32(options.bnbTaskLimit);
   h.i64(options.bnbNodeBudget);
   h.i32(options.saIterations);
-  h.f64(options.saInitialTemp);
   h.u64(options.seed);
   // options.parallelThreads is deliberately NOT keyed: it selects how the
   // bit-identical result is computed, not what it is.

@@ -4,7 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <map>
-#include <optional>
+#include <memory>
 #include <utility>
 
 #include "core/metrics_report.h"
@@ -39,23 +39,13 @@ void setRandomInputs(const ir::Function& fn, ir::Environment& env,
   }
 }
 
-/// Tool-chain stage of one (scenario, policy) unit. The finished
-/// ToolchainResult is parked in `keep` for the simulator stage (a separate
-/// node on the graph executor), which consumes and releases it.
-PolicyOutcome runToolchainStage(
-    const Scenario& scenario, const adl::Platform& platform,
-    const std::string& policy, const EvalOptions& options,
-    const std::shared_ptr<core::ToolchainCache>& cache,
-    std::optional<core::ToolchainResult>& keep) {
-  // Per-unit span; the name is only materialized when tracing is on, so
-  // the disabled path stays allocation-free. The nested "toolchain" and
-  // "cache" spans carry the stage-level breakdown.
-  support::TraceSpan span(
-      "eval", support::TraceRecorder::enabled()
-                  ? "unit/" + scenario.name + "/" + policy
-                  : std::string());
+/// One (cell, policy) unit: the tool-chain run, then the simulator probes
+/// of its bound. The `eval` span closes before the `sim` span opens, so
+/// the two parts are timed apart; `wallMs` covers both.
+PolicyOutcome runUnit(const Scenario& scenario, const adl::Platform& platform,
+                      const std::string& policy, const EvalOptions& options,
+                      const std::shared_ptr<core::ToolchainCache>& cache) {
   const auto begin = std::chrono::steady_clock::now();
-
   core::ToolchainOptions toolchainOptions = options.toolchain;
   toolchainOptions.sched.policy = policy;
   toolchainOptions.sched.interferenceAware = policy != "contention_oblivious";
@@ -64,9 +54,16 @@ PolicyOutcome runToolchainStage(
   toolchainOptions.sched.parallelThreads = 1;
   toolchainOptions.cache = cache;
 
-  const core::Toolchain toolchain(platform, toolchainOptions);
-  keep = toolchain.run(scenario.model);
-  const core::ToolchainResult& result = *keep;
+  const core::ToolchainResult result = [&] {
+    // Per-unit span; the name is only materialized when tracing is on, so
+    // the disabled path stays allocation-free. The nested "toolchain" and
+    // "cache" spans carry the stage-level breakdown.
+    support::TraceSpan span(
+        "eval", support::TraceRecorder::enabled()
+                    ? "unit/" + scenario.name + "/" + policy
+                    : std::string());
+    return core::Toolchain(platform, toolchainOptions).run(scenario.model);
+  }();
 
   PolicyOutcome outcome;
   outcome.policy = policy;
@@ -77,26 +74,11 @@ PolicyOutcome runToolchainStage(
   outcome.sequentialWcet = result.sequentialWcet;
   outcome.bound = result.system.makespan;
 
-  const auto end = std::chrono::steady_clock::now();
-  outcome.wallMs =
-      std::chrono::duration<double, std::milli>(end - begin).count();
-  return outcome;
-}
-
-/// Simulator stage of one unit: probes the bound of the parked toolchain
-/// result with seeded random inputs, then releases the result.
-void runSimStage(const Scenario& scenario, const adl::Platform& platform,
-                 const EvalOptions& options,
-                 std::optional<core::ToolchainResult>& keep,
-                 PolicyOutcome& outcome) {
-  const auto begin = std::chrono::steady_clock::now();
-  const core::ToolchainResult& result = *keep;
-
   if (options.simTrials > 0) {
     // One span per simulator trial batch (all trials of one unit).
     support::TraceSpan span(
         "sim", support::TraceRecorder::enabled()
-                   ? scenario.name + "/" + outcome.policy
+                   ? scenario.name + "/" + policy
                    : std::string());
     if (span.active()) span.arg("trials", std::to_string(options.simTrials));
     const sim::Simulator simulator(result.program, platform);
@@ -112,10 +94,10 @@ void runSimStage(const Scenario& scenario, const adl::Platform& platform,
     }
   }
 
-  keep.reset();  // the unit's heavyweight state dies with its last stage
   const auto end = std::chrono::steady_clock::now();
-  outcome.wallMs +=
+  outcome.wallMs =
       std::chrono::duration<double, std::milli>(end - begin).count();
+  return outcome;
 }
 
 /// One (scenario, sweep case) cell of the evaluation grid. Modulo mode
@@ -198,35 +180,30 @@ EvalReport runEval(const EvalOptions& options) {
   report.scenarioCount = scenarioCount;
   report.platformCases = sweep.size();
 
-  // One stage cache shared by the whole batch (or by many batches, when
-  // the caller passed one in); without it every unit's toolchain run uses
-  // a private cache. Stage values are pure functions of their keyed
-  // inputs, so sharing never changes the report bytes — only how often
-  // work is recomputed.
+  // One stage cache shared by the whole batch; without it every unit's
+  // toolchain run uses a private cache. Stage values are pure functions
+  // of their keyed inputs, so sharing never changes the report bytes —
+  // only how often work is recomputed. A batch that should start warm
+  // reads the disk tier of `cacheDir`.
   std::shared_ptr<core::ToolchainCache> cache;
   if (options.cacheEnabled) {
-    cache = options.cache != nullptr ? options.cache
-                                     : std::make_shared<core::ToolchainCache>();
-    if (!options.cacheDir.empty() && cache->disk() == nullptr) {
-      cache->attachDisk(options.cacheDir);
-    }
+    cache = std::make_shared<core::ToolchainCache>();
+    if (!options.cacheDir.empty()) cache->attachDisk(options.cacheDir);
   }
 
-  // Every stage writes its own slot; the assembly below reads them
+  // Every node writes its own slot; the assembly below reads them
   // strictly in unit order, so the execution order is invisible to the
   // report.
   std::vector<PolicyOutcome> slots(units);
   std::vector<Scenario> scenarioSlots(scenarioCount);
 
   // Dependency-graph execution (support/graph.h): each scenario's
-  // generation is a shared upstream node; each unit is a toolchain-stage
-  // node feeding a simulator-stage node. Scenario A's simulation overlaps
-  // scenario B's toolchain stage — there is no batch-wide rendezvous
-  // until the sinks. With the batch cache, every cell also gets a prefix
-  // node (Toolchain::warmSharedStages) that its per-policy toolchain
-  // nodes fan out from, so the shared stage prefix is computed once per
-  // cell instead of per policy.
-  std::vector<std::optional<core::ToolchainResult>> parked(units);
+  // generation is a shared upstream node, and each unit is one node that
+  // runs the tool-chain and then its simulator probes. Units of different
+  // cells overlap; there is no batch-wide rendezvous until the sinks.
+  // With the batch cache, every cell also gets a prefix node
+  // (Toolchain::warmSharedStages) that its unit nodes fan out from, so the
+  // shared stage prefix is computed once per cell instead of per policy.
   support::TaskGraph graph;
   std::vector<support::TaskGraph::NodeId> scenarioNodes(scenarioCount);
   for (std::size_t s = 0; s < scenarioCount; ++s) {
@@ -239,9 +216,9 @@ EvalReport runEval(const EvalOptions& options) {
     const EvalCell& cell = cells[cellIndex];
     const std::string cellTag =
         std::to_string(cell.scenario) + "/" + sweep[cell.sweepCase].name;
-    support::TaskGraph::NodeId prefixNode{};
+    support::TaskGraph::NodeId upstream = scenarioNodes[cell.scenario];
     if (cache != nullptr) {
-      prefixNode = graph.addNode("prefix/" + cellTag, [&, cellIndex] {
+      const auto prefix = graph.addNode("prefix/" + cellTag, [&, cellIndex] {
         const EvalCell& c = cells[cellIndex];
         core::ToolchainOptions warm = options.toolchain;
         warm.explorationThreads = 1;
@@ -250,28 +227,20 @@ EvalReport runEval(const EvalOptions& options) {
         core::Toolchain(sweep[c.sweepCase].platform, warm)
             .warmSharedStages(scenarioSlots[c.scenario].model);
       });
-      graph.addEdge(scenarioNodes[cell.scenario], prefixNode);
+      graph.addEdge(upstream, prefix);
+      upstream = prefix;
     }
     for (std::size_t p = 0; p < policyCount; ++p) {
       const std::size_t unit = cellIndex * policyCount + p;
-      const std::string& policy = report.policies[p];
-      const auto toolchainNode = graph.addNode(
-          "toolchain/" + cellTag + "/" + policy, [&, cellIndex, unit, p] {
+      const auto unitNode = graph.addNode(
+          "unit/" + cellTag + "/" + report.policies[p],
+          [&, cellIndex, unit, p] {
             const EvalCell& c = cells[cellIndex];
-            slots[unit] = runToolchainStage(
-                scenarioSlots[c.scenario], sweep[c.sweepCase].platform,
-                report.policies[p], options, cache, parked[unit]);
+            slots[unit] = runUnit(scenarioSlots[c.scenario],
+                                  sweep[c.sweepCase].platform,
+                                  report.policies[p], options, cache);
           });
-      graph.addEdge(scenarioNodes[cell.scenario], toolchainNode);
-      if (cache != nullptr) graph.addEdge(prefixNode, toolchainNode);
-      const auto simNode = graph.addNode(
-          "sim/" + cellTag + "/" + policy, [&, cellIndex, unit] {
-            const EvalCell& c = cells[cellIndex];
-            runSimStage(scenarioSlots[c.scenario],
-                        sweep[c.sweepCase].platform, options, parked[unit],
-                        slots[unit]);
-          });
-      graph.addEdge(toolchainNode, simNode);
+      graph.addEdge(upstream, unitNode);
     }
   }
   graph.run(options.threads);

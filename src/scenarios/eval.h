@@ -10,16 +10,16 @@
 //
 // Parallelism and determinism: the batch runs on the support::TaskGraph
 // dependency-graph executor (support/graph.h). Each scenario's generation
-// is a shared upstream node; every (cell, policy) unit then runs as a
-// toolchain-stage node followed by a simulator-stage node, with edges
-// only on those true data dependences — so independent chains overlap
-// instead of rendezvousing at a batch-wide barrier. With the batch cache
-// enabled (the default), each (scenario, platform) cell additionally gets
-// a prefix node that warms the policy-independent stages once, fanning
-// out to the per-policy toolchain nodes. Every stage writes into its own
-// slot and the report is assembled strictly in unit order afterwards, so
-// the report is bit-identical for any thread count (the ladder-order rule
-// of docs/ARCHITECTURE.md) *and* byte-identical to a `--cache off` run,
+// is a shared upstream node, and every (cell, policy) unit is one node
+// that runs the tool-chain and then its simulator probes, with edges only
+// on those true data dependences — so independent units overlap instead
+// of rendezvousing at a batch-wide barrier. With the batch cache enabled
+// (the default), each (scenario, platform) cell additionally gets a
+// prefix node that warms the policy-independent stages once, fanning out
+// to the cell's unit nodes. Every unit writes into its own slot and the
+// report is assembled strictly in unit order afterwards, so the report is
+// bit-identical for any thread count (the ladder-order rule of
+// docs/ARCHITECTURE.md) *and* byte-identical to a `--cache off` run,
 // where every unit computes on a fresh cache of its own — the
 // differential oracles of tests/eval_test.cpp. toJson() uses fixed
 // formatting; byte-identical values make byte-identical documents, which
@@ -28,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -107,18 +106,12 @@ struct EvalOptions {
   /// differential oracle: the report is byte-identical either way
   /// (`argo_eval --cache off`, CI `cmp`).
   bool cacheEnabled = true;
-  /// Optional externally owned cache reused across runEval calls — an
-  /// incremental re-sweep (same scenarios, a platform point or policy
-  /// added) then recomputes only what changed; this is the argod
-  /// content-addressed service pattern. null = a fresh per-batch cache.
-  /// Ignored when cacheEnabled is false.
-  std::shared_ptr<core::ToolchainCache> cache;
   /// On-disk cache directory (`argo_eval --cache-dir` / ARGO_CACHE_DIR):
   /// when non-empty, the batch cache gets a support::DiskCache tier, so
-  /// a rerun in a fresh process starts warm. Byte-identity is unchanged
-  /// (the disk-tier differential oracle in tests/eval_test.cpp + CI).
-  /// Ignored when cacheEnabled is false, or when the caller passed a
-  /// `cache` that already has a disk tier attached.
+  /// a later batch over the same directory, in this process or a fresh
+  /// one, starts warm. It is the one way a cache crosses batches.
+  /// Byte-identity is unchanged (the disk-tier differential oracle in
+  /// tests/eval_test.cpp + CI). Ignored when cacheEnabled is false.
   std::string cacheDir;
 };
 
@@ -184,9 +177,8 @@ struct EvalReport {
   std::vector<std::string> policies;  ///< Resolved request order.
   std::vector<ScenarioResult> scenarios;  ///< One entry per cell.
   bool allSimSafe = true;
-  /// Cumulative stage-cache counters, set when caching was enabled (for
-  /// an externally shared cache they cover its whole lifetime, not just
-  /// this batch). Rendered only under includeTimings, as the cache.* and
+  /// Stage-cache counters of this batch, set when caching was enabled.
+  /// Rendered only under includeTimings, as the cache.* and
   /// disk.* keys of the `metrics` block: the hit/wait split is
   /// thread-timing-dependent, so it must stay out of the canonical
   /// report.

@@ -19,6 +19,10 @@ namespace argo::sched {
 
 namespace {
 
+/// Initial temperature of the chain, as a fraction of the HEFT seed
+/// makespan (dimensionless).
+constexpr double kSaInitialTemp = 0.20;
+
 support::MetricCounter& movesCounter() {
   static support::MetricCounter& counter =
       support::MetricsRegistry::global().counter("sched.anneal.moves");
@@ -60,8 +64,7 @@ class AnnealedPolicy final : public SchedulingPolicy {
     std::uint64_t moves = 0;     // assignments evaluated
     std::uint64_t accepted = 0;  // of those, accepted
     support::Rng rng(options.seed);
-    double temperature =
-        options.saInitialTemp * static_cast<double>(seed.makespan);
+    double temperature = kSaInitialTemp * static_cast<double>(seed.makespan);
     const double cooling =
         std::pow(0.01, 1.0 / std::max(1, options.saIterations));
     for (int iter = 0; iter < options.saIterations; ++iter) {

@@ -282,11 +282,11 @@ class BnbPolicy final : public SchedulingPolicy {
                              const SchedOptions& options) const override {
     const std::size_t n = ctx.graph.tasks.size();
     const detail::CommTable comm(ctx);
-    if (!bnbExactSearchFeasible(n, options)) {
-      // Exact search is hopeless (bnbTaskLimit) or unrepresentable
-      // (kBnbMaxTasks) at this size; fall back to the heuristic — the ARGO
-      // "exact + heuristics" combination. One consistent rule for both
-      // caps: oversized graphs are scheduled, never rejected.
+    if (!bnbExactSearchFeasible(n)) {
+      // Exact search is hopeless at this size (kBnbTaskLimit, which the
+      // bitmask width kBnbMaxTasks bounds); fall back to the heuristic —
+      // the ARGO "exact + heuristics" combination. Oversized graphs are
+      // scheduled, never rejected.
       return detail::listSchedule(ctx, comm, options.interferenceAware,
                                   "branch_and_bound(fallback=heft)");
     }

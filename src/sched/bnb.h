@@ -13,13 +13,11 @@
 // uniform-interconnect (bus) platforms; see the symmetry-breaking comment
 // in bnb.cpp for the NoC caveat. Scheduled-task sets are tracked in a
 // 32-bit mask, which caps the representable graph at kBnbMaxTasks tasks;
-// beyond min(kBnbMaxTasks, SchedOptions::bnbTaskLimit) the policy falls
-// back to HEFT (label "branch_and_bound(fallback=heft)").
+// beyond kBnbTaskLimit tasks the policy falls back to HEFT (label
+// "branch_and_bound(fallback=heft)").
 #pragma once
 
 #include <cstddef>
-
-#include "sched/options.h"
 
 namespace argo::sched {
 
@@ -29,21 +27,19 @@ namespace argo::sched {
 /// nothing outside sched/ may hard-code 31.
 inline constexpr int kBnbMaxTasks = 31;
 
-/// Task cap actually applied by the policy: the configured bnbTaskLimit,
-/// never above what the bitmask can represent.
-[[nodiscard]] constexpr int bnbEffectiveTaskLimit(
-    const SchedOptions& options) noexcept {
-  return options.bnbTaskLimit < kBnbMaxTasks ? options.bnbTaskLimit
-                                             : kBnbMaxTasks;
-}
+/// Largest graph the exact search accepts before falling back to HEFT
+/// (tasks). Beyond it the search is hopeless within any practical budget.
+inline constexpr int kBnbTaskLimit = 14;
+static_assert(kBnbTaskLimit <= kBnbMaxTasks,
+              "the task cap must fit the search's bitmask");
 
 /// True when the exact search runs for a graph of `tasks` tasks; false
 /// when the policy would fall back to HEFT instead. Larger candidates are
 /// still schedulable (by the fallback), so callers should not treat an
 /// infeasible exact search as an infeasible candidate.
 [[nodiscard]] constexpr bool bnbExactSearchFeasible(
-    std::size_t tasks, const SchedOptions& options) noexcept {
-  return tasks <= static_cast<std::size_t>(bnbEffectiveTaskLimit(options));
+    std::size_t tasks) noexcept {
+  return tasks <= static_cast<std::size_t>(kBnbTaskLimit);
 }
 
 }  // namespace argo::sched

@@ -25,10 +25,6 @@ struct SchedOptions {
   /// 0; <= 0 means all tiles). The feedback loop uses 1 for its
   /// sequential-mapping fallback candidate.
   int coreLimit = 0;
-  /// Branch-and-bound: maximum graph size the exact search accepts before
-  /// falling back to HEFT (tasks, default 14; capped further by
-  /// kBnbMaxTasks, the bitmask width — see sched/bnb.h).
-  int bnbTaskLimit = 14;
   /// Branch-and-bound search budget: every node the one depth-first
   /// search visits, leaf, pruned or expanded (search nodes, default
   /// 2'000'000). Exhaustion is deterministic — the result is annotated
@@ -37,9 +33,6 @@ struct SchedOptions {
   std::int64_t bnbNodeBudget = 2'000'000;
   /// Simulated-annealing chain length (iterations, default 4000).
   int saIterations = 4000;
-  /// Simulated-annealing initial temperature, as a fraction of the HEFT
-  /// seed makespan (dimensionless, default 0.20).
-  double saInitialTemp = 0.20;
   /// Seed for every randomized policy; the only sanctioned randomness
   /// source under the determinism contract (unitless, default 1).
   std::uint64_t seed = 1;

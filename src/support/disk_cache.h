@@ -62,7 +62,7 @@ namespace argo::support {
 /// shared across builds (actions/cache, a long-lived argod directory)
 /// degrade to recompute instead of misparsing. CI keys its cache restore
 /// on this value (.github/workflows/ci.yml).
-inline constexpr std::uint32_t kDiskCacheFormatVersion = 2;
+inline constexpr std::uint32_t kDiskCacheFormatVersion = 3;
 
 /// Append-only encoder for record payloads. Fields are tagged and framed
 /// exactly like support::Hasher feeds, so the encoded stream has the same

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <mutex>
 #include <queue>
@@ -140,68 +139,17 @@ void TaskGraph::checkAcyclic() const {
 void TaskGraph::run(int threads) {
   if (nodes_.empty()) return;
   checkAcyclic();
-  const unsigned resolved = effectiveParallelism(threads, nodes_.size());
-  if (resolved <= 1) {
-    runInline();
-    return;
-  }
-  runPooled(resolved);
-}
-
-void TaskGraph::runInline() {
-  // Deterministic reference order: topological, lowest ready node id
-  // first. The pooled path is free to execute in any order — slot
-  // discipline makes the outcomes identical — but a fixed inline order
-  // keeps single-threaded runs exactly reproducible for debugging.
-  const std::size_t n = nodes_.size();
-  std::priority_queue<NodeId, std::vector<NodeId>, std::greater<NodeId>>
-      ready;
-  std::vector<int> pending(n);
-  std::vector<char> poisoned(n, 0);
-  for (NodeId id = 0; id < n; ++id) {
-    pending[id] = nodes_[id].indegree;
-    if (pending[id] == 0) ready.push(id);
-  }
-
-  std::exception_ptr error;
-  NodeId errorId = n;
-  while (!ready.empty()) {
-    const NodeId id = ready.top();
-    ready.pop();
-    bool failed = false;
-    if (!poisoned[id]) {
-      nodesRunCounter().add();
-      detail::ParallelTaskScope scope;
-      TraceSpan span("graph", nodes_[id].name);
-      try {
-        nodes_[id].fn();
-      } catch (...) {
-        // Execution order is not id order (an edge may point from a high
-        // id to a low one), so track the minimum failing id explicitly.
-        if (id < errorId) {
-          error = std::current_exception();
-          errorId = id;
-        }
-        failed = true;
-      }
-    } else {
-      nodesSkippedCounter().add();
-    }
-    for (NodeId s : nodes_[id].successors) {
-      if (failed || poisoned[id]) poisoned[s] = 1;
-      if (--pending[s] == 0) ready.push(s);
-    }
-  }
-  if (error) std::rethrow_exception(error);
-}
-
-void TaskGraph::runPooled(unsigned resolved) {
   const std::size_t n = nodes_.size();
 
   struct RunState {
     std::mutex mutex;
     std::condition_variable wake;
-    std::deque<TaskGraph::NodeId> ready;
+    // Lowest ready id first: a team of one runs the nodes in a fixed
+    // topological order, so single-threaded runs are exactly reproducible.
+    // Larger teams may finish nodes in any order; slot discipline makes
+    // the outcome the same.
+    std::priority_queue<NodeId, std::vector<NodeId>, std::greater<NodeId>>
+        ready;
     std::size_t finished = 0;  // executed or skipped
   };
   RunState state;
@@ -216,10 +164,10 @@ void TaskGraph::runPooled(unsigned resolved) {
   for (NodeId id = 0; id < n; ++id) {
     pending[id].store(nodes_[id].indegree, std::memory_order_relaxed);
     poisoned[id].store(false, std::memory_order_relaxed);
-    if (nodes_[id].indegree == 0) state.ready.push_back(id);
+    if (nodes_[id].indegree == 0) state.ready.push(id);
   }
 
-  // The drain loop every executor runs: pop a ready node, execute (or
+  // The drain loop every team member runs: pop a ready node, execute (or
   // skip) it, count down its successors, publish the newly ready ones.
   const auto drain = [&] {
     for (;;) {
@@ -240,8 +188,8 @@ void TaskGraph::runPooled(unsigned resolved) {
                   .count()));
         }
         if (state.ready.empty()) return;  // all nodes accounted for
-        id = state.ready.front();
-        state.ready.pop_front();
+        id = state.ready.top();
+        state.ready.pop();
       }
 
       const bool skip = poisoned[id].load(std::memory_order_relaxed);
@@ -267,7 +215,7 @@ void TaskGraph::runPooled(unsigned resolved) {
             poisoned[s].store(true, std::memory_order_relaxed);
           }
           if (pending[s].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            state.ready.push_back(s);
+            state.ready.push(s);
           }
         }
         state.finished += 1;
@@ -278,10 +226,14 @@ void TaskGraph::runPooled(unsigned resolved) {
     }
   };
 
-  // One drain loop per team thread; the team is the calling thread plus
-  // `resolved - 1` transient threads, and runTeam rejects a nested run.
-  detail::runTeam(resolved, "support::TaskGraph::run", drain);
+  // One drain loop per team member: the calling thread plus one transient
+  // thread per extra member. A team of one runs on the calling thread
+  // alone, and runTeam rejects a nested team of two or more.
+  detail::runTeam(effectiveParallelism(threads, n), "support::TaskGraph::run",
+                  drain);
 
+  // Execution order is not id order (an edge may point from a high id to
+  // a low one), so the lowest failing id is found after the run.
   for (NodeId id = 0; id < n; ++id) {
     if (errors[id]) std::rethrow_exception(errors[id]);
   }

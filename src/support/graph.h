@@ -7,7 +7,7 @@
 // stage 1. TaskGraph removes those barriers: callers declare nodes with
 // explicit edges on the *true* data dependences, and independent chains
 // overlap freely — a node starts the moment its last predecessor finishes,
-// on whichever pool worker is free.
+// on whichever team thread is free.
 //
 // The contract mirrors parallelFor's determinism contract exactly (see
 // docs/ARCHITECTURE.md, "Determinism contract" and "Task-graph executor"):
@@ -32,17 +32,19 @@
 //    dependences (in node-id order).
 //  * No nested pools. run() with a resolved parallelism > 1 from inside a
 //    parallelFor task or another TaskGraph node throws, exactly like
-//    parallelFor; a resolved parallelism of 1 runs inline (deterministic
-//    node-id topological order) and is always allowed. TaskGraph::run is
-//    the second sanctioned owner of the thread budget next to parallelFor
+//    parallelFor; a resolved parallelism of 1 drains the graph on the
+//    calling thread and is always allowed. TaskGraph::run is the second
+//    sanctioned owner of the thread budget next to parallelFor
 //    (support/parallel.h); node bodies must run their inner phases with
 //    threads = 1.
 //
 // Execution: run() seeds an indegree-countdown ready queue with the
 // sources and drains it on a transient thread team (support::detail::
 // runTeam: the calling thread plus N-1 std::threads, one drain loop
-// each); finishing a node atomically decrements each successor's pending
-// count and enqueues those that hit zero.
+// each; a team of one is the calling thread alone). Finishing a node
+// atomically decrements each successor's pending count and enqueues those
+// that hit zero. The queue pops the lowest ready id first, so a
+// one-thread run executes in node-id topological order.
 #pragma once
 
 #include <cstddef>
@@ -75,10 +77,10 @@ class TaskGraph {
   /// Executes every node whose ancestors all succeed, blocking until the
   /// whole graph has been executed or deterministically skipped. `threads`
   /// follows the effectiveParallelism() convention (0 = hardware threads,
-  /// 1 = inline, clamped to the node count). May be called repeatedly —
-  /// per-run state is rebuilt each time. Throws ToolchainError on a cyclic
-  /// graph or a nested pooled run; otherwise rethrows the lowest failing
-  /// node id's exception after the run drains.
+  /// 1 = the calling thread alone, clamped to the node count). May be
+  /// called repeatedly — per-run state is rebuilt each time. Throws
+  /// ToolchainError on a cyclic graph or a nested pooled run; otherwise
+  /// rethrows the lowest failing node id's exception after the run drains.
   void run(int threads);
 
  private:
@@ -91,8 +93,6 @@ class TaskGraph {
 
   /// Throws the pinned cycle diagnostic unless the graph is a DAG.
   void checkAcyclic() const;
-  void runInline();
-  void runPooled(unsigned resolved);
 
   std::vector<Node> nodes_;
 };

@@ -18,34 +18,12 @@ MetricCounter& MetricsRegistry::counter(std::string_view name) {
   return *it->second;
 }
 
-MetricGauge& MetricsRegistry::gauge(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(std::string(name), std::make_unique<MetricGauge>())
-             .first;
-  }
-  return *it->second;
-}
-
 std::vector<MetricSample> MetricsRegistry::snapshot() const {
   std::vector<MetricSample> out;
   std::lock_guard<std::mutex> lock(mutex_);
-  out.reserve(counters_.size() + gauges_.size());
-  // Merge the two name-sorted maps so the snapshot is sorted overall.
-  auto c = counters_.begin();
-  auto g = gauges_.begin();
-  while (c != counters_.end() || g != gauges_.end()) {
-    const bool takeCounter =
-        g == gauges_.end() ||
-        (c != counters_.end() && c->first < g->first);
-    if (takeCounter) {
-      out.push_back(MetricSample{c->first, c->second->value(), false});
-      ++c;
-    } else {
-      out.push_back(MetricSample{g->first, g->second->value(), true});
-      ++g;
-    }
+  out.reserve(counters_.size());
+  for (const auto& [name, counter] : counters_) {
+    out.push_back(MetricSample{name, counter->value()});
   }
   return out;
 }
@@ -54,9 +32,6 @@ void MetricsRegistry::resetForTest() {
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [name, counter] : counters_) {
     counter->value_.store(0, std::memory_order_relaxed);
-  }
-  for (auto& [name, gauge] : gauges_) {
-    gauge->value_.store(0, std::memory_order_relaxed);
   }
 }
 

@@ -1,8 +1,8 @@
 // Deterministic data parallelism for the tool-chain's hot phases.
 //
 // The one layer every embarrassingly parallel phase (cross-layer feedback
-// exploration, per-task timing analysis, MHP rows, simulator trials)
-// shares instead of hand-rolling its own thread handling. The contract,
+// exploration, per-task timing analysis, MHP rows) shares instead of
+// hand-rolling its own thread handling. The contract,
 // identical for the sequential and the pooled path:
 //
 //  * parallelFor(n, threads, fn) runs fn(i) for every i in [0, n). Every

@@ -8,8 +8,8 @@
 // elapsed duration into the calling thread's buffer. The hot path is a
 // single relaxed atomic load — when tracing is disabled every instrument
 // is a no-op that costs one branch, so instrumented code is safe to leave
-// in release builds (bench_parallel_eval's trace_overhead row measures
-// exactly this).
+// in release builds (perfbench's trace.overhead_frac measures the cost
+// with tracing on).
 //
 // Buffers are per-thread and only the owning thread appends (under that
 // buffer's own mutex, uncontended except against export), so recording

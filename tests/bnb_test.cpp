@@ -324,9 +324,8 @@ TEST(bnb_counters, NodesAndExhaustionAreTalliedPerSearch) {
 }
 
 TEST(bnb_fallback, OversizedGraphsScheduleViaHeftInsteadOfThrowing) {
-  // More tasks than the 32-bit done-mask can represent: even a permissive
-  // bnbTaskLimit must fall back to HEFT (kBnbMaxTasks caps it), exactly
-  // like a graph beyond bnbTaskLimit does — one rule for both caps.
+  // More tasks than the 32-bit done-mask can represent fall back to HEFT,
+  // exactly like any graph beyond kBnbTaskLimit does.
   auto fn = makeWideLoopFn();
   const htg::TaskGraph graph =
       htg::expand(htg::buildHtg(*fn), htg::ExpandOptions{40});
@@ -334,9 +333,7 @@ TEST(bnb_fallback, OversizedGraphsScheduleViaHeftInsteadOfThrowing) {
   const adl::Platform platform = adl::makeRecoreXentiumBus(4);
   const Scheduler scheduler(graph, platform);
 
-  SchedOptions options = bnbOptions();
-  options.bnbTaskLimit = 1000;  // permissive: the mask width must still cap
-  const Schedule schedule = scheduler.run(options);
+  const Schedule schedule = scheduler.run(bnbOptions());
   EXPECT_EQ(schedule.policy, "branch_and_bound(fallback=heft)");
   EXPECT_TRUE(validateSchedule(schedule, graph, platform,
                                scheduler.timings())

@@ -3,19 +3,24 @@
 // in modulo and cross mode, must reproduce a sequential --cache off run
 // byte for byte), the cross-product sweep mode, the policy-matrix smoke
 // check (every registered policy schedules every generated scenario, no
-// unexpected fallbacks), and the JSON shape.
+// unexpected fallbacks), the JSON shape, and the shape of the batch graph
+// (one node per unit after its cell's prefix; a unit's eval span closes
+// before its simulator span opens).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "sched/bnb.h"
 #include "sched/policy.h"
 #include "scenarios/eval.h"
 #include "support/diagnostics.h"
+#include "support/metrics.h"
+#include "support/trace.h"
 
 namespace argo {
 namespace {
@@ -100,21 +105,22 @@ TEST(EvalCacheDifferential, CrossModeMatchesAcrossExecutorsAndCache) {
 }
 
 TEST(EvalCacheDifferential, SharedCacheRerunIsByteIdenticalAndAllHits) {
-  // The incremental re-sweep pattern: a second batch against an already
-  // populated external cache recomputes no schedules and still renders
-  // the identical report.
+  // The incremental re-sweep pattern: a second batch over the first
+  // batch's cache directory loads every stage from disk, computes and
+  // stores nothing, and still renders the identical report.
+  TempCacheDir dir("rerun");
   scenarios::EvalOptions options = smallBatch();
   options.scenarioCount = 4;
   options.threads = 8;
-  options.cache = std::make_shared<core::ToolchainCache>();
-  const std::string first = scenarios::runEval(options).toJson();
-  const core::ToolchainCacheStats cold = options.cache->stats();
-  const std::string second = scenarios::runEval(options).toJson();
-  const core::ToolchainCacheStats warm = options.cache->stats();
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(cold.schedules.misses, warm.schedules.misses);
-  EXPECT_EQ(cold.transforms.misses, warm.transforms.misses);
-  EXPECT_GT(warm.schedules.hits, cold.schedules.hits);
+  options.cacheDir = dir.path;
+  const scenarios::EvalReport first = scenarios::runEval(options);
+  const scenarios::EvalReport second = scenarios::runEval(options);
+  EXPECT_EQ(first.toJson(), second.toJson());
+  ASSERT_TRUE(second.cacheStats.has_value());
+  ASSERT_TRUE(second.cacheStats->disk.has_value());
+  EXPECT_GT(second.cacheStats->disk->hits, 0u);
+  EXPECT_EQ(second.cacheStats->disk->misses, 0u);
+  EXPECT_EQ(second.cacheStats->disk->stores, 0u);
 }
 
 TEST(EvalDiskCacheDifferential, DiskWarmRerunMatchesCacheOffByteForByte) {
@@ -281,7 +287,7 @@ TEST(EvalPolicyMatrix, EveryRegisteredPolicySchedulesEveryScenario) {
       // graphs beyond the exact search's task cap.
       if (outcome.scheduleLabel.find("fallback") != std::string::npos) {
         EXPECT_FALSE(sched::bnbExactSearchFeasible(
-            static_cast<std::size_t>(outcome.tasks), options.toolchain.sched))
+            static_cast<std::size_t>(outcome.tasks)))
             << row.scenario << ": fell back at " << outcome.tasks
             << " tasks, within the exact-search cap";
       }
@@ -380,6 +386,68 @@ TEST(EvalSimTrials, ZeroSkipsTheSimulatorCheck) {
   EXPECT_EQ(outcome.tightness(), 0.0);
   EXPECT_TRUE(outcome.simSafe);
   EXPECT_TRUE(report.allSimSafe);
+}
+
+TEST(EvalTaskGraph, OneNodePerUnitAfterItsCellPrefix) {
+  // S scenario nodes, then per cell one prefix node (batch cache only)
+  // and one node per policy that runs the tool-chain and the simulator.
+  scenarios::EvalOptions options = smallBatch();
+  options.scenarioCount = 2;
+  options.sweepMode = scenarios::SweepMode::Cross;
+  options.sweep.coreCounts = {2};
+  options.policies = {"heft", "contention_oblivious"};
+  const support::MetricCounter& nodesRun =
+      support::MetricsRegistry::global().counter("graph.nodes_run");
+  for (const bool cacheEnabled : {true, false}) {
+    options.cacheEnabled = cacheEnabled;
+    const std::uint64_t before = nodesRun.value();
+    const scenarios::EvalReport report = scenarios::runEval(options);
+    const std::uint64_t scenarioNodes = report.scenarioCount;
+    const std::uint64_t cells = report.scenarios.size();
+    const std::uint64_t policies = report.policies.size();
+    ASSERT_EQ(cells, 2u * report.platformCases);
+    const std::uint64_t perCell = policies + (cacheEnabled ? 1 : 0);
+    EXPECT_EQ(nodesRun.value() - before, scenarioNodes + cells * perCell)
+        << "cache=" << cacheEnabled;
+  }
+}
+
+TEST(EvalTrace, UnitSpanClosesBeforeItsSimulatorSpan) {
+  // perfbench adds a unit's `eval` and `sim` spans, so the simulator probes
+  // must run after the unit's eval span has closed, never inside it.
+  scenarios::EvalOptions options = smallBatch();
+  options.scenarioCount = 3;
+  options.policies = {"heft", "contention_oblivious"};
+  support::TraceRecorder& recorder = support::TraceRecorder::global();
+  for (const int threads : {1, 3}) {
+    options.threads = threads;
+    recorder.reset();
+    recorder.enable();
+    const scenarios::EvalReport report = scenarios::runEval(options);
+    recorder.disable();
+    const std::vector<support::TraceEventView> events = recorder.snapshot();
+    recorder.reset();
+
+    std::vector<const support::TraceEventView*> evals;
+    std::vector<const support::TraceEventView*> sims;
+    for (const support::TraceEventView& event : events) {
+      if (event.phase != 'X') continue;
+      if (event.category == "eval") evals.push_back(&event);
+      if (event.category == "sim") sims.push_back(&event);
+    }
+    EXPECT_EQ(sims.size(), report.scenarios.size() * report.policies.size())
+        << "threads=" << threads;
+    for (const support::TraceEventView* sim : sims) {
+      for (const support::TraceEventView* eval : evals) {
+        const bool inside = sim->tid == eval->tid &&
+                            sim->startNs >= eval->startNs &&
+                            sim->startNs < eval->startNs + eval->durNs;
+        EXPECT_FALSE(inside) << "sim span " << sim->name
+                             << " opens inside eval span " << eval->name
+                             << " (threads=" << threads << ")";
+      }
+    }
+  }
 }
 
 }  // namespace

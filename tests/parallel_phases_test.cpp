@@ -9,7 +9,6 @@
 
 #include <algorithm>
 
-#include "../bench/common.h"  // bench::observedWorst (pooled trials)
 #include "apps/polka.h"
 #include "core/toolchain.h"
 #include "diamond_fixture.h"
@@ -171,9 +170,10 @@ TEST_F(PolkaPipeline, PooledSystemAnalysisMatchesSequentialBitForBit) {
 }
 
 TEST_F(PolkaPipeline, PooledSimulatorTrialsMatchSequentialBitForBit) {
-  // Mirrors bench::observedWorst: independent trials from the same zero
-  // environment, differing only in the input seed. Per-trial makespans —
-  // not just the maximum — must agree between the plain loop and the pool.
+  // Independent simulator trials from the same zero environment, differing
+  // only in the input seed, run through support::parallelFor. Per-trial
+  // makespans must agree between one thread and four: Simulator::step is
+  // safe to call concurrently on one simulator.
   apps::PolkaConfig config;
   config.mosaicH = 16;
   config.mosaicW = 16;
@@ -196,19 +196,6 @@ TEST_F(PolkaPipeline, PooledSimulatorTrialsMatchSequentialBitForBit) {
   support::parallelFor(kTrials, 4,
                        [&](std::size_t t) { pooled[t] = trial(t); });
   EXPECT_EQ(pooled, sequential);
-}
-
-TEST_F(PolkaPipeline, ObservedWorstHelperIsThreadCountInvariant) {
-  // The shipped helper itself (not a mirror of it): the pooled high
-  // watermark must equal the sequential one for any thread count.
-  const adl::Cycles sequential =
-      bench::observedWorst(*result_, *platform_, "polka", /*trials=*/6,
-                           /*threads=*/1);
-  for (int threads : {0, 2, 4}) {
-    EXPECT_EQ(bench::observedWorst(*result_, *platform_, "polka", 6, threads),
-              sequential)
-        << "threads " << threads;
-  }
 }
 
 }  // namespace

@@ -145,16 +145,11 @@ TEST(PolicyRegistry, UserPoliciesRegisterAndDispatchAndRejectDuplicates) {
 }
 
 TEST(PolicyRegistry, BnbFeasibilityQueryOwnsTheBitmaskWidth) {
-  SchedOptions options;  // default bnbTaskLimit = 14
-  EXPECT_TRUE(bnbExactSearchFeasible(14, options));
-  EXPECT_FALSE(bnbExactSearchFeasible(15, options));
-  // A permissive task limit is still capped by the mask width.
-  options.bnbTaskLimit = 1000;
-  EXPECT_EQ(bnbEffectiveTaskLimit(options), kBnbMaxTasks);
-  EXPECT_TRUE(bnbExactSearchFeasible(static_cast<std::size_t>(kBnbMaxTasks),
-                                     options));
+  EXPECT_TRUE(bnbExactSearchFeasible(14));
+  EXPECT_FALSE(bnbExactSearchFeasible(15));
+  // No graph wider than the mask is ever searched.
   EXPECT_FALSE(bnbExactSearchFeasible(
-      static_cast<std::size_t>(kBnbMaxTasks) + 1, options));
+      static_cast<std::size_t>(kBnbMaxTasks) + 1));
 }
 
 TEST(PolicyCounters, AnnealingTalliesEvaluatedAndAcceptedMoves) {

@@ -6,6 +6,7 @@
 #include "diamond_fixture.h"
 #include "htg/htg.h"
 #include "ir/builder.h"
+#include "sched/bnb.h"
 #include "sched/list_placement.h"
 #include "sched/scheduler.h"
 #include "support/diagnostics.h"
@@ -134,11 +135,15 @@ TEST(BnB, OptimalOnSmallGraphs) {
 }
 
 TEST(BnB, FallsBackOnLargeGraphs) {
-  Fixture fx(/*chunks=*/8);  // > bnbTaskLimit tasks
+  // Above kBnbTaskLimit and still inside the search's bitmask: the task
+  // cap alone sends the policy to its HEFT fallback.
+  Fixture fx(/*chunks=*/4);
+  ASSERT_EQ(fx.graph.tasks.size(), 16u);
+  ASSERT_GT(fx.graph.tasks.size(), static_cast<std::size_t>(kBnbTaskLimit));
+  ASSERT_LE(fx.graph.tasks.size(), static_cast<std::size_t>(kBnbMaxTasks));
   Scheduler scheduler(fx.graph, fx.platform);
   SchedOptions options;
   options.policy = "branch_and_bound";
-  options.bnbTaskLimit = 10;
   const Schedule schedule = scheduler.run(options);
   EXPECT_NE(schedule.policy.find("fallback"), std::string::npos);
   EXPECT_TRUE(validateSchedule(schedule, fx.graph, fx.platform,
