@@ -240,6 +240,10 @@ Platform Platform::withSpmBytes(std::int64_t bytes) const {
 }
 
 Platform makeRecoreXentiumBus(int cores, Arbitration arb) {
+  if (cores < 1) {
+    throw ToolchainError("makeRecoreXentiumBus: invalid core count " +
+                         std::to_string(cores));
+  }
   std::vector<Tile> tiles;
   tiles.reserve(static_cast<std::size_t>(cores));
   for (int i = 0; i < cores; ++i) {
@@ -255,6 +259,10 @@ Platform makeRecoreXentiumBus(int cores, Arbitration arb) {
 }
 
 Platform makeKitLeon3Inoc(int width, int height, bool withAccelerator) {
+  if (width < 1 || height < 1) {
+    throw ToolchainError("makeKitLeon3Inoc: invalid mesh " +
+                         std::to_string(width) + "x" + std::to_string(height));
+  }
   std::vector<Tile> tiles;
   const int count = width * height;
   tiles.reserve(static_cast<std::size_t>(count));

@@ -207,14 +207,16 @@ class Platform {
   std::int64_t sharedMemBytes_ = 0;
 };
 
-/// Recore-like platform: `cores` Xentium DSP tiles on a shared bus.
+/// Recore-like platform: `cores` Xentium DSP tiles on a shared bus. Throws
+/// support::ToolchainError when `cores` is below 1.
 [[nodiscard]] Platform makeRecoreXentiumBus(int cores,
                                             Arbitration arb =
                                                 Arbitration::RoundRobin);
 
 /// KIT-like platform: width x height Leon3 tiles on an iNoC-style mesh,
 /// with the last tile replaced by a math-accelerator tile when
-/// `withAccelerator`.
+/// `withAccelerator`. Throws support::ToolchainError when `width` or
+/// `height` is below 1.
 [[nodiscard]] Platform makeKitLeon3Inoc(int width, int height,
                                         bool withAccelerator = false);
 

@@ -1,68 +1,9 @@
 #include "core/cache.h"
 
-#include "ir/printer.h"
-#include "ir/serialize.h"
-
 namespace argo::core {
-
-namespace {
 
 using support::ByteReader;
 using support::ByteWriter;
-
-void writeStringSet(const std::set<std::string>& set, ByteWriter& w) {
-  w.u64(set.size());
-  for (const std::string& s : set) w.str(s);
-}
-
-[[nodiscard]] std::set<std::string> readStringSet(ByteReader& r) {
-  const std::size_t n = r.count();
-  std::set<std::string> out;
-  for (std::size_t i = 0; i < n && r.ok(); ++i) out.insert(r.str());
-  // std::set iteration re-sorts on encode, but a duplicated entry would
-  // silently shrink the set — that is corruption, not a value.
-  if (out.size() != n) r.invalidate();
-  return out;
-}
-
-void writeUsage(const ir::VarUsage& usage, ByteWriter& w) {
-  writeStringSet(usage.reads, w);
-  writeStringSet(usage.writes, w);
-}
-
-[[nodiscard]] ir::VarUsage readUsage(ByteReader& r) {
-  ir::VarUsage usage;
-  usage.reads = readStringSet(r);
-  usage.writes = readStringSet(r);
-  return usage;
-}
-
-void writeDeps(const std::vector<htg::Dep>& deps, ByteWriter& w) {
-  w.u64(deps.size());
-  for (const htg::Dep& d : deps) {
-    w.i32(d.from);
-    w.i32(d.to);
-    writeStringSet(d.vars, w);
-    w.i64(d.bytes);
-  }
-}
-
-[[nodiscard]] std::vector<htg::Dep> readDeps(ByteReader& r) {
-  const std::size_t n = r.count();
-  std::vector<htg::Dep> deps;
-  deps.reserve(n);
-  for (std::size_t i = 0; i < n && r.ok(); ++i) {
-    htg::Dep d;
-    d.from = r.i32();
-    d.to = r.i32();
-    d.vars = readStringSet(r);
-    d.bytes = r.i64();
-    deps.push_back(std::move(d));
-  }
-  return deps;
-}
-
-}  // namespace
 
 ToolchainCacheStats ToolchainCache::stats() const noexcept {
   ToolchainCacheStats s;
@@ -73,34 +14,6 @@ ToolchainCacheStats ToolchainCache::stats() const noexcept {
   s.schedules = schedules.stats();
   if (disk_ != nullptr) s.disk = disk_->stats();
   return s;
-}
-
-std::string encodeTransformsStage(const TransformsStage& stage) {
-  ByteWriter w;
-  ir::serializeFunction(*stage.fn, w);
-  w.u64(stage.passesRun.size());
-  for (const std::string& pass : stage.passesRun) w.str(pass);
-  // irText/irKey are derived, not stored: the decoder recomputes both
-  // from the tree, so a record can never carry a text/tree mismatch.
-  return w.take();
-}
-
-std::optional<TransformsStage> decodeTransformsStage(
-    std::string_view payload) {
-  ByteReader r(payload);
-  std::unique_ptr<ir::Function> fn = ir::deserializeFunction(r);
-  if (fn == nullptr) return std::nullopt;
-  TransformsStage stage;
-  const std::size_t passCount = r.count();
-  stage.passesRun.reserve(passCount);
-  for (std::size_t i = 0; i < passCount && r.ok(); ++i) {
-    stage.passesRun.push_back(r.str());
-  }
-  if (!r.atEnd()) return std::nullopt;
-  stage.irText = ir::toString(*fn);
-  stage.irKey = support::Hasher().str(stage.irText).finish();
-  stage.fn = std::move(fn);
-  return stage;
 }
 
 std::string encodeCycles(adl::Cycles value) {
@@ -114,58 +27,6 @@ std::optional<adl::Cycles> decodeCycles(std::string_view payload) {
   const adl::Cycles value = r.i64();
   if (!r.atEnd()) return std::nullopt;
   return value;
-}
-
-std::string encodeExpandStage(const ExpandStage& stage) {
-  const htg::TaskGraph& graph = *stage.graph;
-  ByteWriter w;
-  w.u64(graph.tasks.size());
-  for (const htg::Task& t : graph.tasks) {
-    w.i32(t.id);
-    w.str(t.name);
-    w.u64(t.stmts.size());
-    for (const ir::StmtPtr& s : t.stmts) ir::serializeStmt(*s, w);
-    w.i32(t.htgNode);
-    w.i32(t.chunkIndex);
-    w.i32(t.chunkCount);
-    writeUsage(t.usage, w);
-  }
-  writeDeps(graph.deps, w);
-  return w.take();
-}
-
-std::optional<ExpandStage> decodeExpandStage(
-    std::string_view payload,
-    std::shared_ptr<const TransformsStage> source) {
-  if (source == nullptr || source->fn == nullptr) return std::nullopt;
-  ByteReader r(payload);
-  auto graph = std::make_unique<htg::TaskGraph>();
-  graph->fn = source->fn.get();
-  const std::size_t taskCount = r.count();
-  graph->tasks.reserve(taskCount);
-  for (std::size_t i = 0; i < taskCount && r.ok(); ++i) {
-    htg::Task t;
-    t.id = r.i32();
-    t.name = r.str();
-    const std::size_t stmtCount = r.count();
-    t.stmts.reserve(stmtCount);
-    for (std::size_t j = 0; j < stmtCount; ++j) {
-      ir::StmtPtr s = ir::deserializeStmt(r);
-      if (s == nullptr) return std::nullopt;
-      t.stmts.push_back(std::move(s));
-    }
-    t.htgNode = r.i32();
-    t.chunkIndex = r.i32();
-    t.chunkCount = r.i32();
-    t.usage = readUsage(r);
-    graph->tasks.push_back(std::move(t));
-  }
-  graph->deps = readDeps(r);
-  if (!r.atEnd()) return std::nullopt;
-  ExpandStage stage;
-  stage.source = std::move(source);
-  stage.graph = std::move(graph);
-  return stage;
 }
 
 std::string encodeTimings(const std::vector<sched::TaskTiming>& timings) {

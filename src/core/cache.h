@@ -27,14 +27,18 @@
 // future argod service shares one across requests). Single-flight and
 // thread safety come from support::StageCache.
 //
-// Disk tier: attachDisk(dir) layers a support::DiskCache under the five
-// in-memory caches, making the lookup order memory -> disk -> compute.
-// The disk probe runs inside the in-memory compute closure, i.e. on the
+// Disk tier: attachDisk(dir) layers a support::DiskCache under three of
+// the five in-memory caches — sequentialWcet, timings and schedules —
+// making their lookup order memory -> disk -> compute. Those three values
+// are plain data (cycle counts, timing tables, placements and bounds), so
+// every disk decoder reads integers and strings only. The two IR stages,
+// transforms and expansion, stay in memory: a warm start recomputes them,
+// which measured no slower than loading a serialized IR tree, and yields
+// the same bytes because every stage is a pure function of its key. The
+// disk probe runs inside the in-memory compute closure, i.e. on the
 // single-flight owner's thread, so per process each key touches the disk
-// at most once. Every stage value has a canonical binary codec below
-// (encode*/decode*); a record that fails its envelope validation OR its
-// payload decode is counted as a reject and recomputed — identical bytes
-// either way, because each stage is a pure function of its keyed inputs.
+// at most once. A record that fails its envelope validation OR its
+// payload decode is counted as a reject and recomputed.
 #pragma once
 
 #include <memory>
@@ -96,7 +100,7 @@ struct ToolchainCacheStats {
 };
 
 // ---- Disk payload codecs -------------------------------------------------
-// One canonical binary encoding per cached stage value, built on the
+// One canonical binary encoding per persisted stage value, built on the
 // ByteWriter/ByteReader framing. Decoders are total: nullopt on any
 // malformed payload, never a throw or a partially-filled value. The
 // determinism argument for the whole disk tier reduces to: encode is a
@@ -104,25 +108,9 @@ struct ToolchainCacheStats {
 // tests/disk_cache_test.cpp), and every stage value is a pure function of
 // its key.
 
-[[nodiscard]] std::string encodeTransformsStage(const TransformsStage&);
-/// Rebuilds the stage from its payload; irText/irKey are *recomputed*
-/// from the decoded function (the printer is canonical), so they can
-/// never disagree with the tree.
-[[nodiscard]] std::optional<TransformsStage> decodeTransformsStage(
-    std::string_view payload);
-
 [[nodiscard]] std::string encodeCycles(adl::Cycles value);
 [[nodiscard]] std::optional<adl::Cycles> decodeCycles(
     std::string_view payload);
-
-[[nodiscard]] std::string encodeExpandStage(const ExpandStage&);
-/// `source` is the (already loaded or computed) transforms stage this
-/// expansion was keyed against: the decoded graph's statements are owned
-/// clones, but its `fn` pointer targets source->fn, exactly like a fresh
-/// expansion. Key chaining guarantees the pairing is right — expansionKey
-/// embeds the transforms stage's irKey.
-[[nodiscard]] std::optional<ExpandStage> decodeExpandStage(
-    std::string_view payload, std::shared_ptr<const TransformsStage> source);
 
 [[nodiscard]] std::string encodeTimings(
     const std::vector<sched::TaskTiming>&);
@@ -133,9 +121,10 @@ struct ToolchainCacheStats {
 [[nodiscard]] std::optional<ScheduleStage> decodeScheduleStage(
     std::string_view payload);
 
-/// Stage directory names of the disk tier (dir/<stage>/<key>.rec). Also
-/// the <stage> of the cache.<stage>.* metrics and of the "cache" trace
-/// spans; fixed forever short of a format bump.
+/// Stage names: the <stage> of the cache.<stage>.* metrics and of the
+/// "cache" trace spans, and, for the three persisted stages, the disk
+/// directory (dir/<stage>/<key>.rec). Fixed forever short of a format
+/// bump.
 inline constexpr std::string_view kDiskStageTransforms = "transforms";
 inline constexpr std::string_view kDiskStageSequentialWcet = "seqwcet";
 inline constexpr std::string_view kDiskStageExpansion = "expand";
@@ -145,8 +134,9 @@ inline constexpr std::string_view kDiskStageSchedules = "schedule";
 /// The five stage caches of one tool-chain instance pool. Create one,
 /// share it via ToolchainOptions::cache across every run that should
 /// reuse work. The get* accessors are what core::Toolchain calls: the
-/// in-memory tier plus, when attachDisk() was called, the on-disk tier
-/// probed from inside the single-flight compute slot.
+/// in-memory tier plus, for the plain-data stages once attachDisk() was
+/// called, the on-disk tier probed from inside the single-flight compute
+/// slot.
 class ToolchainCache {
  public:
   support::StageCache<TransformsStage> transforms;
@@ -155,9 +145,9 @@ class ToolchainCache {
   support::StageCache<std::vector<sched::TaskTiming>> timings;
   support::StageCache<ScheduleStage> schedules;
 
-  /// Layers an on-disk tier rooted at `dir` under the in-memory caches.
-  /// Call before sharing the cache; not synchronized against concurrent
-  /// lookups.
+  /// Layers an on-disk tier rooted at `dir` under the in-memory caches of
+  /// the plain-data stages. Call before sharing the cache; not
+  /// synchronized against concurrent lookups.
   void attachDisk(std::string dir) {
     disk_ = std::make_shared<support::DiskCache>(std::move(dir));
   }
@@ -169,41 +159,30 @@ class ToolchainCache {
   template <typename Compute>
   std::shared_ptr<const TransformsStage> getTransforms(
       const support::StageKey& key, Compute&& compute) {
-    return tiered(transforms, kDiskStageTransforms, key,
-                  std::forward<Compute>(compute), encodeTransformsStage,
-                  [](std::string_view p) { return decodeTransformsStage(p); });
+    return lookup(transforms, kDiskStageTransforms, key,
+                  std::forward<Compute>(compute));
   }
 
   template <typename Compute>
   std::shared_ptr<const adl::Cycles> getSequentialWcet(
       const support::StageKey& key, Compute&& compute) {
     return tiered(sequentialWcet, kDiskStageSequentialWcet, key,
-                  std::forward<Compute>(compute), encodeCycles,
-                  [](std::string_view p) { return decodeCycles(p); });
+                  std::forward<Compute>(compute), encodeCycles, decodeCycles);
   }
 
   template <typename Compute>
   std::shared_ptr<const ExpandStage> getExpansion(
-      const support::StageKey& key,
-      const std::shared_ptr<const TransformsStage>& source,
-      Compute&& compute) {
-    return tiered(expansion, kDiskStageExpansion, key,
-                  std::forward<Compute>(compute),
-                  [](const ExpandStage& v) { return encodeExpandStage(v); },
-                  [&source](std::string_view p) {
-                    return decodeExpandStage(p, source);
-                  });
+      const support::StageKey& key, Compute&& compute) {
+    return lookup(expansion, kDiskStageExpansion, key,
+                  std::forward<Compute>(compute));
   }
 
   template <typename Compute>
   std::shared_ptr<const std::vector<sched::TaskTiming>> getTimings(
       const support::StageKey& key, Compute&& compute) {
     return tiered(timings, kDiskStageTimings, key,
-                  std::forward<Compute>(compute),
-                  [](const std::vector<sched::TaskTiming>& v) {
-                    return encodeTimings(v);
-                  },
-                  [](std::string_view p) { return decodeTimings(p); });
+                  std::forward<Compute>(compute), encodeTimings,
+                  decodeTimings);
   }
 
   template <typename Compute>
@@ -211,16 +190,34 @@ class ToolchainCache {
       const support::StageKey& key, Compute&& compute) {
     return tiered(schedules, kDiskStageSchedules, key,
                   std::forward<Compute>(compute), encodeScheduleStage,
-                  [](std::string_view p) { return decodeScheduleStage(p); });
+                  decodeScheduleStage);
   }
 
   [[nodiscard]] ToolchainCacheStats stats() const noexcept;
 
  private:
-  /// memory -> disk -> compute. Runs on the single-flight owner's thread;
-  /// a decodable record short-circuits the compute, anything else is a
-  /// counted reject (noteReject for payload-level failures — the envelope
-  /// ones DiskCache::load already counted) followed by compute + store.
+  /// One in-memory lookup under one "cache" span, named by the stage with
+  /// the single-flight outcome attached — the per-lookup view whose
+  /// per-stage totals equal the cache.<stage>.* counters of the `metrics`
+  /// block (tools/trace_summary.py --metrics checks that).
+  template <typename Value, typename Compute>
+  std::shared_ptr<const Value> lookup(support::StageCache<Value>& memory,
+                                      std::string_view stage,
+                                      const support::StageKey& key,
+                                      Compute&& compute) {
+    support::TraceSpan span("cache", stage);
+    support::StageCacheOutcome outcome = support::StageCacheOutcome::Miss;
+    std::shared_ptr<const Value> value =
+        memory.getOrCompute(key, std::forward<Compute>(compute), &outcome);
+    span.arg("cache", support::stageCacheOutcomeName(outcome));
+    return value;
+  }
+
+  /// memory -> disk -> compute. The disk probe runs on the single-flight
+  /// owner's thread; a decodable record short-circuits the compute,
+  /// anything else is a counted reject (noteReject for payload-level
+  /// failures — the envelope ones DiskCache::load already counted)
+  /// followed by compute + store.
   template <typename Value, typename Compute, typename Encode,
             typename Decode>
   std::shared_ptr<const Value> tiered(support::StageCache<Value>& memory,
@@ -228,39 +225,23 @@ class ToolchainCache {
                                       const support::StageKey& key,
                                       Compute&& compute, Encode&& encode,
                                       Decode&& decode) {
-    // One "cache" span per lookup, named by the stage's disk-directory
-    // spelling with the single-flight outcome attached — the per-lookup
-    // view whose per-stage totals equal the cache.<stage>.* counters of
-    // the `metrics` block (tools/trace_summary.py --metrics checks that).
-    support::TraceSpan span("cache", stage);
-    support::StageCacheOutcome outcome = support::StageCacheOutcome::Miss;
     support::DiskCache* const disk = disk_.get();
-    std::shared_ptr<const Value> value;
-    if (disk == nullptr) {
-      value = memory.getOrCompute(key, std::forward<Compute>(compute),
-                                  &outcome);
-    } else {
-      value = memory.getOrCompute(
-          key,
-          [&]() -> Value {
-            if (std::optional<std::string> payload = disk->load(stage, key)) {
-              std::optional<Value> decoded = decode(*payload);
-              if (decoded.has_value()) return std::move(*decoded);
-              disk->noteReject();
-              if (support::TraceRecorder::enabled()) {
-                support::TraceRecorder::global().recordInstant(
-                    "disk", "reject",
-                    {support::TraceArg{"stage", std::string(stage)}});
-              }
-            }
-            Value computed = compute();
-            disk->store(stage, key, encode(computed));
-            return computed;
-          },
-          &outcome);
-    }
-    span.arg("cache", support::stageCacheOutcomeName(outcome));
-    return value;
+    return lookup(memory, stage, key, [&]() -> Value {
+      if (disk == nullptr) return compute();
+      if (std::optional<std::string> payload = disk->load(stage, key)) {
+        std::optional<Value> decoded = decode(*payload);
+        if (decoded.has_value()) return std::move(*decoded);
+        disk->noteReject();
+        if (support::TraceRecorder::enabled()) {
+          support::TraceRecorder::global().recordInstant(
+              "disk", "reject",
+              {support::TraceArg{"stage", std::string(stage)}});
+        }
+      }
+      Value computed = compute();
+      disk->store(stage, key, encode(computed));
+      return computed;
+    });
   }
 
   std::shared_ptr<support::DiskCache> disk_;

@@ -152,7 +152,7 @@ class StagePrefix {
     for (const Candidate& plan : plans) {
       const support::StageKey key = expansionKey(
           transformed->irKey, plan.chunks, options_.mergeScalarChains);
-      out.push_back(Expansion{key, cache_.getExpansion(key, transformed, [&] {
+      out.push_back(Expansion{key, cache_.getExpansion(key, [&] {
         if (!source.has_value()) {
           source.emplace(htg::buildHtg(*transformed->fn));
         }

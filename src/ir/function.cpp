@@ -78,25 +78,6 @@ std::int64_t Function::storageBytes(Storage storage) const noexcept {
   return total;
 }
 
-Function& Program::add(std::unique_ptr<Function> fn) {
-  functions_.push_back(std::move(fn));
-  return *functions_.back();
-}
-
-const Function* Program::find(const std::string& name) const noexcept {
-  for (const auto& fn : functions_) {
-    if (fn->name() == name) return fn.get();
-  }
-  return nullptr;
-}
-
-Function* Program::find(const std::string& name) noexcept {
-  for (const auto& fn : functions_) {
-    if (fn->name() == name) return fn.get();
-  }
-  return nullptr;
-}
-
 namespace {
 
 class Validator {

@@ -1,4 +1,4 @@
-// Functions, variable declarations and programs of the ARGO IR.
+// Functions and variable declarations of the ARGO IR.
 //
 // A Function owns its body (a statement Block) and a symbol table of typed
 // variable declarations, each tagged with a role (input / output / state /
@@ -100,22 +100,6 @@ class Function {
   std::vector<VarDecl> decls_;
   std::unordered_map<std::string, std::size_t> index_;
   std::unique_ptr<Block> body_;
-};
-
-/// A compiled application: one or more functions. The entry function is the
-/// synchronous step of the model, conventionally named "step".
-class Program {
- public:
-  Function& add(std::unique_ptr<Function> fn);
-  [[nodiscard]] const Function* find(const std::string& name) const noexcept;
-  [[nodiscard]] Function* find(const std::string& name) noexcept;
-  [[nodiscard]] const std::vector<std::unique_ptr<Function>>& functions()
-      const noexcept {
-    return functions_;
-  }
-
- private:
-  std::vector<std::unique_ptr<Function>> functions_;
 };
 
 /// Structural validation: every referenced variable is declared, index

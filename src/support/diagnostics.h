@@ -1,60 +1,22 @@
-// Diagnostics: error reporting for the ARGO tool-chain.
+// Diagnostics: the tool-chain's one error type.
 //
-// All front-end and analysis errors are funneled through a DiagnosticEngine
-// so that library users can collect, inspect, and pretty-print them instead
-// of having the library write to stderr. Fatal conditions (internal
-// invariant violations) throw ToolchainError.
+// Malformed inputs (ADL text, Scilab source, diagram wiring, generator
+// knobs) and broken invariants throw ToolchainError with a message that
+// names what went wrong; the CLIs print it and exit non-zero. The disk
+// cache is the one input path that does not throw: a bad record is a
+// counted reject and a recompute (support/disk_cache.h).
 #pragma once
 
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 namespace argo::support {
-
-/// Severity of a reported diagnostic.
-enum class Severity { Note, Warning, Error };
-
-/// A single diagnostic message with an optional source location.
-struct Diagnostic {
-  Severity severity = Severity::Error;
-  std::string message;
-  /// Context string, e.g. "diagram 'egpws'" or "function 'step' line 12".
-  std::string context;
-};
 
 /// Exception thrown on unrecoverable tool-chain errors (broken invariants,
 /// malformed inputs that prevent any further processing).
 class ToolchainError : public std::runtime_error {
  public:
   explicit ToolchainError(const std::string& what) : std::runtime_error(what) {}
-};
-
-/// Collects diagnostics produced by a tool-chain stage.
-///
-/// The engine is deliberately simple: stages append, callers query. It is
-/// not thread-safe; each pipeline runs single-threaded by design (the
-/// *generated* programs are parallel, the compiler is not).
-class DiagnosticEngine {
- public:
-  void note(std::string message, std::string context = {});
-  void warning(std::string message, std::string context = {});
-  void error(std::string message, std::string context = {});
-
-  [[nodiscard]] bool hasErrors() const noexcept { return errorCount_ > 0; }
-  [[nodiscard]] int errorCount() const noexcept { return errorCount_; }
-  [[nodiscard]] const std::vector<Diagnostic>& all() const noexcept {
-    return diags_;
-  }
-
-  /// Renders every diagnostic as "severity: context: message" lines.
-  [[nodiscard]] std::string str() const;
-
-  void clear();
-
- private:
-  std::vector<Diagnostic> diags_;
-  int errorCount_ = 0;
 };
 
 }  // namespace argo::support

@@ -5,10 +5,11 @@
 // stable across processes, platforms and compiler versions (support/hash.h),
 // so a directory populated by one process serves every later one: CLI
 // re-invocations, whole CI runs, and the future argod service's warm
-// starts. Layered under support::StageCache by core::ToolchainCache, the
-// lookup order is memory -> disk -> compute, with the in-memory tier's
-// single-flight guaranteeing that one process hits the disk (and the
-// compute) at most once per key.
+// starts. Layered under support::StageCache by core::ToolchainCache (for
+// the plain-data stages; core/cache.h says which), the lookup order is
+// memory -> disk -> compute, with the in-memory tier's single-flight
+// guaranteeing that one process hits the disk (and the compute) at most
+// once per key.
 //
 // Trust model — the hard part. A persisted entry is only usable if hostile
 // on-disk state can never change a result byte. Every record is therefore
@@ -80,19 +81,6 @@ class ByteWriter {
     raw64(static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
     return *this;
   }
-  ByteWriter& f64(double v) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    __builtin_memcpy(&bits, &v, sizeof(bits));
-    tag('F');
-    raw64(bits);
-    return *this;
-  }
-  ByteWriter& boolean(bool v) {
-    tag('B');
-    out_.push_back(v ? '\1' : '\0');
-    return *this;
-  }
   ByteWriter& str(std::string_view s) {
     tag('S');
     raw64(s.size());
@@ -143,24 +131,6 @@ class ByteReader {
     }
     return static_cast<std::int32_t>(wide);
   }
-  [[nodiscard]] double f64() noexcept {
-    const std::uint64_t bits = tagged64('F');
-    double v = 0.0;
-    __builtin_memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  [[nodiscard]] bool boolean() noexcept {
-    if (!expectTag('B') || at_ >= data_.size()) {
-      fail();
-      return false;
-    }
-    const char byte = data_[at_++];
-    if (byte != '\0' && byte != '\1') {
-      fail();
-      return false;
-    }
-    return byte == '\1';
-  }
   [[nodiscard]] std::string str() noexcept {
     if (!expectTag('S')) return {};
     const std::uint64_t n = raw64();
@@ -198,11 +168,6 @@ class ByteReader {
   [[nodiscard]] bool atEnd() const noexcept {
     return !failed_ && at_ == data_.size();
   }
-
-  /// Marks the stream failed from the consumer side — decoders call this
-  /// when a structurally well-framed value is semantically invalid (e.g.
-  /// an out-of-range enum), so the one ok() check covers both layers.
-  void invalidate() noexcept { fail(); }
 
  private:
   void fail() noexcept { failed_ = true; }

@@ -1,11 +1,10 @@
-// Half-open integer intervals and interval overlap queries.
+// Half-open integer intervals and their overlap query.
 //
-// Used by the system-level WCET analysis (task execution windows) and by
-// the scheduler (core occupancy).
+// Used by the list scheduler to test a candidate execution window against
+// the windows already placed (sched/list_placement.cpp).
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 namespace argo::support {
 
@@ -24,34 +23,8 @@ struct Interval {
   [[nodiscard]] bool overlaps(const Interval& other) const noexcept {
     return lo < other.hi && other.lo < hi;
   }
-  /// Intersection; empty interval when disjoint.
-  [[nodiscard]] Interval intersect(const Interval& other) const noexcept;
 
   friend bool operator==(const Interval&, const Interval&) = default;
-};
-
-/// A set of disjoint, sorted intervals with union/overlap queries.
-class IntervalSet {
- public:
-  /// Inserts an interval, merging any intervals it touches or overlaps.
-  void insert(Interval iv);
-
-  /// Total covered length.
-  [[nodiscard]] std::int64_t coveredLength() const noexcept;
-
-  /// True if any member overlaps `iv`.
-  [[nodiscard]] bool overlaps(const Interval& iv) const noexcept;
-
-  /// Length of the intersection between the set and `iv`.
-  [[nodiscard]] std::int64_t overlapLength(const Interval& iv) const noexcept;
-
-  [[nodiscard]] const std::vector<Interval>& intervals() const noexcept {
-    return items_;
-  }
-  [[nodiscard]] bool empty() const noexcept { return items_.empty(); }
-
- private:
-  std::vector<Interval> items_;  // sorted by lo, pairwise disjoint
 };
 
 }  // namespace argo::support

@@ -4,7 +4,6 @@
 #include <queue>
 
 #include "support/diagnostics.h"
-#include "support/interval.h"
 #include "support/parallel.h"
 
 namespace argo::syswcet {

@@ -270,41 +270,4 @@ Cycles CfgAnalyzer::analyzeBlock(const ir::Block& block) const {
   return longestPath(*cfg);
 }
 
-// ------------------------------------------------------------- Loop bounds
-
-namespace {
-
-void collectBounds(const ir::Block& block, int depth,
-                   std::vector<LoopBound>& out) {
-  for (const ir::StmtPtr& s : block.stmts()) {
-    switch (s->kind()) {
-      case ir::StmtKind::For: {
-        const auto& loop = ir::cast<ir::For>(*s);
-        out.push_back(LoopBound{loop.var(), loop.tripCount(), depth});
-        collectBounds(loop.body(), depth + 1, out);
-        break;
-      }
-      case ir::StmtKind::If: {
-        const auto& branch = ir::cast<ir::If>(*s);
-        collectBounds(branch.thenBody(), depth, out);
-        collectBounds(branch.elseBody(), depth, out);
-        break;
-      }
-      case ir::StmtKind::Block:
-        collectBounds(ir::cast<ir::Block>(*s), depth, out);
-        break;
-      case ir::StmtKind::Assign:
-        break;
-    }
-  }
-}
-
-}  // namespace
-
-std::vector<LoopBound> collectLoopBounds(const ir::Block& block) {
-  std::vector<LoopBound> out;
-  collectBounds(block, 0, out);
-  return out;
-}
-
 }  // namespace argo::wcet

@@ -22,8 +22,6 @@
 #pragma once
 
 #include <map>
-#include <string>
-#include <vector>
 
 #include "ir/cfg.h"
 #include "wcet/timing_model.h"
@@ -107,15 +105,5 @@ class CfgAnalyzer {
   const ir::Function& fn_;
   const TimingModel& model_;
 };
-
-/// Static loop-bound report (paper: loop bounds must be known; here they
-/// are structural, the report makes them visible to the user interface).
-struct LoopBound {
-  std::string var;
-  std::int64_t tripCount = 0;
-  int depth = 0;
-};
-
-[[nodiscard]] std::vector<LoopBound> collectLoopBounds(const ir::Block& block);
 
 }  // namespace argo::wcet

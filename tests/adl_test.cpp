@@ -146,6 +146,17 @@ TEST(Platform, WithCoreCountRestricts) {
   EXPECT_THROW(p.withCoreCount(4), support::ToolchainError);
 }
 
+TEST(Platform, BusBuilderRejectsCoreCountBelowOne) {
+  EXPECT_THROW((void)makeRecoreXentiumBus(0), support::ToolchainError);
+  EXPECT_THROW((void)makeRecoreXentiumBus(-3), support::ToolchainError);
+}
+
+TEST(Platform, MeshBuilderRejectsWidthOrHeightBelowOne) {
+  EXPECT_THROW((void)makeKitLeon3Inoc(0, 2), support::ToolchainError);
+  EXPECT_THROW((void)makeKitLeon3Inoc(2, 0), support::ToolchainError);
+  EXPECT_THROW((void)makeKitLeon3Inoc(-1, -1), support::ToolchainError);
+}
+
 TEST(Platform, EmptyTilesRejected) {
   EXPECT_THROW(Platform("x", {}, BusModel{}, 1024), support::ToolchainError);
 }

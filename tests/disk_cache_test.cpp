@@ -26,7 +26,6 @@
 #include "core/cache.h"
 #include "diamond_fixture.h"
 #include "htg/htg.h"
-#include "ir/printer.h"
 #include "support/disk_cache.h"
 #include "support/hash.h"
 
@@ -85,9 +84,6 @@ TEST(DiskCacheByteCodec, RoundTripsEveryFieldType) {
   w.u64(0xdeadbeefcafe1234ull)
       .i64(-42)
       .i32(-7)
-      .f64(3.5)
-      .boolean(true)
-      .boolean(false)
       .str(kPayload)
       .key(keyOf(0x1111, 0x2222));
   const std::string bytes = w.take();
@@ -96,9 +92,6 @@ TEST(DiskCacheByteCodec, RoundTripsEveryFieldType) {
   EXPECT_EQ(r.u64(), 0xdeadbeefcafe1234ull);
   EXPECT_EQ(r.i64(), -42);
   EXPECT_EQ(r.i32(), -7);
-  EXPECT_EQ(r.f64(), 3.5);
-  EXPECT_TRUE(r.boolean());
-  EXPECT_FALSE(r.boolean());
   EXPECT_EQ(r.str(), kPayload);
   EXPECT_EQ(r.stageKey(), keyOf(0x1111, 0x2222));
   EXPECT_TRUE(r.ok());
@@ -107,7 +100,7 @@ TEST(DiskCacheByteCodec, RoundTripsEveryFieldType) {
 
 TEST(DiskCacheByteCodec, TruncationAtEveryBoundaryIsStickyFailure) {
   support::ByteWriter w;
-  w.u64(1).str("abc").boolean(true).key(keyOf(9, 9)).i32(5);
+  w.u64(1).str("abc").key(keyOf(9, 9)).i32(5);
   const std::string bytes = w.take();
 
   for (std::size_t len = 0; len < bytes.size(); ++len) {
@@ -116,7 +109,6 @@ TEST(DiskCacheByteCodec, TruncationAtEveryBoundaryIsStickyFailure) {
     // check must flag every truncation point.
     (void)r.u64();
     (void)r.str();
-    (void)r.boolean();
     (void)r.stageKey();
     (void)r.i32();
     EXPECT_FALSE(r.ok() && r.atEnd()) << "prefix length " << len;
@@ -146,13 +138,6 @@ TEST(DiskCacheByteCodec, I32RangeIsChecked) {
   EXPECT_FALSE(r.ok());
 }
 
-TEST(DiskCacheByteCodec, BooleanRejectsNonCanonicalByte) {
-  const std::string bytes = "B\x02";
-  support::ByteReader r(bytes);
-  EXPECT_FALSE(r.boolean());
-  EXPECT_FALSE(r.ok());
-}
-
 TEST(DiskCacheByteCodec, StringLengthBeyondBufferFails) {
   support::ByteWriter w;
   w.str("abc");
@@ -169,17 +154,6 @@ TEST(DiskCacheByteCodec, CountGuardsAbsurdSequenceLengths) {
   support::ByteReader r(w.bytes());
   EXPECT_EQ(r.count(), 0u);  // Cannot possibly fit the remaining 0 bytes.
   EXPECT_FALSE(r.ok());
-}
-
-TEST(DiskCacheByteCodec, InvalidateSupportsSemanticRejection) {
-  support::ByteWriter w;
-  w.u64(99);  // Structurally fine; pretend 99 is an out-of-range enum.
-  support::ByteReader r(w.bytes());
-  EXPECT_EQ(r.u64(), 99u);
-  EXPECT_TRUE(r.ok());
-  r.invalidate();
-  EXPECT_FALSE(r.ok());
-  EXPECT_FALSE(r.atEnd());
 }
 
 // ---- DiskCache store/load ------------------------------------------------
@@ -371,42 +345,6 @@ TEST(DiskCacheFaults, DamagedRecordIsRepairedByTheNextStore) {
 
 // ---- Stage payload codecs ------------------------------------------------
 
-core::TransformsStage makeDiamondTransformsValue() {
-  core::TransformsStage stage;
-  std::unique_ptr<ir::Function> fn = test::makeDiamondFn();
-  stage.irText = ir::toString(*fn);
-  support::Hasher h;
-  h.str(stage.irText);
-  stage.irKey = h.finish();
-  stage.passesRun = {"normalize", "scratchpad_allocation"};
-  stage.fn = std::move(fn);
-  return stage;
-}
-
-std::shared_ptr<const core::TransformsStage> makeDiamondTransforms() {
-  return std::make_shared<const core::TransformsStage>(
-      makeDiamondTransformsValue());
-}
-
-TEST(DiskCacheStageCodecs, TransformsStageRoundTrips) {
-  const std::shared_ptr<const core::TransformsStage> original =
-      makeDiamondTransforms();
-  const std::string payload = core::encodeTransformsStage(*original);
-
-  const std::optional<core::TransformsStage> decoded =
-      core::decodeTransformsStage(payload);
-  ASSERT_TRUE(decoded.has_value());
-  // irText/irKey are recomputed from the decoded tree, so equality here
-  // proves the tree itself survived byte-for-byte (the printer is
-  // canonical).
-  EXPECT_EQ(decoded->irText, original->irText);
-  EXPECT_EQ(decoded->irKey, original->irKey);
-  EXPECT_EQ(decoded->passesRun, original->passesRun);
-  EXPECT_EQ(ir::toString(*decoded->fn), original->irText);
-  // Canonical stability: re-encoding the decoded value is byte-identical.
-  EXPECT_EQ(core::encodeTransformsStage(*decoded), payload);
-}
-
 TEST(DiskCacheStageCodecs, CyclesRoundTrip) {
   for (const adl::Cycles value : {adl::Cycles{0}, adl::Cycles{123456789},
                                   adl::Cycles{-17}}) {
@@ -415,52 +353,6 @@ TEST(DiskCacheStageCodecs, CyclesRoundTrip) {
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(*decoded, value);
   }
-}
-
-TEST(DiskCacheStageCodecs, ExpandStageRoundTrips) {
-  const std::shared_ptr<const core::TransformsStage> source =
-      makeDiamondTransforms();
-  htg::ExpandOptions options;
-  options.chunksPerLoop = 4;
-  options.mergeScalarChains = true;
-  core::ExpandStage original;
-  original.source = source;
-  original.graph = std::make_unique<const htg::TaskGraph>(
-      htg::expand(htg::buildHtg(*source->fn), options));
-  ASSERT_GT(original.graph->tasks.size(), 1u);
-  ASSERT_FALSE(original.graph->deps.empty());
-
-  const std::string payload = core::encodeExpandStage(original);
-  const std::optional<core::ExpandStage> decoded =
-      core::decodeExpandStage(payload, source);
-  ASSERT_TRUE(decoded.has_value());
-  // The decoded graph must point at the SOURCE function, like a fresh
-  // expansion would.
-  EXPECT_EQ(decoded->graph->fn, source->fn.get());
-  EXPECT_EQ(decoded->source.get(), source.get());
-  ASSERT_EQ(decoded->graph->tasks.size(), original.graph->tasks.size());
-  for (std::size_t i = 0; i < original.graph->tasks.size(); ++i) {
-    const htg::Task& a = original.graph->tasks[i];
-    const htg::Task& b = decoded->graph->tasks[i];
-    EXPECT_EQ(b.id, a.id);
-    EXPECT_EQ(b.name, a.name);
-    EXPECT_EQ(b.htgNode, a.htgNode);
-    EXPECT_EQ(b.chunkIndex, a.chunkIndex);
-    EXPECT_EQ(b.chunkCount, a.chunkCount);
-    EXPECT_EQ(b.usage.reads, a.usage.reads);
-    EXPECT_EQ(b.usage.writes, a.usage.writes);
-    EXPECT_EQ(b.stmts.size(), a.stmts.size());
-  }
-  ASSERT_EQ(decoded->graph->deps.size(), original.graph->deps.size());
-  for (std::size_t i = 0; i < original.graph->deps.size(); ++i) {
-    EXPECT_EQ(decoded->graph->deps[i].from, original.graph->deps[i].from);
-    EXPECT_EQ(decoded->graph->deps[i].to, original.graph->deps[i].to);
-    EXPECT_EQ(decoded->graph->deps[i].vars, original.graph->deps[i].vars);
-    EXPECT_EQ(decoded->graph->deps[i].bytes, original.graph->deps[i].bytes);
-  }
-  // Statement-level equality via canonical re-encoding: the cloned task
-  // bodies must serialize to the exact same bytes.
-  EXPECT_EQ(core::encodeExpandStage(*decoded), payload);
 }
 
 TEST(DiskCacheStageCodecs, TimingsRoundTrip) {
@@ -498,13 +390,6 @@ TEST(DiskCacheStageCodecs, ScheduleStageRoundTrips) {
 TEST(DiskCacheStageCodecs, EveryTruncatedPayloadDecodesToNullopt) {
   // The decoders are total: every strict prefix of every stage payload
   // must come back nullopt — never a crash, never a partial value.
-  const std::shared_ptr<const core::TransformsStage> source =
-      makeDiamondTransforms();
-  htg::ExpandOptions options;
-  core::ExpandStage expand;
-  expand.source = source;
-  expand.graph = std::make_unique<const htg::TaskGraph>(
-      htg::expand(htg::buildHtg(*source->fn), options));
   std::vector<sched::TaskTiming> timings(2);
   timings[0].wcetByTile = {10, 20};
   timings[1].wcetByTile = {30};
@@ -514,20 +399,6 @@ TEST(DiskCacheStageCodecs, EveryTruncatedPayloadDecodesToNullopt) {
   sched.schedule.policy = "heft";
   sched.system.tasks = {{0, 10, 10, 0, 1}};
 
-  const std::string transformsPayload = core::encodeTransformsStage(*source);
-  for (std::size_t len = 0; len < transformsPayload.size(); ++len) {
-    EXPECT_FALSE(core::decodeTransformsStage(
-                     std::string_view(transformsPayload).substr(0, len))
-                     .has_value())
-        << "transforms prefix " << len;
-  }
-  const std::string expandPayload = core::encodeExpandStage(expand);
-  for (std::size_t len = 0; len < expandPayload.size(); ++len) {
-    EXPECT_FALSE(core::decodeExpandStage(
-                     std::string_view(expandPayload).substr(0, len), source)
-                     .has_value())
-        << "expand prefix " << len;
-  }
   const std::string timingsPayload = core::encodeTimings(timings);
   for (std::size_t len = 0; len < timingsPayload.size(); ++len) {
     EXPECT_FALSE(
@@ -553,10 +424,7 @@ TEST(DiskCacheStageCodecs, EveryTruncatedPayloadDecodesToNullopt) {
 
 TEST(DiskCacheStageCodecs, GarbagePayloadsDecodeToNullopt) {
   const std::string garbage = "not a payload \x01\x02\xff";
-  EXPECT_FALSE(core::decodeTransformsStage(garbage).has_value());
   EXPECT_FALSE(core::decodeCycles(garbage).has_value());
-  EXPECT_FALSE(
-      core::decodeExpandStage(garbage, makeDiamondTransforms()).has_value());
   EXPECT_FALSE(core::decodeTimings(garbage).has_value());
   EXPECT_FALSE(core::decodeScheduleStage(garbage).has_value());
 }
@@ -592,27 +460,41 @@ TEST(DiskCacheTiered, SecondCacheInstanceLoadsFromDiskWithoutComputing) {
   EXPECT_EQ(second.stats().disk->rejects, 0u);
 }
 
-TEST(DiskCacheTiered, TransformsStageSurvivesTheDiskHop) {
-  TempDir dir("tiered_tf");
-  const support::StageKey key = keyOf(0x77, 0x78);
+TEST(DiskCacheTiered, IrStagesStayInMemory) {
+  TempDir dir("tiered_ir");
+  const support::StageKey transformsKey = keyOf(0x77, 0x78);
+  const support::StageKey expansionKey = keyOf(0x79, 0x7a);
 
-  core::ToolchainCache first;
-  first.attachDisk(dir.path.string());
-  const auto stored = first.getTransforms(key, [] {
-    return makeDiamondTransformsValue();
-  });
-
-  core::ToolchainCache second;
-  second.attachDisk(dir.path.string());
-  bool computed = false;
-  const auto loaded = second.getTransforms(key, [&] {
-    computed = true;
-    return core::TransformsStage{};
-  });
-  EXPECT_FALSE(computed);
-  EXPECT_EQ(loaded->irText, stored->irText);
-  EXPECT_EQ(loaded->irKey, stored->irKey);
-  EXPECT_EQ(ir::toString(*loaded->fn), stored->irText);
+  // Two fresh caches over one directory model two processes: each must
+  // compute both IR stages itself, and neither probes nor fills the disk
+  // for them.
+  for (int process = 0; process < 2; ++process) {
+    core::ToolchainCache cache;
+    cache.attachDisk(dir.path.string());
+    int computes = 0;
+    const auto transformed = cache.getTransforms(transformsKey, [&] {
+      ++computes;
+      core::TransformsStage stage;
+      stage.fn = test::makeDiamondFn();
+      return stage;
+    });
+    const auto expanded = cache.getExpansion(expansionKey, [&] {
+      ++computes;
+      core::ExpandStage stage;
+      stage.source = transformed;
+      stage.graph = std::make_unique<const htg::TaskGraph>(
+          htg::expand(htg::buildHtg(*transformed->fn), htg::ExpandOptions{}));
+      return stage;
+    });
+    EXPECT_EQ(computes, 2) << "process " << process;
+    EXPECT_EQ(expanded->graph->fn, transformed->fn.get());
+    const support::DiskCacheStats disk = *cache.stats().disk;
+    EXPECT_EQ(disk.hits, 0u) << "process " << process;
+    EXPECT_EQ(disk.misses, 0u) << "process " << process;
+    EXPECT_EQ(disk.stores, 0u) << "process " << process;
+  }
+  EXPECT_FALSE(fs::exists(dir.path / core::kDiskStageTransforms));
+  EXPECT_FALSE(fs::exists(dir.path / core::kDiskStageExpansion));
 }
 
 TEST(DiskCacheTiered, UndecodablePayloadFallsThroughToComputeAndRepairs) {

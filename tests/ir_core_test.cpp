@@ -239,14 +239,5 @@ TEST(Printer, RendersFunctionHeader) {
   EXPECT_NE(text.find("in f64 x"), std::string::npos);
 }
 
-TEST(Program, AddAndFind) {
-  Program program;
-  program.add(std::make_unique<Function>("a"));
-  program.add(std::make_unique<Function>("b"));
-  EXPECT_NE(program.find("a"), nullptr);
-  EXPECT_EQ(program.find("c"), nullptr);
-  EXPECT_EQ(program.functions().size(), 2u);
-}
-
 }  // namespace
 }  // namespace argo::ir

@@ -1,48 +1,12 @@
 // Unit tests for the support utilities.
 #include <gtest/gtest.h>
 
-#include "support/diagnostics.h"
 #include "support/interval.h"
 #include "support/rng.h"
 #include "support/strings.h"
 
 namespace argo::support {
 namespace {
-
-TEST(Diagnostics, StartsEmpty) {
-  DiagnosticEngine diag;
-  EXPECT_FALSE(diag.hasErrors());
-  EXPECT_EQ(diag.errorCount(), 0);
-  EXPECT_TRUE(diag.all().empty());
-}
-
-TEST(Diagnostics, CountsOnlyErrors) {
-  DiagnosticEngine diag;
-  diag.note("fyi");
-  diag.warning("careful");
-  EXPECT_FALSE(diag.hasErrors());
-  diag.error("broken", "stage x");
-  EXPECT_TRUE(diag.hasErrors());
-  EXPECT_EQ(diag.errorCount(), 1);
-  EXPECT_EQ(diag.all().size(), 3u);
-}
-
-TEST(Diagnostics, RendersContext) {
-  DiagnosticEngine diag;
-  diag.error("bad wire", "diagram 'egpws'");
-  const std::string text = diag.str();
-  EXPECT_NE(text.find("error"), std::string::npos);
-  EXPECT_NE(text.find("diagram 'egpws'"), std::string::npos);
-  EXPECT_NE(text.find("bad wire"), std::string::npos);
-}
-
-TEST(Diagnostics, ClearResets) {
-  DiagnosticEngine diag;
-  diag.error("x");
-  diag.clear();
-  EXPECT_FALSE(diag.hasErrors());
-  EXPECT_TRUE(diag.all().empty());
-}
 
 TEST(Rng, DeterministicForSeed) {
   Rng a(123);
@@ -110,57 +74,6 @@ TEST(Interval, OverlapsIsSymmetricAndHalfOpen) {
   EXPECT_FALSE(b.overlaps(a));
   EXPECT_TRUE(a.overlaps(c));
   EXPECT_TRUE(c.overlaps(b));
-}
-
-TEST(Interval, Intersect) {
-  const Interval a{0, 10};
-  const Interval b{5, 15};
-  EXPECT_EQ(a.intersect(b), (Interval{5, 10}));
-  EXPECT_TRUE(a.intersect(Interval{20, 30}).empty());
-}
-
-TEST(IntervalSet, InsertMergesOverlapping) {
-  IntervalSet set;
-  set.insert({0, 10});
-  set.insert({20, 30});
-  set.insert({5, 25});  // bridges both
-  ASSERT_EQ(set.intervals().size(), 1u);
-  EXPECT_EQ(set.intervals()[0], (Interval{0, 30}));
-}
-
-TEST(IntervalSet, InsertMergesTouching) {
-  IntervalSet set;
-  set.insert({0, 10});
-  set.insert({10, 20});
-  ASSERT_EQ(set.intervals().size(), 1u);
-  EXPECT_EQ(set.coveredLength(), 20);
-}
-
-TEST(IntervalSet, DisjointStaysSorted) {
-  IntervalSet set;
-  set.insert({30, 40});
-  set.insert({0, 5});
-  set.insert({10, 20});
-  ASSERT_EQ(set.intervals().size(), 3u);
-  EXPECT_EQ(set.intervals()[0].lo, 0);
-  EXPECT_EQ(set.intervals()[1].lo, 10);
-  EXPECT_EQ(set.intervals()[2].lo, 30);
-  EXPECT_EQ(set.coveredLength(), 25);
-}
-
-TEST(IntervalSet, EmptyInsertIgnored) {
-  IntervalSet set;
-  set.insert({5, 5});
-  EXPECT_TRUE(set.empty());
-}
-
-TEST(IntervalSet, OverlapQueries) {
-  IntervalSet set;
-  set.insert({0, 10});
-  set.insert({20, 30});
-  EXPECT_TRUE(set.overlaps({5, 6}));
-  EXPECT_FALSE(set.overlaps({10, 20}));
-  EXPECT_EQ(set.overlapLength({5, 25}), 10);
 }
 
 TEST(Strings, Split) {

@@ -218,21 +218,6 @@ TEST(WcetResult, MaxMergesCounters) {
   EXPECT_EQ(m.accesses.reads[2], 9);  // per-counter max
 }
 
-TEST(LoopBounds, ReportsNestedTripCounts) {
-  ir::Function fn("f");
-  auto inner = ir::block();
-  auto outer = ir::block();
-  outer->append(ir::forLoop("j", 0, 3, std::move(inner)));
-  fn.body().append(ir::forLoop("i", 0, 7, std::move(outer)));
-  const auto bounds = collectLoopBounds(fn.body());
-  ASSERT_EQ(bounds.size(), 2u);
-  EXPECT_EQ(bounds[0].var, "i");
-  EXPECT_EQ(bounds[0].tripCount, 7);
-  EXPECT_EQ(bounds[0].depth, 0);
-  EXPECT_EQ(bounds[1].var, "j");
-  EXPECT_EQ(bounds[1].depth, 1);
-}
-
 TEST(Heterogeneity, AcceleratorLowersMathHeavyWcet) {
   ir::Function fn("f");
   fn.declare("y", Type::float64(), VarRole::Output, Storage::Local);

@@ -49,6 +49,11 @@
 //                       byte-identical with tracing on or off.
 //   --report LIST       comma list: summary,gantt,mhp,bottlenecks,code:TILE
 //                       (default summary)
+//
+// Integer flags take a whole decimal number: at least 1 for --cores,
+// --chunks and --emit-steps, at least 0 for --simulate. Anything else
+// exits 2 with a message that names the flag.
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -117,19 +122,37 @@ Options parseArgs(int argc, char** argv) {
     if (i + 1 >= argc) usage(argv[0]);
     return argv[++i];
   };
+  auto intValue = [&](int& i, int min) {
+    const char* flag = argv[i];
+    const std::string text = value(i);
+    int parsed = 0;
+    const char* end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, parsed);
+    if (error != std::errc() || stop != end) {
+      std::fprintf(stderr, "argo_cc: %s expects an integer, got '%s'\n",
+                   flag, text.c_str());
+      std::exit(2);
+    }
+    if (parsed < min) {
+      std::fprintf(stderr, "argo_cc: %s must be at least %d, got %d\n", flag,
+                   min, parsed);
+      std::exit(2);
+    }
+    return parsed;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--app") options.app = value(i);
     else if (arg == "--platform") options.platform = value(i);
     else if (arg == "--adl") options.adlFile = value(i);
     else if (arg == "--policy") options.policy = value(i);
-    else if (arg == "--cores") options.cores = std::stoi(value(i));
-    else if (arg == "--chunks") options.chunks = std::stoi(value(i));
+    else if (arg == "--cores") options.cores = intValue(i, 1);
+    else if (arg == "--chunks") options.chunks = intValue(i, 1);
     else if (arg == "--no-spm") options.spm = false;
     else if (arg == "--no-transforms") options.transforms = false;
-    else if (arg == "--simulate") options.simulate = std::stoi(value(i));
+    else if (arg == "--simulate") options.simulate = intValue(i, 0);
     else if (arg == "--emit-c") options.emitDir = value(i);
-    else if (arg == "--emit-steps") options.emitSteps = std::stoi(value(i));
+    else if (arg == "--emit-steps") options.emitSteps = intValue(i, 1);
     else if (arg == "--exec-mode") {
       const std::string mode = value(i);
       if (mode == "seq") options.execMode = codegen::ExecMode::Sequential;

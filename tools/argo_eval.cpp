@@ -145,6 +145,10 @@ int main(int argc, char** argv) {
         options.scenarioCount = std::stoi(value(i));
       } else if (arg == "--threads") {
         options.threads = std::stoi(value(i));
+        if (options.threads < 0) {
+          throw support::ToolchainError("--threads must be at least 0, got " +
+                                        std::to_string(options.threads));
+        }
       } else if (arg == "--policies") {
         // Same UX as argo_cc --policy: short aliases for the built-ins,
         // everything else passed to the registry verbatim.
