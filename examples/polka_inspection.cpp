@@ -6,8 +6,8 @@
 #include <cstdio>
 
 #include "apps/polka.h"
+#include "codegen/codegen.h"
 #include "core/toolchain.h"
-#include "par/parallel_program.h"
 #include "sim/simulator.h"
 
 int main() {
@@ -35,6 +35,7 @@ int main() {
 
   std::printf("%7s %9s %9s %10s %8s\n", "frame", "defects", "maxDoLP",
               "cycles", "verdict");
+  codegen::InputTrace trace;  // the frames' inputs, for the C emission
   for (std::uint64_t frame = 1; frame <= 6; ++frame) {
     // Even frames image pristine containers (uniform intensity).
     std::vector<double> image;
@@ -45,6 +46,7 @@ int main() {
       image = apps::makePolkaFrame(config, frame);
     }
     apps::setPolkaInputs(env, config, image);
+    trace.steps.push_back(env);
     const sim::StepResult observed = simulator.step(env);
     const double defects = env.at("defect_count_out").getFloat();
     std::printf("%7llu %9.0f %9.3f %10lld %8s\n",
@@ -54,9 +56,12 @@ int main() {
                 defects > 0 ? "REJECT" : "pass");
   }
 
-  std::printf("\n--- generated code for tile 1 (excerpt) ---\n");
-  const std::string source = par::emitCoreSource(result.program, 1);
-  std::printf("%.1200s%s\n", source.c_str(),
-              source.size() > 1200 ? "\n  ..." : "");
+  // The C unit of the first tile that runs a task, as --emit-c writes it.
+  const codegen::Emission emission = toolchain.emitC(result, trace);
+  const std::string& unit = emission.cUnits.front();
+  const std::string& source = emission.file(unit).contents;
+  std::printf("\n--- generated code for %s (excerpt) ---\n", unit.c_str());
+  std::printf("%.1200s%s", source.c_str(),
+              source.size() > 1200 ? "\n  ...\n" : "");
   return 0;
 }

@@ -6,11 +6,13 @@
 //   3. run the tool-chain: transformations, HTG extraction, WCET-aware
 //      scheduling, explicit parallel program, code- and system-level WCET,
 //      cross-layer feedback,
-//   4. validate the bound against the timing simulator.
+//   4. validate the bound against the timing simulator,
+//   5. generate the C code of one tile.
 #include <cstdio>
 
 #include "adl/platform.h"
 #include "apps/egpws.h"
+#include "codegen/codegen.h"
 #include "core/report.h"
 #include "core/toolchain.h"
 #include "model/blocks.h"
@@ -61,6 +63,8 @@ int main() {
     samples.setFloat(i, 0.1 * i - 2.0);
   }
   env["samples"] = samples;
+  codegen::InputTrace trace;
+  trace.steps.push_back(env);
   const sim::StepResult observed = simulator.step(env);
 
   std::printf("observed makespan:  %lld cycles\n",
@@ -75,8 +79,12 @@ int main() {
   std::printf("\n%s\n%s\n", core::renderGantt(result).c_str(),
               core::renderBottlenecks(result, 6).c_str());
 
-  // Per-core generated code for one core, to show the explicit model.
-  std::printf("\n--- generated code, core 0 ---\n%s\n",
-              par::emitCoreSource(result.program, 0).c_str());
+  // --- 5. The C unit of the first tile that runs a task, as --emit-c
+  // writes it: one function per task, then the tile's static dispatch
+  // table with each slot's Wait/Signal events.
+  const codegen::Emission emission = toolchain.emitC(result, trace);
+  const std::string& unit = emission.cUnits.front();
+  std::printf("\n--- generated code, %s ---\n%s", unit.c_str(),
+              emission.file(unit).contents.c_str());
   return observed.makespan <= result.system.makespan ? 0 : 1;
 }

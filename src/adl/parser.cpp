@@ -1,5 +1,6 @@
 #include "adl/parser.h"
 
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -44,54 +45,81 @@ std::vector<Line> tokenize(std::string_view text) {
                        message);
 }
 
-std::int64_t parseInt(const Line& line, const std::string& token) {
-  try {
-    std::size_t pos = 0;
-    const std::int64_t value = std::stoll(token, &pos);
-    if (pos != token.size()) fail(line, "trailing characters in '" + token + "'");
-    return value;
-  } catch (const std::logic_error&) {
-    fail(line, "expected integer, got '" + token + "'");
+/// Cycle fields (per operation, access, hop or slot) stay at or below a
+/// million cycles, so sums such as router + link cannot overflow an int.
+constexpr std::int64_t kMaxCycles = 1'000'000;
+/// A mesh side of up to 1024 tiles keeps width * height inside an int.
+constexpr std::int64_t kMaxMeshSide = 1024;
+constexpr std::int64_t kMaxInt = std::numeric_limits<int>::max();
+constexpr std::int64_t kMaxInt64 = std::numeric_limits<std::int64_t>::max();
+
+/// Reads `token`, the value of `what`, as a whole integer in [min, max].
+std::int64_t parseInt(const Line& line, const std::string& what,
+                      const std::string& token, std::int64_t min,
+                      std::int64_t max) {
+  const std::optional<std::int64_t> value =
+      support::parseNumber<std::int64_t>(token);
+  if (!value) fail(line, what + " expects an integer, got '" + token + "'");
+  if (*value < min) {
+    fail(line, what + " must be at least " + std::to_string(min) + ", got " +
+                   token);
   }
+  if (*value > max) {
+    fail(line, what + " must be at most " + std::to_string(max) + ", got " +
+                   token);
+  }
+  return *value;
 }
 
-/// Reads "key value key value ..." pairs starting at tokens[first].
-std::map<std::string, std::int64_t> parsePairs(const Line& line,
-                                               std::size_t first) {
-  std::map<std::string, std::int64_t> pairs;
+/// Reads "key value key value ..." pairs starting at tokens[first], with
+/// the values still as text.
+std::map<std::string, std::string> parsePairs(const Line& line,
+                                              std::size_t first) {
+  std::map<std::string, std::string> pairs;
   if ((line.tokens.size() - first) % 2 != 0) {
     fail(line, "expected key/value pairs");
   }
   for (std::size_t i = first; i + 1 < line.tokens.size(); i += 2) {
-    pairs[line.tokens[i]] = parseInt(line, line.tokens[i + 1]);
+    if (!pairs.emplace(line.tokens[i], line.tokens[i + 1]).second) {
+      fail(line, "duplicate key '" + line.tokens[i] + "'");
+    }
   }
   return pairs;
 }
 
-std::int64_t require(const Line& line,
-                     const std::map<std::string, std::int64_t>& pairs,
-                     const std::string& key) {
-  auto it = pairs.find(key);
+/// Takes `key` out of `pairs` and reads its value as an integer in
+/// [min, max].
+std::int64_t take(const Line& line, std::map<std::string, std::string>& pairs,
+                  const std::string& key, std::int64_t min, std::int64_t max) {
+  const auto it = pairs.find(key);
   if (it == pairs.end()) fail(line, "missing key '" + key + "'");
-  return it->second;
+  return parseInt(line, key, pairs.extract(it).mapped(), min, max);
+}
+
+int takeCycles(const Line& line, std::map<std::string, std::string>& pairs,
+               const std::string& key) {
+  return static_cast<int>(take(line, pairs, key, 0, kMaxCycles));
+}
+
+/// Fails on the first key no `take` consumed.
+void rejectUnknownKeys(const Line& line,
+                       const std::map<std::string, std::string>& pairs) {
+  if (!pairs.empty()) fail(line, "unknown key '" + pairs.begin()->first + "'");
 }
 
 CoreModel parseCore(const Line& line) {
   if (line.tokens.size() < 2) fail(line, "core needs a name");
   CoreModel core;
   core.name = line.tokens[1];
-  const auto pairs = parsePairs(line, 2);
-  static constexpr const char* kOpKeys[ir::kOpClassCount] = {
-      "int_alu",   "int_mul",   "int_div", "float_add", "float_mul",
-      "float_div", "math_func", "compare", "select",    "branch",
-      "loop_step"};
+  auto pairs = parsePairs(line, 2);
   for (int i = 0; i < ir::kOpClassCount; ++i) {
-    core.opCycles[static_cast<std::size_t>(i)] =
-        static_cast<int>(require(line, pairs, kOpKeys[i]));
+    core.opCycles[static_cast<std::size_t>(i)] = takeCycles(
+        line, pairs, ir::opClassName(static_cast<ir::OpClass>(i)));
   }
-  core.localAccessCycles = static_cast<int>(require(line, pairs, "local_access"));
-  core.spmAccessCycles = static_cast<int>(require(line, pairs, "spm_access"));
-  core.spmBytes = require(line, pairs, "spm_bytes");
+  core.localAccessCycles = takeCycles(line, pairs, "local_access");
+  core.spmAccessCycles = takeCycles(line, pairs, "spm_access");
+  core.spmBytes = take(line, pairs, "spm_bytes", 0, kMaxInt64);
+  rejectUnknownKeys(line, pairs);
   return core;
 }
 
@@ -113,7 +141,8 @@ Platform parseAdl(std::string_view text) {
       platformName = line.tokens[1];
     } else if (head == "shared_memory") {
       if (line.tokens.size() != 2) fail(line, "shared_memory needs byte size");
-      sharedMemBytes = parseInt(line, line.tokens[1]);
+      sharedMemBytes =
+          parseInt(line, "shared_memory", line.tokens[1], 0, kMaxInt64);
     } else if (head == "interconnect") {
       if (line.tokens.size() < 2) fail(line, "interconnect needs a kind");
       const std::string& kind = line.tokens[1];
@@ -127,24 +156,30 @@ Platform parseAdl(std::string_view text) {
         } else {
           fail(line, "unknown arbitration '" + line.tokens[2] + "'");
         }
-        const auto pairs = parsePairs(line, 3);
-        model.baseAccessCycles =
-            static_cast<int>(require(line, pairs, "base_access"));
-        model.slotCycles = static_cast<int>(require(line, pairs, "slot"));
-        model.wordBytes = static_cast<int>(require(line, pairs, "word_bytes"));
+        auto pairs = parsePairs(line, 3);
+        model.baseAccessCycles = takeCycles(line, pairs, "base_access");
+        model.slotCycles = takeCycles(line, pairs, "slot");
+        model.wordBytes =
+            static_cast<int>(take(line, pairs, "word_bytes", 1, kMaxInt));
+        rejectUnknownKeys(line, pairs);
         bus = model;
       } else if (kind == "noc") {
         if (line.tokens.size() < 4) fail(line, "noc needs mesh dimensions");
         NocModel model;
-        model.meshWidth = static_cast<int>(parseInt(line, line.tokens[2]));
-        model.meshHeight = static_cast<int>(parseInt(line, line.tokens[3]));
-        const auto pairs = parsePairs(line, 4);
-        model.routerCycles = static_cast<int>(require(line, pairs, "router"));
-        model.linkCycles = static_cast<int>(require(line, pairs, "link"));
-        model.flitBytes = static_cast<int>(require(line, pairs, "flit_bytes"));
-        model.memAccessCycles =
-            static_cast<int>(require(line, pairs, "mem_access"));
-        model.memTile = static_cast<int>(require(line, pairs, "mem_tile"));
+        model.meshWidth = static_cast<int>(
+            parseInt(line, "mesh width", line.tokens[2], 1, kMaxMeshSide));
+        model.meshHeight = static_cast<int>(
+            parseInt(line, "mesh height", line.tokens[3], 1, kMaxMeshSide));
+        auto pairs = parsePairs(line, 4);
+        model.routerCycles = takeCycles(line, pairs, "router");
+        model.linkCycles = takeCycles(line, pairs, "link");
+        model.flitBytes =
+            static_cast<int>(take(line, pairs, "flit_bytes", 1, kMaxInt));
+        model.memAccessCycles = takeCycles(line, pairs, "mem_access");
+        model.memTile = static_cast<int>(
+            take(line, pairs, "mem_tile", 0,
+                 std::int64_t{model.meshWidth} * model.meshHeight - 1));
+        rejectUnknownKeys(line, pairs);
         noc = model;
       } else {
         fail(line, "unknown interconnect kind '" + kind + "'");
@@ -154,8 +189,10 @@ Platform parseAdl(std::string_view text) {
       cores[core.name] = core;
     } else if (head == "tile") {
       if (line.tokens.size() != 3) fail(line, "tile needs index and core name");
-      tileSpecs.emplace_back(static_cast<int>(parseInt(line, line.tokens[1])),
-                             line.tokens[2]);
+      tileSpecs.emplace_back(
+          static_cast<int>(
+              parseInt(line, "tile index", line.tokens[1], 0, kMaxInt)),
+          line.tokens[2]);
     } else {
       fail(line, "unknown directive '" + head + "'");
     }
@@ -215,14 +252,10 @@ std::string toAdlText(const Platform& platform) {
   for (const Tile& tile : platform.tiles()) {
     cores.emplace(tile.core.name, &tile.core);
   }
-  static constexpr const char* kOpKeys[ir::kOpClassCount] = {
-      "int_alu",   "int_mul",   "int_div", "float_add", "float_mul",
-      "float_div", "math_func", "compare", "select",    "branch",
-      "loop_step"};
   for (const auto& [name, core] : cores) {
     os << "core " << name;
     for (int i = 0; i < ir::kOpClassCount; ++i) {
-      os << ' ' << kOpKeys[i] << ' '
+      os << ' ' << ir::opClassName(static_cast<ir::OpClass>(i)) << ' '
          << core->opCycles[static_cast<std::size_t>(i)];
     }
     os << " local_access " << core->localAccessCycles << " spm_access "

@@ -211,20 +211,6 @@ std::string Platform::canonicalText() const {
   return out;
 }
 
-Platform Platform::withCoreCount(int n) const {
-  if (n <= 0 || n > coreCount()) {
-    throw ToolchainError("withCoreCount: invalid core count " +
-                         std::to_string(n));
-  }
-  std::vector<Tile> tiles(tiles_.begin(), tiles_.begin() + n);
-  if (isBus()) {
-    return Platform(name_ + "_x" + std::to_string(n), std::move(tiles), bus(),
-                    sharedMemBytes_);
-  }
-  return Platform(name_ + "_x" + std::to_string(n), std::move(tiles), noc(),
-                  sharedMemBytes_);
-}
-
 Platform Platform::withSpmBytes(std::int64_t bytes) const {
   if (bytes <= 0) {
     throw ToolchainError("withSpmBytes: invalid scratchpad size " +

@@ -191,10 +191,6 @@ class Platform {
   /// as the platform half of its content-hash keys.
   [[nodiscard]] std::string canonicalText() const;
 
-  /// Returns a new platform restricted to the first `n` tiles (used by the
-  /// core-count sweeps in the benchmark harness).
-  [[nodiscard]] Platform withCoreCount(int n) const;
-
   /// Returns a new platform with every tile's scratchpad capacity set to
   /// `bytes` (used by the SPM-size sweeps in scenarios/sweep.h). Cores,
   /// interconnect and shared memory are unchanged.

@@ -10,14 +10,6 @@ namespace argo::htg {
 
 using support::ToolchainError;
 
-int Htg::parallelizableLoopCount() const noexcept {
-  int count = 0;
-  for (const HtgNode& node : nodes_) {
-    if (node.parallelizable) ++count;
-  }
-  return count;
-}
-
 namespace {
 
 /// Bytes of all variables in `vars` (0 for loop variables).

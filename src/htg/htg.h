@@ -69,7 +69,6 @@ class Htg {
     return nodes_;
   }
   [[nodiscard]] const std::vector<Dep>& deps() const noexcept { return deps_; }
-  [[nodiscard]] int parallelizableLoopCount() const noexcept;
 
  private:
   const ir::Function* fn_;

@@ -1,12 +1,14 @@
 #include "model/scilab.h"
 
 #include <cctype>
+#include <limits>
 #include <optional>
 #include <set>
 
 #include "ir/builder.h"
 #include "ir/rewrite.h"
 #include "support/diagnostics.h"
+#include "support/strings.h"
 
 namespace argo::model::scilab {
 
@@ -27,6 +29,9 @@ enum class Tok : std::uint8_t {
 struct Token {
   Tok kind = Tok::Eof;
   std::string text;
+  /// A Number token holds `integer` unless it has a '.' or an exponent;
+  /// then it is a float literal and holds `number`.
+  std::int64_t integer = 0;
   double number = 0.0;
   bool isFloatLiteral = false;
   int line = 1;
@@ -135,8 +140,24 @@ class Lexer {
     }
     current_.kind = Tok::Number;
     current_.text = src_.substr(start, pos_ - start);
-    current_.number = std::stod(current_.text);
     current_.isFloatLiteral = isFloat;
+    if (isFloat) {
+      const std::optional<double> value =
+          support::parseNumber<double>(current_.text);
+      if (!value) fail("malformed or out-of-range number '" + current_.text +
+                       "'");
+      current_.number = *value;
+    } else {
+      const std::optional<std::int64_t> value =
+          support::parseNumber<std::int64_t>(current_.text);
+      if (!value) fail("integer '" + current_.text + "' is out of range");
+      current_.integer = *value;
+    }
+  }
+
+  [[noreturn]] void fail(const std::string& message) const {
+    throw ToolchainError("scilab line " + std::to_string(line_) + ": " +
+                         message);
   }
 
   void lexOperator() {
@@ -164,9 +185,7 @@ class Lexer {
       case ',': current_.kind = Tok::Comma; break;
       case ':': current_.kind = Tok::Colon; break;
       default:
-        throw ToolchainError("scilab line " + std::to_string(line_) +
-                             ": unexpected character '" +
-                             std::string(1, src_[pos_]) + "'");
+        fail("unexpected character '" + std::string(1, src_[pos_]) + "'");
     }
     ++pos_;
   }
@@ -263,10 +282,20 @@ class Parser {
     const Token name = expect(Tok::Ident);
     std::vector<int> dims;
     if (accept(Tok::LParen)) {
+      constexpr std::int64_t kMaxElements = std::numeric_limits<int>::max();
+      std::int64_t elements = 1;
       while (true) {
         const Token d = expect(Tok::Number);
-        if (d.isFloatLiteral || d.number < 1) fail("array extent must be a positive integer");
-        dims.push_back(static_cast<int>(d.number));
+        if (d.isFloatLiteral || d.integer < 1) {
+          fail("array extent must be a positive integer, got '" + d.text +
+               "'");
+        }
+        if (d.integer > kMaxElements / elements) {
+          fail("local '" + name.text + "' has more than " +
+               std::to_string(kMaxElements) + " elements");
+        }
+        elements *= d.integer;
+        dims.push_back(static_cast<int>(d.integer));
         if (!accept(Tok::Comma)) break;
       }
       expect(Tok::RParen);
@@ -454,7 +483,7 @@ class Parser {
     if (tok.kind == Tok::Number) {
       const Token t = lexer_.next();
       if (t.isFloatLiteral) return ir::flt(t.number);
-      return ir::lit(static_cast<std::int64_t>(t.number));
+      return ir::lit(t.integer);
     }
     if (tok.kind == Tok::LParen) {
       lexer_.next();

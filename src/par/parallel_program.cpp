@@ -1,9 +1,7 @@
 #include "par/parallel_program.h"
 
 #include <algorithm>
-#include <sstream>
 
-#include "ir/printer.h"
 #include "support/diagnostics.h"
 
 namespace argo::par {
@@ -150,39 +148,6 @@ ParallelProgram buildParallelProgram(const htg::TaskGraph& graph,
 
   program.addresses = buildAddressMap(graph, schedule, platform);
   return program;
-}
-
-std::string emitCoreSource(const ParallelProgram& program, int tile) {
-  const CoreProgram& core = program.cores.at(static_cast<std::size_t>(tile));
-  std::ostringstream os;
-  os << "// Generated by the ARGO tool-chain — core " << tile << "\n";
-  os << "// WCET-aware programming model: static task order, explicit sync.\n";
-  os << "void core" << tile << "_step(void) {\n";
-  for (const ParOp& op : core.ops) {
-    switch (op.kind) {
-      case OpKind::Wait:
-        os << "  argo_wait(EV_" << op.event << ");  // from task "
-           << program.event(op.event).producerTask << "\n";
-        break;
-      case OpKind::Signal:
-        os << "  argo_signal(EV_" << op.event << ");  // to task "
-           << program.event(op.event).consumerTask << "\n";
-        break;
-      case OpKind::Execute: {
-        const htg::Task& task =
-            program.graph->tasks[static_cast<std::size_t>(op.task)];
-        os << "  // task " << task.name << " (WCET-analyzed)\n";
-        for (const ir::StmtPtr& s : task.stmts) {
-          std::istringstream lines(ir::toString(*s, 1));
-          std::string line;
-          while (std::getline(lines, line)) os << "  " << line << "\n";
-        }
-        break;
-      }
-    }
-  }
-  os << "}\n";
-  return os.str();
 }
 
 }  // namespace argo::par

@@ -92,10 +92,4 @@ struct ParallelProgram {
     const htg::TaskGraph& graph, const sched::Schedule& schedule,
     const adl::Platform& platform);
 
-/// Renders per-core C-like source code for inspection and documentation
-/// (the "generate C code following the WCET-aware programming model" step
-/// of Section II-C).
-[[nodiscard]] std::string emitCoreSource(const ParallelProgram& program,
-                                         int tile);
-
 }  // namespace argo::par

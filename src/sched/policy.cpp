@@ -1,9 +1,5 @@
 #include "sched/policy.h"
 
-#include <map>
-#include <mutex>
-#include <utility>
-
 #include "support/diagnostics.h"
 #include "support/strings.h"
 
@@ -13,56 +9,27 @@ using support::ToolchainError;
 
 namespace {
 
-struct Registry {
-  std::mutex mutex;
-  // Transparent comparator: lookups take string_view without allocating.
-  std::map<std::string, std::unique_ptr<SchedulingPolicy>, std::less<>>
-      policies;
-};
-
-/// The process-wide registry, seeded with the built-ins on first use
-/// (function-local static: thread-safe initialization, no static-order
-/// hazards between the policy translation units).
-Registry& registry() {
-  static Registry* instance = [] {
-    auto* r = new Registry();
-    for (auto factory : {detail::makeHeftPolicy,
+/// Every policy, sorted by name: one row per detail::make* factory.
+const std::vector<std::unique_ptr<SchedulingPolicy>>& policies() {
+  static const std::vector<std::unique_ptr<SchedulingPolicy>> table = [] {
+    std::vector<std::unique_ptr<SchedulingPolicy>> rows;
+    for (auto factory : {detail::makeAnnealedPolicy, detail::makeBnbPolicy,
                          detail::makeContentionObliviousPolicy,
-                         detail::makeBnbPolicy, detail::makeAnnealedPolicy}) {
-      std::unique_ptr<SchedulingPolicy> policy = factory();
-      std::string name(policy->name());
-      r->policies.emplace(std::move(name), std::move(policy));
+                         detail::makeHeftPolicy}) {
+      rows.push_back(factory());
     }
-    return r;
+    return rows;
   }();
-  return *instance;
+  return table;
 }
 
 }  // namespace
 
-void registerPolicy(std::unique_ptr<SchedulingPolicy> policy) {
-  if (policy == nullptr) {
-    throw ToolchainError("registerPolicy: null policy");
-  }
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mutex);
-  std::string name(policy->name());
-  if (name.empty()) {
-    throw ToolchainError("registerPolicy: policy with empty name");
-  }
-  const auto [it, inserted] = r.policies.emplace(std::move(name),
-                                                 std::move(policy));
-  if (!inserted) {
-    throw ToolchainError("registerPolicy: duplicate scheduling policy '" +
-                         it->first + "'");
-  }
-}
-
 const SchedulingPolicy* findPolicy(std::string_view name) {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mutex);
-  const auto it = r.policies.find(name);
-  return it == r.policies.end() ? nullptr : it->second.get();
+  for (const std::unique_ptr<SchedulingPolicy>& policy : policies()) {
+    if (policy->name() == name) return policy.get();
+  }
+  return nullptr;
 }
 
 const SchedulingPolicy& policyOrThrow(std::string_view name) {
@@ -73,12 +40,12 @@ const SchedulingPolicy& policyOrThrow(std::string_view name) {
 }
 
 std::vector<std::string> registeredPolicyNames() {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mutex);
   std::vector<std::string> names;
-  names.reserve(r.policies.size());
-  for (const auto& [name, policy] : r.policies) names.push_back(name);
-  return names;  // std::map iteration: already sorted
+  names.reserve(policies().size());
+  for (const std::unique_ptr<SchedulingPolicy>& policy : policies()) {
+    names.emplace_back(policy->name());
+  }
+  return names;
 }
 
 std::string resolvePolicyAlias(std::string_view name) {

@@ -14,9 +14,9 @@
 //
 // Policies are looked up by name (SchedOptions::policy) and run against a
 // SchedContext — the precomputed facts every policy needs. The registry is
-// open: registerPolicy() accepts user-defined policies, which then become
-// selectable through SchedOptions / ToolchainOptions / the argo_cc CLI
-// without touching the dispatch code.
+// a fixed table, sorted by name: a new policy is one translation unit
+// under sched/ with one detail::make* factory, plus one row in the table
+// in policy.cpp (docs/POLICY_AUTHORING.md).
 #pragma once
 
 #include <memory>
@@ -44,9 +44,9 @@ struct SchedContext {
   int cores = 0;
 };
 
-/// One mapping strategy. Implementations must be stateless (or immutable
-/// after registration): a single instance serves concurrent runs, e.g. the
-/// pooled feedback exploration scheduling several candidates at once.
+/// One mapping strategy. Implementations must be stateless: a single
+/// instance serves concurrent runs, e.g. the batch graph scheduling
+/// several units at once.
 class SchedulingPolicy {
  public:
   virtual ~SchedulingPolicy() = default;
@@ -62,13 +62,8 @@ class SchedulingPolicy {
                                      const SchedOptions& options) const = 0;
 };
 
-/// Adds a policy to the global registry. Throws ToolchainError when the
-/// name is already taken. Not safe to call concurrently with lookups from
-/// running schedulers; register at startup.
-void registerPolicy(std::unique_ptr<SchedulingPolicy> policy);
-
-/// Name lookup; nullptr when unknown. The built-in policies are always
-/// registered. The returned pointer stays valid for the process lifetime.
+/// Name lookup; nullptr when unknown. The returned pointer stays valid for
+/// the process lifetime.
 [[nodiscard]] const SchedulingPolicy* findPolicy(std::string_view name);
 
 /// Like findPolicy, but throws a ToolchainError naming the unknown policy
@@ -78,14 +73,13 @@ void registerPolicy(std::unique_ptr<SchedulingPolicy> policy);
 /// Sorted names of all registered policies.
 [[nodiscard]] std::vector<std::string> registeredPolicyNames();
 
-/// Resolves the CLIs' short aliases for built-ins — "bnb" is
-/// "branch_and_bound", "oblivious" is "contention_oblivious" — and returns
-/// any other name verbatim, so custom registered policies pass through
-/// unchanged. Unknown names are diagnosed later, by policyOrThrow.
+/// Resolves the CLIs' short aliases — "bnb" is "branch_and_bound",
+/// "oblivious" is "contention_oblivious" — and returns any other name
+/// verbatim. Unknown names are diagnosed later, by policyOrThrow.
 [[nodiscard]] std::string resolvePolicyAlias(std::string_view name);
 
 namespace detail {
-// Built-in policy factories (one per translation unit under sched/).
+// Policy factories (one per translation unit under sched/).
 std::unique_ptr<SchedulingPolicy> makeHeftPolicy();
 std::unique_ptr<SchedulingPolicy> makeContentionObliviousPolicy();
 std::unique_ptr<SchedulingPolicy> makeBnbPolicy();

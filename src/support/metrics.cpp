@@ -28,11 +28,4 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
   return out;
 }
 
-void MetricsRegistry::resetForTest() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [name, counter] : counters_) {
-    counter->value_.store(0, std::memory_order_relaxed);
-  }
-}
-
 }  // namespace argo::support

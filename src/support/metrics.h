@@ -39,7 +39,6 @@ class MetricCounter {
   }
 
  private:
-  friend class MetricsRegistry;
   std::atomic<std::uint64_t> value_{0};
 };
 
@@ -55,15 +54,11 @@ class MetricsRegistry {
   static MetricsRegistry& global();
 
   /// Get-or-create; the returned reference is valid for the registry's
-  /// lifetime (entries are never erased — resetForTest only zeroes them).
+  /// lifetime (entries are never erased).
   MetricCounter& counter(std::string_view name);
 
   /// Every registered counter, sorted by name.
   [[nodiscard]] std::vector<MetricSample> snapshot() const;
-
-  /// Zeroes every value in place; names and references stay valid. Test
-  /// isolation only — production code never resets.
-  void resetForTest();
 
  private:
   mutable std::mutex mutex_;

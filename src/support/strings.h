@@ -2,16 +2,22 @@
 //
 // Pure functions over string_view/string only — no locale, no allocation
 // surprises, no dependency on anything else in support/. The ADL parser
-// and Scilab front end tokenize with split/trim/startsWith; report and
-// bench code formats with join/formatCycles; the JSON writers (eval
-// report, metrics block, trace export) and the C emitter build their text
-// with appendf/jsonEscape. All helpers are deterministic (ASCII-only
+// and Scilab front end tokenize with split/trim/startsWith and read their
+// numbers with parseNumber, as do the CLI flag parsers; report and bench
+// code formats with join/formatCycles; the JSON writers (eval report,
+// metrics block, trace export) and the C emitter build their text with
+// appendf/jsonEscape. All helpers are deterministic (ASCII-only
 // semantics), which keeps every printed report byte-stable across
 // platforms — the determinism tests compare reports verbatim.
 #pragma once
 
+#include <charconv>
+#include <cmath>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 namespace argo::support {
@@ -25,6 +31,23 @@ namespace argo::support {
 /// True if `text` starts with `prefix`.
 [[nodiscard]] bool startsWith(std::string_view text,
                               std::string_view prefix) noexcept;
+
+/// Parses the whole of `text` as one number of type T with
+/// std::from_chars: decimal digits with an optional leading '-', plus a
+/// fraction and an exponent when T is floating-point. Returns nullopt for
+/// empty text, a leading '+' or space, trailing characters, a value
+/// outside T's range, and a non-finite double ("inf", "nan").
+template <typename T>
+[[nodiscard]] std::optional<T> parseNumber(std::string_view text) noexcept {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return std::nullopt;
+  }
+  return value;
+}
 
 /// Joins items with `sep`.
 [[nodiscard]] std::string join(const std::vector<std::string>& items,

@@ -46,154 +46,6 @@ bool rewriteBlocks(Block& block, const Fn& rewrite) {
 
 }  // namespace
 
-// ------------------------------------------------------------- LoopUnroll
-
-bool LoopUnroll::run(ir::Function& fn) {
-  const std::int64_t maxTrip = maxTrip_;
-  auto rewrite = [maxTrip](Block& block) {
-    bool changed = false;
-    std::vector<StmtPtr> out;
-    out.reserve(block.stmts().size());
-    for (StmtPtr& s : block.stmts()) {
-      auto* loop = ir::dynCast<For>(*s);
-      if (loop == nullptr || loop->tripCount() > maxTrip ||
-          loop->tripCount() == 0) {
-        out.push_back(std::move(s));
-        continue;
-      }
-      changed = true;
-      for (std::int64_t v = loop->lower(); v < loop->upper();
-           v += loop->step()) {
-        auto copy = loop->body().cloneBlock();
-        const ir::IntLit value(v);
-        for (const StmtPtr& inner : copy->stmts()) {
-          ir::substituteVar(*inner, loop->var(), value);
-        }
-        for (StmtPtr& inner : copy->stmts()) {
-          if (inner->label.empty()) inner->label = s->label;
-          out.push_back(std::move(inner));
-        }
-      }
-    }
-    block.stmts() = std::move(out);  // stmts were moved out unconditionally
-    return changed;
-  };
-  return rewriteBlocks(fn.body(), rewrite);
-}
-
-// ---------------------------------------------------------- PartialUnroll
-
-bool PartialUnroll::run(ir::Function& fn) {
-  const int factor = factor_;
-  const std::int64_t minTrip = minTrip_;
-  if (factor < 2) return false;
-  auto rewrite = [factor, minTrip](Block& block) {
-    bool changed = false;
-    std::vector<StmtPtr> out;
-    out.reserve(block.stmts().size());
-    for (StmtPtr& s : block.stmts()) {
-      auto* loop = ir::dynCast<For>(*s);
-      if (loop == nullptr || loop->step() != 1 ||
-          loop->tripCount() < minTrip || loop->tripCount() < factor) {
-        out.push_back(std::move(s));
-        continue;
-      }
-      changed = true;
-      const std::int64_t trip = loop->tripCount();
-      const std::int64_t mainTrips = trip / factor;
-      const std::int64_t mainUpper = loop->lower() + mainTrips * factor;
-
-      // Main loop: step `factor`, body replicated with v -> v + j.
-      auto mainBody = ir::block();
-      for (int j = 0; j < factor; ++j) {
-        auto copy = loop->body().cloneBlock();
-        if (j != 0) {
-          const auto offset = ir::add(ir::var(loop->var()), ir::lit(j));
-          for (const StmtPtr& inner : copy->stmts()) {
-            ir::substituteVar(*inner, loop->var(), *offset);
-          }
-        }
-        for (StmtPtr& inner : copy->stmts()) {
-          mainBody->append(std::move(inner));
-        }
-      }
-      auto mainLoop = std::make_unique<For>(loop->var(), loop->lower(),
-                                            mainUpper, std::move(mainBody),
-                                            factor);
-      mainLoop->label = s->label.empty() ? "" : s->label + ".u";
-      out.push_back(std::move(mainLoop));
-
-      // Remainder loop (original body, unit step).
-      if (mainUpper < loop->upper()) {
-        auto tail = std::make_unique<For>(loop->var(), mainUpper,
-                                          loop->upper(),
-                                          loop->body().cloneBlock(), 1);
-        tail->label = s->label.empty() ? "" : s->label + ".tail";
-        out.push_back(std::move(tail));
-      }
-    }
-    block.stmts() = std::move(out);  // stmts were moved out unconditionally
-    return changed;
-  };
-  return rewriteBlocks(fn.body(), rewrite);
-}
-
-// ------------------------------------------------------------ LoopFission
-
-bool LoopFission::run(ir::Function& fn) {
-  auto rewrite = [&fn](Block& block) {
-    bool changed = false;
-    std::vector<StmtPtr> out;
-    out.reserve(block.stmts().size());
-    for (StmtPtr& s : block.stmts()) {
-      auto* loop = ir::dynCast<For>(*s);
-      if (loop == nullptr || loop->body().size() < 2 ||
-          !ir::isLoopParallel(*loop, fn)) {
-        out.push_back(std::move(s));
-        continue;
-      }
-      // Legality: the loop is parallel (iterations independent), and body
-      // statements are pairwise non-conflicting, so no value flows between
-      // the would-be fission pieces within an iteration either.
-      std::vector<ir::VarUsage> usages;
-      usages.reserve(loop->body().size());
-      for (const StmtPtr& inner : loop->body().stmts()) {
-        usages.push_back(ir::collectUsage(*inner));
-      }
-      bool independent = true;
-      for (std::size_t i = 0; i < usages.size() && independent; ++i) {
-        for (std::size_t j = i + 1; j < usages.size(); ++j) {
-          if (usages[i].conflictsWith(usages[j]) ||
-              usages[j].conflictsWith(usages[i])) {
-            independent = false;
-            break;
-          }
-        }
-      }
-      if (!independent) {
-        out.push_back(std::move(s));
-        continue;
-      }
-      changed = true;
-      int piece = 0;
-      for (StmtPtr& inner : loop->body().stmts()) {
-        auto body = ir::block();
-        body->append(std::move(inner));
-        auto newLoop = std::make_unique<For>(loop->var(), loop->lower(),
-                                             loop->upper(), std::move(body),
-                                             loop->step());
-        newLoop->label = s->label.empty()
-                             ? ""
-                             : s->label + ".f" + std::to_string(piece++);
-        out.push_back(std::move(newLoop));
-      }
-    }
-    block.stmts() = std::move(out);  // stmts were moved out unconditionally
-    return changed;
-  };
-  return rewriteBlocks(fn.body(), rewrite);
-}
-
 // ------------------------------------------------------------- LoopFusion
 
 bool LoopFusion::run(ir::Function& fn) {

@@ -2,21 +2,15 @@
 //
 // Paper Section III-C discusses transformations that "must be revisited in
 // the context of performance predictability", naming index set splitting
-// [Griebl/Feautrier/Lengauer] explicitly. This module implements:
+// [Griebl/Feautrier/Lengauer] explicitly. This module implements the two
+// passes the tool-chain runs (core::Toolchain, in this order):
 //
-//  * LoopUnroll        — full unrolling of short loops (removes loop
-//                        overhead and enables folding; grows code size, a
-//                        trade that is often *good* for WCET).
-//  * LoopFission       — splits a parallel loop whose body statements are
-//                        pairwise independent into one loop per statement
-//                        (exposes more HTG nodes -> finer tasks).
-//  * LoopFusion        — merges adjacent independent loops with identical
-//                        iteration ranges (fewer tasks/loop overheads; the
-//                        inverse granularity knob).
 //  * IndexSetSplitting — rewrites  for i { if (i < K) A else B }  into
 //                        for i in [lo,K) { A }; for i in [K,hi) { B },
 //                        eliminating the per-iteration branch so the WCET
 //                        path no longer takes max(A, B) every iteration.
+//  * LoopFusion        — merges adjacent independent loops with identical
+//                        iteration ranges (fewer tasks and loop overheads).
 //
 // Every pass is semantics-preserving and only fires when its (conservative)
 // legality conditions hold.
@@ -25,42 +19,6 @@
 #include "transform/pass.h"
 
 namespace argo::transform {
-
-/// Fully unrolls loops whose trip count is <= `maxTrip`.
-class LoopUnroll final : public Pass {
- public:
-  explicit LoopUnroll(std::int64_t maxTrip = 4) : maxTrip_(maxTrip) {}
-  [[nodiscard]] std::string name() const override { return "loop_unroll"; }
-  bool run(ir::Function& fn) override;
-
- private:
-  std::int64_t maxTrip_;
-};
-
-/// Partially unrolls unit-step loops by `factor`: the main loop advances
-/// `factor` iterations per trip (body replicated with the loop variable
-/// offset by 0..factor-1), a remainder loop covers the tail. Divides the
-/// per-iteration LoopStep overhead by `factor` — a pure WCET win on cores
-/// without dynamic branch prediction (Sec. III-B forbids predictors, so
-/// back-edges stay expensive).
-class PartialUnroll final : public Pass {
- public:
-  explicit PartialUnroll(int factor = 4, std::int64_t minTrip = 16)
-      : factor_(factor), minTrip_(minTrip) {}
-  [[nodiscard]] std::string name() const override { return "partial_unroll"; }
-  bool run(ir::Function& fn) override;
-
- private:
-  int factor_;
-  std::int64_t minTrip_;
-};
-
-/// Distributes parallel loops over their independent body statements.
-class LoopFission final : public Pass {
- public:
-  [[nodiscard]] std::string name() const override { return "loop_fission"; }
-  bool run(ir::Function& fn) override;
-};
 
 /// Fuses adjacent independent loops with identical ranges.
 class LoopFusion final : public Pass {

@@ -139,13 +139,6 @@ TEST(Platform, SharedAccessMonotoneInContenders) {
   }
 }
 
-TEST(Platform, WithCoreCountRestricts) {
-  const Platform p = makeRecoreXentiumBus(8).withCoreCount(3);
-  EXPECT_EQ(p.coreCount(), 3);
-  EXPECT_THROW(p.withCoreCount(0), support::ToolchainError);
-  EXPECT_THROW(p.withCoreCount(4), support::ToolchainError);
-}
-
 TEST(Platform, BusBuilderRejectsCoreCountBelowOne) {
   EXPECT_THROW((void)makeRecoreXentiumBus(0), support::ToolchainError);
   EXPECT_THROW((void)makeRecoreXentiumBus(-3), support::ToolchainError);
@@ -270,6 +263,105 @@ TEST(AdlParser, RejectsNonContiguousTiles) {
                "word_bytes 4\n" +
                core + "tile 5 c\n"),
       support::ToolchainError);
+}
+
+
+// ---- ADL numbers: every value is range-checked on its line ----
+
+const std::string kBusAdl =
+    "platform p\n"
+    "shared_memory 1024\n"
+    "interconnect bus round_robin base_access 8 slot 10 word_bytes 4\n"
+    "core c int_alu 1 int_mul 1 int_div 1 float_add 1 float_mul 1 "
+    "float_div 1 math_func 1 compare 1 select 1 branch 1 loop_step 1 "
+    "local_access 1 spm_access 1 spm_bytes 64\n"
+    "tile 0 c\n"
+    "tile 1 c\n";
+
+const std::string kNocAdl =
+    "platform p\n"
+    "shared_memory 1024\n"
+    "interconnect noc 2 2 router 3 link 1 flit_bytes 4 mem_access 16 "
+    "mem_tile 0\n"
+    "core c int_alu 1 int_mul 1 int_div 1 float_add 1 float_mul 1 "
+    "float_div 1 math_func 1 compare 1 select 1 branch 1 loop_step 1 "
+    "local_access 1 spm_access 1 spm_bytes 64\n"
+    "tile 0 c\n"
+    "tile 1 c\n";
+
+/// `text` with its first `from` replaced by `to`.
+std::string with(std::string text, const std::string& from,
+                 const std::string& to) {
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  return text.replace(at, from.size(), to);
+}
+
+/// The message parseAdl throws on `text`; empty when `text` parses.
+std::string adlError(const std::string& text) {
+  try {
+    (void)parseAdl(text);
+  } catch (const support::ToolchainError& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(AdlParser, RangeFixturesParse) {
+  EXPECT_EQ(adlError(kBusAdl), "");
+  EXPECT_EQ(adlError(kNocAdl), "");
+}
+
+TEST(AdlParser, RejectsZeroWordBytes) {
+  EXPECT_EQ(adlError(with(kBusAdl, "word_bytes 4", "word_bytes 0")),
+            "ADL line 3: word_bytes must be at least 1, got 0");
+}
+
+TEST(AdlParser, RejectsZeroFlitBytes) {
+  EXPECT_EQ(adlError(with(kNocAdl, "flit_bytes 4", "flit_bytes 0")),
+            "ADL line 3: flit_bytes must be at least 1, got 0");
+}
+
+TEST(AdlParser, RejectsNegativeOpCycles) {
+  EXPECT_EQ(adlError(with(kBusAdl, "int_alu 1", "int_alu -5")),
+            "ADL line 4: int_alu must be at least 0, got -5");
+}
+
+TEST(AdlParser, RejectsOpCyclesBeyondIntRange) {
+  EXPECT_EQ(adlError(with(kBusAdl, "int_alu 1", "int_alu 4294967297")),
+            "ADL line 4: int_alu must be at most 1000000, got 4294967297");
+}
+
+TEST(AdlParser, RejectsNegativeSpmBytes) {
+  EXPECT_EQ(adlError(with(kBusAdl, "spm_bytes 64", "spm_bytes -1")),
+            "ADL line 4: spm_bytes must be at least 0, got -1");
+}
+
+TEST(AdlParser, RejectsMemTileOutsideTheMesh) {
+  EXPECT_EQ(adlError(with(kNocAdl, "mem_tile 0", "mem_tile 7")),
+            "ADL line 3: mem_tile must be at most 3, got 7");
+}
+
+TEST(AdlParser, RejectsNegativeMeshDimensions) {
+  EXPECT_EQ(adlError(with(kNocAdl, "noc 2 2", "noc -2 -2")),
+            "ADL line 3: mesh width must be at least 1, got -2");
+}
+
+TEST(AdlParser, RejectsNegativeSharedMemory) {
+  EXPECT_EQ(adlError(with(kBusAdl, "shared_memory 1024", "shared_memory -1")),
+            "ADL line 2: shared_memory must be at least 0, got -1");
+}
+
+TEST(AdlParser, RejectsNonNumericValue) {
+  EXPECT_EQ(adlError(with(kBusAdl, "slot 10", "slot 10x")),
+            "ADL line 3: slot expects an integer, got '10x'");
+}
+
+TEST(AdlParser, RejectsUnknownAndDuplicateKeys) {
+  EXPECT_EQ(adlError(with(kBusAdl, "slot 10", "slot 10 slots 12")),
+            "ADL line 3: unknown key 'slots'");
+  EXPECT_EQ(adlError(with(kBusAdl, "slot 10", "slot 10 slot 12")),
+            "ADL line 3: duplicate key 'slot'");
 }
 
 }  // namespace

@@ -56,7 +56,6 @@ TEST(Htg, MarksParallelLoops) {
   EXPECT_TRUE(htg.nodes()[0].parallelizable);
   EXPECT_TRUE(htg.nodes()[1].parallelizable);
   EXPECT_FALSE(htg.nodes()[2].parallelizable);  // not a loop
-  EXPECT_EQ(htg.parallelizableLoopCount(), 2);
 }
 
 TEST(Htg, BuildsFlowDependences) {

@@ -3,6 +3,8 @@
 // ground truth for the safety property.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "apps/egpws.h"
 #include "apps/polka.h"
 #include "apps/weaa.h"
@@ -226,13 +228,36 @@ TEST(Toolchain, MoreCoresNeverHurtTheBound) {
 }
 
 TEST(Toolchain, GeneratedCodeAvailablePerCore) {
+  // Every tile that runs a task gets a tile<T>.c unit that defines those
+  // tasks and the tile's dispatch table; a tile without tasks gets none.
   const adl::Platform platform = adl::makeRecoreXentiumBus(4);
   const Toolchain toolchain(platform, ToolchainOptions{});
   const ToolchainResult result = toolchain.run(buildApp(App::Egpws));
-  for (int tile = 0; tile < platform.coreCount(); ++tile) {
-    const std::string source = par::emitCoreSource(result.program, tile);
-    EXPECT_NE(source.find("core" + std::to_string(tile) + "_step"),
-              std::string::npos);
+  codegen::InputTrace trace;
+  trace.steps.push_back(ir::makeZeroEnvironment(*result.fn));
+  const codegen::Emission emission = toolchain.emitC(result, trace);
+  for (const par::CoreProgram& core : result.program.cores) {
+    const std::string unit = "tile" + std::to_string(core.tile) + ".c";
+    const bool emitted = std::find(emission.cUnits.begin(),
+                                   emission.cUnits.end(),
+                                   unit) != emission.cUnits.end();
+    const bool runsTask =
+        std::any_of(core.ops.begin(), core.ops.end(), [](const par::ParOp& op) {
+          return op.kind == par::OpKind::Execute;
+        });
+    EXPECT_EQ(emitted, runsTask) << unit;
+    if (!emitted) continue;
+    const std::string& source = emission.file(unit).contents;
+    EXPECT_NE(source.find("argo_tile" + std::to_string(core.tile) + "_slots["),
+              std::string::npos)
+        << unit;
+    for (const par::ParOp& op : core.ops) {
+      if (op.kind != par::OpKind::Execute) continue;
+      EXPECT_NE(source.find("void argo_task_" + std::to_string(op.task) +
+                            "(void)"),
+                std::string::npos)
+          << unit << " task " << op.task;
+    }
   }
 }
 

@@ -1,11 +1,13 @@
 // Unit tests for the explicit parallel program model.
 #include <gtest/gtest.h>
 
+#include "codegen/codegen.h"
 #include "htg/htg.h"
 #include "ir/builder.h"
 #include "par/parallel_program.h"
 #include "sched/scheduler.h"
 #include "support/diagnostics.h"
+#include "support/strings.h"
 
 namespace argo::par {
 namespace {
@@ -160,19 +162,33 @@ TEST(AddressMap, SharedOverflowRejected) {
 }
 
 TEST(CodeGen, EmitsWaitSignalAndTaskCode) {
+  // codegen's tile units carry the explicit program: one function per
+  // task, and each slot's Wait/Signal events as its argo_w_/argo_s_ list.
   Built built;
+  codegen::InputTrace trace;
+  trace.steps.push_back(ir::makeZeroEnvironment(*built.fn));
+  const codegen::Emission emission =
+      codegen::emitProgram(built.program, built.platform, {}, trace);
   bool sawWait = false;
   bool sawSignal = false;
   bool sawLoop = false;
-  for (int tile = 0; tile < built.platform.coreCount(); ++tile) {
-    const std::string source = emitCoreSource(built.program, tile);
-    if (source.find("argo_wait(") != std::string::npos) sawWait = true;
-    if (source.find("argo_signal(") != std::string::npos) sawSignal = true;
+  std::size_t tasks = 0;
+  for (const codegen::SourceFile& file : emission.files) {
+    if (!support::startsWith(file.name, "tile")) continue;
+    const std::string& source = file.contents;
+    if (source.find("argo_w_") != std::string::npos) sawWait = true;
+    if (source.find("argo_s_") != std::string::npos) sawSignal = true;
     if (source.find("for (") != std::string::npos) sawLoop = true;
+    for (std::size_t at = source.find("void argo_task_");
+         at != std::string::npos;
+         at = source.find("void argo_task_", at + 1)) {
+      ++tasks;
+    }
   }
   EXPECT_EQ(sawWait, !built.program.events.empty());
   EXPECT_EQ(sawSignal, !built.program.events.empty());
   EXPECT_TRUE(sawLoop);
+  EXPECT_EQ(tasks, built.graph.tasks.size());
 }
 
 TEST(ParallelProgram, SyncOverheadPositive) {

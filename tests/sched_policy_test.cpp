@@ -1,6 +1,6 @@
-// Tests for the pluggable scheduling-policy framework (sched/policy.h):
-// registry round-trips, unknown-name diagnostics, dispatch through the
-// Scheduler facade, and open registration of user-defined policies.
+// Tests for the scheduling-policy framework (sched/policy.h): registry
+// round-trips, unknown-name diagnostics and dispatch through the
+// Scheduler facade.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -89,59 +89,6 @@ TEST(PolicyRegistry, EveryBuiltInProducesAValidScheduleViaDispatch) {
     // Labels derive from the registry name (BnB may annotate fallbacks).
     EXPECT_EQ(schedule.policy.find(name), 0u) << schedule.policy;
   }
-}
-
-/// A user-defined policy: schedules everything on tile 0 in task order.
-/// Exists to prove the registry is open — selection by name reaches code
-/// the sched/ module has never heard of.
-class EverythingOnTileZero final : public SchedulingPolicy {
- public:
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "everything_on_tile_zero";
-  }
-  [[nodiscard]] Schedule run(const SchedContext& ctx,
-                             const SchedOptions&) const override {
-    Schedule s;
-    s.placements.resize(ctx.graph.tasks.size());
-    s.tileOrder.assign(static_cast<std::size_t>(ctx.platform.coreCount()),
-                       {});
-    Cycles clock = 0;
-    for (std::size_t i = 0; i < ctx.graph.tasks.size(); ++i) {
-      Placement& p = s.placements[i];
-      p.task = static_cast<int>(i);
-      p.tile = 0;
-      p.start = clock;
-      p.finish = clock + ctx.timings[i].wcetByTile[0];
-      clock = p.finish;
-      s.tileOrder[0].push_back(static_cast<int>(i));
-    }
-    s.makespan = clock;
-    s.tilesUsed = 1;
-    s.policy = std::string(name());
-    return s;
-  }
-};
-
-TEST(PolicyRegistry, UserPoliciesRegisterAndDispatchAndRejectDuplicates) {
-  if (findPolicy("everything_on_tile_zero") == nullptr) {
-    registerPolicy(std::make_unique<EverythingOnTileZero>());
-  }
-  // A second registration under the same name must be rejected.
-  EXPECT_THROW(registerPolicy(std::make_unique<EverythingOnTileZero>()),
-               support::ToolchainError);
-
-  Fixture fx;
-  const Scheduler scheduler(fx.graph, fx.platform);
-  SchedOptions options;
-  options.policy = "everything_on_tile_zero";
-  const Schedule schedule = scheduler.run(options);
-  EXPECT_EQ(schedule.policy, "everything_on_tile_zero");
-  EXPECT_EQ(schedule.tilesUsed, 1);
-  // Sequential task order on one tile is trivially valid: no overlaps, no
-  // cross-tile communication, every dependence in task order.
-  EXPECT_TRUE(validateSchedule(schedule, fx.graph, fx.platform,
-                               scheduler.timings())
-                  .empty());
 }
 
 TEST(PolicyRegistry, BnbFeasibilityQueryOwnsTheBitmaskWidth) {

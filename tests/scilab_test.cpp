@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "ir/printer.h"
 #include "model/blocks.h"
 #include "model/diagram.h"
 #include "model/scilab.h"
@@ -193,6 +194,50 @@ TEST(Scilab, MissingEndRejected) {
       (void)scilab::parseScript("for i = 1:3\n  y = 1.0\n",
                                 {{"y", Type::float64()}}),
       ToolchainError);
+}
+
+/// The message parseScript throws on `source` (y is a scalar port); empty
+/// when `source` parses.
+std::string scriptError(const std::string& source) {
+  try {
+    (void)scilab::parseScript(source, {{"y", Type::float64()}});
+  } catch (const ToolchainError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Scilab, OutOfRangeFloatLiteralRejected) {
+  EXPECT_EQ(scriptError("y = 1.0\ny = 1e999\n"),
+            "scilab line 2: malformed or out-of-range number '1e999'");
+}
+
+TEST(Scilab, ExponentWithoutDigitsRejected) {
+  EXPECT_EQ(scriptError("y = 1e\n"),
+            "scilab line 1: malformed or out-of-range number '1e'");
+  EXPECT_EQ(scriptError("y = 1.5e+\n"),
+            "scilab line 1: malformed or out-of-range number '1.5e+'");
+}
+
+TEST(Scilab, IntegerLiteralsKeepEveryDigit) {
+  // 2^53 + 1 has no double; an integer literal never passes through one.
+  const scilab::ParsedScript parsed = scilab::parseScript(
+      "y = 9007199254740993\n", {{"y", Type::float64()}});
+  ASSERT_EQ(parsed.body->stmts().size(), 1u);
+  EXPECT_EQ(ir::toString(*parsed.body->stmts()[0]),
+            "y = 9007199254740993;\n");
+}
+
+TEST(Scilab, OutOfRangeIntegerLiteralRejected) {
+  EXPECT_EQ(scriptError("y = 99999999999999999999\n"),
+            "scilab line 1: integer '99999999999999999999' is out of range");
+}
+
+TEST(Scilab, OversizedLocalArrayRejected) {
+  EXPECT_EQ(scriptError("local b(99999999999)\n"),
+            "scilab line 1: local 'b' has more than 2147483647 elements");
+  EXPECT_EQ(scriptError("local b(65536, 65536)\n"),
+            "scilab line 1: local 'b' has more than 2147483647 elements");
 }
 
 TEST(ScilabBlock, ArrayPorts) {

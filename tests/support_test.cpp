@@ -115,5 +115,28 @@ TEST(Strings, FormatCycles) {
   EXPECT_EQ(formatCycles(-1234), "-1_234");
 }
 
+TEST(Strings, ParseNumberReadsWholeTokens) {
+  EXPECT_EQ(parseNumber<int>("42"), 42);
+  EXPECT_EQ(parseNumber<int>("-7"), -7);
+  EXPECT_EQ(parseNumber<std::int64_t>("9007199254740993"),
+            std::int64_t{9007199254740993});
+  EXPECT_EQ(parseNumber<std::uint64_t>("18446744073709551615"),
+            std::uint64_t{18446744073709551615u});
+  EXPECT_EQ(parseNumber<double>("1.5e2"), 150.0);
+  EXPECT_EQ(parseNumber<double>(".25"), 0.25);
+}
+
+TEST(Strings, ParseNumberRejectsEverythingElse) {
+  for (const char* text : {"", " 1", "1 ", "+1", "2x", "1.9", "abc", "-"}) {
+    EXPECT_EQ(parseNumber<int>(text), std::nullopt) << text;
+  }
+  EXPECT_EQ(parseNumber<int>("4294967297"), std::nullopt);
+  EXPECT_EQ(parseNumber<std::uint64_t>("-1"), std::nullopt);
+  for (const char* text : {"", "1e", "1.5e+", "1e999", "inf", "nan", "1.5x",
+                           "0x10"}) {
+    EXPECT_EQ(parseNumber<double>(text), std::nullopt) << text;
+  }
+}
+
 }  // namespace
 }  // namespace argo::support

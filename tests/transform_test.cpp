@@ -7,9 +7,7 @@
 #include "testutil.h"
 #include "transform/const_fold.h"
 #include "transform/loop_transforms.h"
-#include "adl/platform.h"
 #include "transform/spm_alloc.h"
-#include "wcet/analyzer.h"
 
 namespace argo::transform {
 namespace {
@@ -84,81 +82,6 @@ TEST(ConstFold, FoldsSelectOnLiteralCondition) {
   EXPECT_EQ(ir::toString(*fn.body().stmts()[0]), "y = 1;\n");
 }
 
-TEST(Unroll, FullyUnrollsShortLoop) {
-  ir::Function fn("f");
-  fn.declare("a", Type::array(ScalarKind::Float64, {4}), VarRole::Output);
-  auto body = ir::block();
-  body->append(ir::assign(ir::ref("a", ir::exprVec(ir::var("i"))),
-                          ir::var("i")));
-  fn.body().append(ir::forLoop("i", 0, 3, std::move(body)));
-  LoopUnroll pass(4);
-  EXPECT_TRUE(pass.run(fn));
-  EXPECT_EQ(countTopLevelLoops(fn), 0);
-  EXPECT_EQ(fn.body().size(), 3u);
-  EXPECT_TRUE(ir::validate(fn).empty());
-}
-
-TEST(Unroll, LeavesLongLoopsAlone) {
-  ir::Function fn("f");
-  fn.declare("a", Type::array(ScalarKind::Float64, {64}), VarRole::Output);
-  auto body = ir::block();
-  body->append(ir::assign(ir::ref("a", ir::exprVec(ir::var("i"))),
-                          ir::var("i")));
-  fn.body().append(ir::forLoop("i", 0, 64, std::move(body)));
-  LoopUnroll pass(4);
-  EXPECT_FALSE(pass.run(fn));
-  EXPECT_EQ(countTopLevelLoops(fn), 1);
-}
-
-TEST(Unroll, PreservesSemantics) {
-  test::ProgramGenerator gen(1234);
-  for (int trial = 0; trial < 10; ++trial) {
-    auto original = gen.generate("p" + std::to_string(trial));
-    auto transformed = original->clone();
-    LoopUnroll pass(8);
-    pass.run(*transformed);
-    ASSERT_TRUE(ir::validate(*transformed).empty());
-    ir::Environment envA = gen.makeInputs(*original);
-    ir::Environment envB = envA;
-    ir::Evaluator(*original).run(envA);
-    ir::Evaluator(*transformed).run(envB);
-    EXPECT_TRUE(test::outputsMatch(*original, envA, envB)) << "trial " << trial;
-  }
-}
-
-TEST(Fission, SplitsIndependentStatements) {
-  ir::Function fn("f");
-  fn.declare("a", Type::array(ScalarKind::Float64, {8}), VarRole::Temp);
-  fn.declare("b", Type::array(ScalarKind::Float64, {8}), VarRole::Temp);
-  fn.declare("u", Type::array(ScalarKind::Float64, {8}), VarRole::Input);
-  auto body = ir::block();
-  body->append(ir::assign(ir::ref("a", ir::exprVec(ir::var("i"))),
-                          ir::ref("u", ir::exprVec(ir::var("i")))));
-  body->append(ir::assign(ir::ref("b", ir::exprVec(ir::var("i"))),
-                          ir::ref("u", ir::exprVec(ir::var("i")))));
-  fn.body().append(ir::forLoop("i", 0, 8, std::move(body)));
-  LoopFission pass;
-  EXPECT_TRUE(pass.run(fn));
-  EXPECT_EQ(countTopLevelLoops(fn), 2);
-  EXPECT_TRUE(ir::validate(fn).empty());
-}
-
-TEST(Fission, RefusesValueFlowBetweenStatements) {
-  ir::Function fn("f");
-  fn.declare("a", Type::array(ScalarKind::Float64, {8}), VarRole::Temp);
-  fn.declare("t", Type::float64(), VarRole::Temp);
-  fn.declare("u", Type::array(ScalarKind::Float64, {8}), VarRole::Input);
-  auto body = ir::block();
-  body->append(ir::assign(ir::ref("t"),
-                          ir::ref("u", ir::exprVec(ir::var("i")))));
-  body->append(ir::assign(ir::ref("a", ir::exprVec(ir::var("i"))),
-                          ir::mul(ir::var("t"), ir::var("t"))));
-  fn.body().append(ir::forLoop("i", 0, 8, std::move(body)));
-  LoopFission pass;
-  EXPECT_FALSE(pass.run(fn));  // t flows between the statements
-  EXPECT_EQ(countTopLevelLoops(fn), 1);
-}
-
 TEST(Fusion, MergesAdjacentIndependentLoops) {
   ir::Function fn("f");
   fn.declare("a", Type::array(ScalarKind::Float64, {8}), VarRole::Temp);
@@ -212,6 +135,69 @@ TEST(Fusion, RefusesDifferentRanges) {
   fn.body().append(ir::forLoop("j", 0, 4, std::move(body2)));
   LoopFusion pass;
   EXPECT_FALSE(pass.run(fn));
+}
+
+TEST(Fusion, PreservesSemanticsOnRandomLoopPairs) {
+  // Two adjacent loops over one random range and step: the first writes
+  // a, the second b, both from the input u at random clamped offsets, so
+  // the bodies never conflict and fusion must fire on every pair. The
+  // second loop reuses the first one's variable or renames it.
+  constexpr std::int64_t kLen = 12;
+  const Type vec = Type::array(ScalarKind::Float64, {kLen});
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    support::Rng rng(seed);
+    // u[min(max(v + offset, 0), kLen - 1)] * coefficient
+    auto element = [&](const std::string& v) {
+      ir::ExprPtr index = ir::bin(
+          ir::BinOpKind::Min, ir::lit(kLen - 1),
+          ir::bin(ir::BinOpKind::Max, ir::lit(0),
+                  ir::add(ir::var(v), ir::lit(rng.uniformInt(-2, 2)))));
+      return ir::mul(ir::ref("u", ir::exprVec(std::move(index))),
+                     ir::flt(rng.uniformDouble() * 2.0 - 1.0));
+    };
+    const std::int64_t lower = rng.uniformInt(0, 4);
+    const std::int64_t upper = rng.uniformInt(lower + 1, kLen);
+    const std::int64_t step = rng.uniformInt(1, 2);
+    const std::string second = rng.chance(0.5) ? "i" : "j";
+
+    ir::Function fn("f");
+    fn.declare("u", vec, VarRole::Input);
+    fn.declare("a", vec, VarRole::Output);
+    fn.declare("b", vec, VarRole::Output);
+    auto body1 = ir::block();
+    body1->append(
+        ir::assign(ir::ref("a", ir::exprVec(ir::var("i"))), element("i")));
+    fn.body().append(
+        ir::forLoop("i", lower, upper, std::move(body1), step));
+    auto thenB = ir::block();
+    thenB->append(ir::assign(ir::ref("b", ir::exprVec(ir::var(second))),
+                             element(second)));
+    auto elseB = ir::block();
+    elseB->append(ir::assign(
+        ir::ref("b", ir::exprVec(ir::var(second))),
+        ir::add(element(second), element(second))));
+    auto body2 = ir::block();
+    body2->append(ir::ifStmt(
+        ir::lt(ir::var(second), ir::lit(rng.uniformInt(lower, upper))),
+        std::move(thenB), std::move(elseB)));
+    fn.body().append(
+        ir::forLoop(second, lower, upper, std::move(body2), step));
+
+    auto reference = fn.clone();
+    LoopFusion pass;
+    EXPECT_TRUE(pass.run(fn)) << "seed " << seed;
+    EXPECT_EQ(countTopLevelLoops(fn), 1) << "seed " << seed;
+    ASSERT_TRUE(ir::validate(fn).empty()) << "seed " << seed;
+    ir::Environment envA = ir::makeZeroEnvironment(*reference);
+    for (std::int64_t k = 0; k < kLen; ++k) {
+      envA.at("u").setFloat(k, rng.uniformDouble() * 4.0 - 2.0);
+    }
+    ir::Environment envB = envA;
+    ir::Evaluator(*reference).run(envA);
+    ir::Evaluator(fn).run(envB);
+    EXPECT_TRUE(envA.at("a").approxEquals(envB.at("a"))) << "seed " << seed;
+    EXPECT_TRUE(envA.at("b").approxEquals(envB.at("b"))) << "seed " << seed;
+  }
 }
 
 TEST(IndexSplit, SplitsGuardedLoop) {
@@ -385,108 +371,6 @@ TEST(SpmAlloc, NoGainNoChange) {
 }
 
 
-TEST(PartialUnroll, ReplicatesBodyAndKeepsTail) {
-  ir::Function fn("f");
-  fn.declare("a", Type::array(ScalarKind::Float64, {22}), VarRole::Output);
-  auto body = ir::block();
-  body->append(ir::assign(ir::ref("a", ir::exprVec(ir::var("i"))),
-                          ir::var("i")));
-  fn.body().append(ir::forLoop("i", 0, 22, std::move(body)));
-  PartialUnroll pass(/*factor=*/4, /*minTrip=*/8);
-  EXPECT_TRUE(pass.run(fn));
-  ASSERT_EQ(fn.body().size(), 2u);  // main + remainder
-  const auto& main = ir::cast<ir::For>(*fn.body().stmts()[0]);
-  const auto& tail = ir::cast<ir::For>(*fn.body().stmts()[1]);
-  EXPECT_EQ(main.step(), 4);
-  EXPECT_EQ(main.lower(), 0);
-  EXPECT_EQ(main.upper(), 20);
-  EXPECT_EQ(main.body().size(), 4u);
-  EXPECT_EQ(tail.lower(), 20);
-  EXPECT_EQ(tail.upper(), 22);
-  EXPECT_TRUE(ir::validate(fn).empty());
-  // Values intact.
-  ir::Environment env = ir::makeZeroEnvironment(fn);
-  ir::Evaluator(fn).run(env);
-  for (int k = 0; k < 22; ++k) {
-    EXPECT_DOUBLE_EQ(env.at("a").getFloat(k), static_cast<double>(k));
-  }
-}
-
-TEST(PartialUnroll, ExactMultipleHasNoTail) {
-  ir::Function fn("f");
-  fn.declare("a", Type::array(ScalarKind::Float64, {16}), VarRole::Output);
-  auto body = ir::block();
-  body->append(ir::assign(ir::ref("a", ir::exprVec(ir::var("i"))),
-                          ir::flt(1.0)));
-  fn.body().append(ir::forLoop("i", 0, 16, std::move(body)));
-  PartialUnroll pass(4, 8);
-  EXPECT_TRUE(pass.run(fn));
-  EXPECT_EQ(fn.body().size(), 1u);
-}
-
-TEST(PartialUnroll, SkipsShortAndStridedLoops) {
-  ir::Function fn("f");
-  fn.declare("a", Type::array(ScalarKind::Float64, {32}), VarRole::Output);
-  auto body1 = ir::block();
-  body1->append(ir::assign(ir::ref("a", ir::exprVec(ir::var("i"))),
-                           ir::flt(1.0)));
-  fn.body().append(ir::forLoop("i", 0, 6, std::move(body1)));  // short
-  auto body2 = ir::block();
-  body2->append(ir::assign(ir::ref("a", ir::exprVec(ir::var("j"))),
-                           ir::flt(2.0)));
-  fn.body().append(ir::forLoop("j", 0, 32, std::move(body2), 2));  // strided
-  PartialUnroll pass(4, 8);
-  EXPECT_FALSE(pass.run(fn));
-}
-
-TEST(PartialUnroll, ReducesWcetWhenBackEdgesAreExpensive) {
-  // Unrolling trades one LoopStep per iteration for offset arithmetic in
-  // the replicated bodies; it pays exactly on cores whose back-edges cost
-  // more than an add (deep fetch pipelines without branch prediction —
-  // the architecture class Sec. III-B mandates).
-  ir::Function fn("f");
-  fn.declare("a", Type::array(ScalarKind::Float64, {64}), VarRole::Output,
-             ir::Storage::Local);
-  auto body = ir::block();
-  body->append(ir::assign(ir::ref("a", ir::exprVec(ir::var("i"))),
-                          ir::var("i")));
-  fn.body().append(ir::forLoop("i", 0, 64, std::move(body)));
-  auto unrolled = fn.clone();
-  PartialUnroll pass(8, 16);
-  ASSERT_TRUE(pass.run(*unrolled));
-
-  adl::CoreModel slowBranch = adl::CoreModel::xentiumDsp();
-  slowBranch.opCycles[static_cast<std::size_t>(ir::OpClass::LoopStep)] = 8;
-  const wcet::TimingModel model(slowBranch, /*sharedAccessCycles=*/10);
-  const adl::Cycles before =
-      wcet::SchemaAnalyzer(fn, model).analyzeFunction().cycles;
-  const adl::Cycles after =
-      wcet::SchemaAnalyzer(*unrolled, model).analyzeFunction().cycles;
-  EXPECT_LT(after, before);
-
-  // On a single-cycle-back-edge core the trade reverses: the pass is a
-  // tuning knob, not a universal win (the feedback loop decides).
-  const wcet::TimingModel cheap(adl::CoreModel::xentiumDsp(), 10);
-  EXPECT_GT(wcet::SchemaAnalyzer(*unrolled, cheap).analyzeFunction().cycles,
-            wcet::SchemaAnalyzer(fn, cheap).analyzeFunction().cycles);
-}
-
-TEST(PartialUnroll, PreservesSemanticsOnRandomPrograms) {
-  for (std::uint64_t seed = 40; seed < 48; ++seed) {
-    test::ProgramGenerator gen(seed);
-    auto original = gen.generate("p");
-    auto transformed = original->clone();
-    PartialUnroll pass(3, 4);
-    pass.run(*transformed);
-    ASSERT_TRUE(ir::validate(*transformed).empty()) << "seed " << seed;
-    ir::Environment envA = gen.makeInputs(*original);
-    ir::Environment envB = envA;
-    ir::Evaluator(*original).run(envA);
-    ir::Evaluator(*transformed).run(envB);
-    EXPECT_TRUE(test::outputsMatch(*original, envA, envB)) << "seed " << seed;
-  }
-}
-
 TEST(AllPasses, PreserveSemanticsOnRandomPrograms) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     test::ProgramGenerator gen(seed * 7919);
@@ -494,15 +378,11 @@ TEST(AllPasses, PreserveSemanticsOnRandomPrograms) {
     auto transformed = original->clone();
 
     ConstantFolding fold;
-    LoopUnroll unroll(4);
-    LoopFission fission;
     LoopFusion fusion;
     IndexSetSplitting split;
     fold.run(*transformed);
     split.run(*transformed);
-    fission.run(*transformed);
     fusion.run(*transformed);
-    unroll.run(*transformed);
     fold.run(*transformed);
     ASSERT_TRUE(ir::validate(*transformed).empty()) << "seed " << seed;
 

@@ -48,12 +48,15 @@
 //                       unset/empty disables tracing. Reports are
 //                       byte-identical with tracing on or off.
 //   --report LIST       comma list: summary,gantt,mhp,bottlenecks,code:TILE
-//                       (default summary)
+//                       (default summary). code:TILE prints the tile<TILE>.c
+//                       unit --emit-c writes, byte for byte, or one line
+//                       when the tile runs no task
 //
 // Integer flags take a whole decimal number: at least 1 for --cores,
 // --chunks and --emit-steps, at least 0 for --simulate. Anything else
-// exits 2 with a message that names the flag.
-#include <charconv>
+// exits 2 with a message that names the flag, as does a code:TILE report
+// whose TILE is not a tile of the platform.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -125,20 +128,18 @@ Options parseArgs(int argc, char** argv) {
   auto intValue = [&](int& i, int min) {
     const char* flag = argv[i];
     const std::string text = value(i);
-    int parsed = 0;
-    const char* end = text.data() + text.size();
-    const auto [stop, error] = std::from_chars(text.data(), end, parsed);
-    if (error != std::errc() || stop != end) {
+    const std::optional<int> parsed = support::parseNumber<int>(text);
+    if (!parsed) {
       std::fprintf(stderr, "argo_cc: %s expects an integer, got '%s'\n",
                    flag, text.c_str());
       std::exit(2);
     }
-    if (parsed < min) {
+    if (*parsed < min) {
       std::fprintf(stderr, "argo_cc: %s must be at least %d, got %d\n", flag,
-                   min, parsed);
+                   min, *parsed);
       std::exit(2);
     }
-    return parsed;
+    return *parsed;
   };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -208,6 +209,52 @@ adl::Platform makePlatform(const Options& options) {
   throw support::ToolchainError("unknown platform '" + options.platform + "'");
 }
 
+/// The tile a `code:TILE` report names. Exits 2 with a message naming the
+/// report when TILE is not a whole number or not a tile of `platform`.
+int codeTile(const std::string& report, const adl::Platform& platform) {
+  const std::string text = report.substr(std::strlen("code:"));
+  const std::optional<int> tile = support::parseNumber<int>(text);
+  if (!tile) {
+    std::fprintf(stderr, "argo_cc: report '%s' expects a tile number, got "
+                         "'%s'\n", report.c_str(), text.c_str());
+    std::exit(2);
+  }
+  if (*tile < 0 || *tile >= platform.coreCount()) {
+    std::fprintf(stderr, "argo_cc: report '%s' names tile %d, but the "
+                         "platform has tiles 0..%d\n", report.c_str(), *tile,
+                 platform.coreCount() - 1);
+    std::exit(2);
+  }
+  return *tile;
+}
+
+/// Exits 2 on a report name argo_cc does not know, before the run.
+void checkReports(const Options& options, const adl::Platform& platform) {
+  for (const std::string& report : options.reports) {
+    if (support::startsWith(report, "code:")) {
+      (void)codeTile(report, platform);
+    } else if (report != "summary" && report != "gantt" && report != "mhp" &&
+               report != "bottlenecks" && !report.empty()) {
+      std::fprintf(stderr, "unknown report '%s'\n", report.c_str());
+      std::exit(2);
+    }
+  }
+}
+
+/// The deterministic per-step inputs --simulate uses, recorded for
+/// --emit-steps steps, so the emitted harness and a simulated run see
+/// identical data.
+codegen::InputTrace recordTrace(const Options& options,
+                                const ir::Function& fn) {
+  codegen::InputTrace trace;
+  for (int step = 0; step < options.emitSteps; ++step) {
+    ir::Environment env = ir::makeZeroEnvironment(fn);
+    apps::setAppStepInputs(options.app, env, static_cast<std::uint64_t>(step));
+    trace.steps.push_back(std::move(env));
+  }
+  return trace;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -215,6 +262,7 @@ int main(int argc, char** argv) {
     const Options options = parseArgs(argc, argv);
     if (!options.traceFile.empty()) support::TraceRecorder::global().enable();
     const adl::Platform platform = makePlatform(options);
+    checkReports(options, platform);
 
     core::ToolchainOptions toolchainOptions;
     toolchainOptions.sched.policy = sched::resolvePolicyAlias(options.policy);
@@ -244,6 +292,21 @@ int main(int argc, char** argv) {
                        ? std::optional<core::ToolchainCacheStats>(cache->stats())
                        : std::nullopt);
 
+    // Emitted once, for --emit-c and every code:TILE report alike (a tile
+    // unit's bytes do not depend on the exec mode, the asserts or the
+    // step count).
+    std::optional<codegen::Emission> emission;
+    const auto emitted = [&]() -> const codegen::Emission& {
+      if (!emission) {
+        codegen::EmitOptions emitOptions;
+        emitOptions.mode = options.execMode;
+        emitOptions.runtimeAsserts = options.runtimeAsserts;
+        emission = toolchain.emitC(result, recordTrace(options, *result.fn),
+                                   emitOptions);
+      }
+      return *emission;
+    };
+
     for (const std::string& report : options.reports) {
       if (report == "summary") {
         std::printf("%s\n", result.reportText().c_str());
@@ -254,32 +317,22 @@ int main(int argc, char** argv) {
       } else if (report == "bottlenecks") {
         std::printf("%s\n", core::renderBottlenecks(result).c_str());
       } else if (support::startsWith(report, "code:")) {
-        const int tile = std::stoi(report.substr(5));
-        std::printf("%s\n", par::emitCoreSource(result.program, tile).c_str());
-      } else if (!report.empty()) {
-        std::fprintf(stderr, "unknown report '%s'\n", report.c_str());
-        return 2;
+        const int tile = codeTile(report, platform);
+        const std::string unit = "tile" + std::to_string(tile) + ".c";
+        const std::vector<std::string>& units = emitted().cUnits;
+        if (std::find(units.begin(), units.end(), unit) == units.end()) {
+          std::printf("tile %d runs no task\n", tile);
+        } else {
+          std::fputs(emitted().file(unit).contents.c_str(), stdout);
+        }
       }
     }
 
     if (!options.emitDir.empty()) {
-      // Record the same deterministic per-step inputs --simulate uses, so
-      // the emitted harness and a simulated run see identical data.
-      codegen::InputTrace trace;
-      for (int step = 0; step < options.emitSteps; ++step) {
-        ir::Environment env = ir::makeZeroEnvironment(*result.fn);
-        apps::setAppStepInputs(options.app, env,
-                               static_cast<std::uint64_t>(step));
-        trace.steps.push_back(std::move(env));
-      }
-      codegen::EmitOptions emitOptions;
-      emitOptions.mode = options.execMode;
-      emitOptions.runtimeAsserts = options.runtimeAsserts;
-      const codegen::Emission emission =
-          toolchain.emitC(result, trace, emitOptions);
-      codegen::writeSources(options.emitDir, emission);
+      const codegen::Emission& written = emitted();
+      codegen::writeSources(options.emitDir, written);
       std::printf("emitted %zu files (%zu C units) to %s [%s]\n",
-                  emission.files.size(), emission.cUnits.size(),
+                  written.files.size(), written.cUnits.size(),
                   options.emitDir.c_str(),
                   options.execMode == codegen::ExecMode::Threads
                       ? "exec-mode threads"

@@ -66,12 +66,21 @@
 //                       are identical with tracing on or off.
 //   --out FILE          write the JSON to FILE instead of stdout
 //
+// Numeric flags take the whole token as one number: an integer for the
+// counts (at least 1 for --scenarios, at least 0 for --threads and
+// --sim-trials), a non-negative integer for --seed, a decimal for --ccr
+// and --spread, two integers for MIN:MAX ranges and positive integers for
+// the --cores and --spm lists. Anything else exits 2 with a message that
+// names the flag.
+//
 // Exit code: 0 iff the batch ran and every simulator probe stayed within
 // its bound; 1 on a bound violation or a tool-chain error; 2 on usage.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -101,25 +110,56 @@ using namespace argo;
   std::exit(2);
 }
 
-void parseRange(const std::string& value, int& lo, int& hi, const char* argv0) {
-  const std::size_t colon = value.find(':');
-  if (colon == std::string::npos) usage(argv0);
-  try {
-    lo = std::stoi(value.substr(0, colon));
-    hi = std::stoi(value.substr(colon + 1));
-  } catch (...) {
-    usage(argv0);
-  }
+/// Prints `message` (which names the flag) and exits 2.
+[[noreturn]] void flagError(const std::string& message) {
+  std::fprintf(stderr, "argo_eval: %s\n", message.c_str());
+  std::exit(2);
 }
 
-std::vector<int> parseIntList(const std::string& value, const char* argv0) {
+/// The whole of `text` as a T, or exit 2: "FLAG expects WHAT, got 'TEXT'".
+template <typename T>
+T number(const std::string& flag, const std::string& text, const char* what) {
+  const std::optional<T> parsed = support::parseNumber<T>(text);
+  if (!parsed) flagError(flag + " expects " + what + ", got '" + text + "'");
+  return *parsed;
+}
+
+/// An integer flag of at least `min`, or exit 2.
+int intFlag(const std::string& flag, const std::string& text, int min) {
+  const int parsed = number<int>(flag, text, "an integer");
+  if (parsed < min) {
+    flagError(flag + " must be at least " + std::to_string(min) + ", got " +
+              std::to_string(parsed));
+  }
+  return parsed;
+}
+
+void parseRange(const std::string& flag, const std::string& value, int& lo,
+                int& hi) {
+  const std::vector<std::string> bounds = support::split(value, ':');
+  std::optional<int> min;
+  std::optional<int> max;
+  if (bounds.size() == 2) {
+    min = support::parseNumber<int>(bounds[0]);
+    max = support::parseNumber<int>(bounds[1]);
+  }
+  if (!min || !max) {
+    flagError(flag + " expects MIN:MAX integers, got '" + value + "'");
+  }
+  lo = *min;
+  hi = *max;
+}
+
+std::vector<int> parsePositiveList(const std::string& flag,
+                                   const std::string& value) {
   std::vector<int> out;
   for (const std::string& item : support::split(value, ',')) {
-    try {
-      out.push_back(std::stoi(item));
-    } catch (...) {
-      usage(argv0);
+    const std::optional<int> parsed = support::parseNumber<int>(item);
+    if (!parsed || *parsed < 1) {
+      flagError(flag + " expects a comma list of positive integers, got '" +
+                value + "'");
     }
+    out.push_back(*parsed);
   }
   return out;
 }
@@ -140,15 +180,12 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "--seed") {
-        options.generator.seed = std::stoull(value(i));
+        options.generator.seed =
+            number<std::uint64_t>(arg, value(i), "a non-negative integer");
       } else if (arg == "--scenarios") {
-        options.scenarioCount = std::stoi(value(i));
+        options.scenarioCount = intFlag(arg, value(i), 1);
       } else if (arg == "--threads") {
-        options.threads = std::stoi(value(i));
-        if (options.threads < 0) {
-          throw support::ToolchainError("--threads must be at least 0, got " +
-                                        std::to_string(options.threads));
-        }
+        options.threads = intFlag(arg, value(i), 0);
       } else if (arg == "--policies") {
         // Same UX as argo_cc --policy: short aliases for the built-ins,
         // everything else passed to the registry verbatim.
@@ -179,26 +216,27 @@ int main(int argc, char** argv) {
       } else if (arg == "--cache-dir") {
         options.cacheDir = value(i);
       } else if (arg == "--sim-trials") {
-        options.simTrials = std::stoi(value(i));
+        options.simTrials = intFlag(arg, value(i), 0);
       } else if (arg == "--layers") {
-        parseRange(value(i), options.generator.minLayers,
-                   options.generator.maxLayers, argv[0]);
+        parseRange(arg, value(i), options.generator.minLayers,
+                   options.generator.maxLayers);
       } else if (arg == "--width") {
-        parseRange(value(i), options.generator.minWidth,
-                   options.generator.maxWidth, argv[0]);
+        parseRange(arg, value(i), options.generator.minWidth,
+                   options.generator.maxWidth);
       } else if (arg == "--array-len") {
-        parseRange(value(i), options.generator.minArrayLen,
-                   options.generator.maxArrayLen, argv[0]);
+        parseRange(arg, value(i), options.generator.minArrayLen,
+                   options.generator.maxArrayLen);
       } else if (arg == "--ccr") {
-        options.generator.ccr = std::stod(value(i));
+        options.generator.ccr = number<double>(arg, value(i), "a number");
       } else if (arg == "--spread") {
-        options.generator.wcetSpread = std::stod(value(i));
+        options.generator.wcetSpread =
+            number<double>(arg, value(i), "a number");
       } else if (arg == "--shape") {
         options.generator.shape = scenarios::shapeFromName(value(i));
       } else if (arg == "--stencil-radius") {
-        options.generator.stencilRadius = std::stoi(value(i));
+        options.generator.stencilRadius = intFlag(arg, value(i), 0);
       } else if (arg == "--cores") {
-        options.sweep.coreCounts = parseIntList(value(i), argv[0]);
+        options.sweep.coreCounts = parsePositiveList(arg, value(i));
       } else if (arg == "--platforms") {
         options.sweep.busRoundRobin = false;
         options.sweep.busTdma = false;
@@ -211,7 +249,7 @@ int main(int argc, char** argv) {
         }
       } else if (arg == "--spm") {
         options.sweep.spmBytes.clear();
-        for (int bytes : parseIntList(value(i), argv[0])) {
+        for (int bytes : parsePositiveList(arg, value(i))) {
           options.sweep.spmBytes.push_back(bytes);
         }
       } else if (arg == "--timings") {
@@ -229,8 +267,6 @@ int main(int argc, char** argv) {
     // message; surface it instead of the generic usage text.
     std::fprintf(stderr, "argo_eval: %s\n", error.what());
     return 2;
-  } catch (const std::exception&) {
-    usage(argv[0]);
   }
 
   // --cache-dir wins over the environment; both empty = no disk tier.
