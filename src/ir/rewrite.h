@@ -1,8 +1,8 @@
 // In-place IR rewriting utilities: variable renaming and substitution.
 //
-// Used by the Scilab block inliner (port/local renaming into the diagram
-// function) and by the loop transformations (substituting a constant for a
-// loop variable during unrolling / index-set splitting).
+// renameVars serves the Scilab block inliner (port/local renaming) and
+// loop fusion (renaming the second loop's variable); substituteVar has no
+// tool-chain caller left, only the rewrite tests.
 #pragma once
 
 #include <map>
