@@ -129,21 +129,31 @@ Platform parseAdl(std::string_view text) {
   const std::vector<Line> lines = tokenize(text);
   std::string platformName;
   std::int64_t sharedMemBytes = -1;
+  const Line* interconnectLine = nullptr;
   std::optional<BusModel> bus;
   std::optional<NocModel> noc;
   std::map<std::string, CoreModel> cores;
-  std::vector<std::pair<int, std::string>> tileSpecs;
+  struct TileSpec {
+    const Line* line = nullptr;
+    int index = 0;
+    std::string core;
+  };
+  std::vector<TileSpec> tileSpecs;
 
   for (const Line& line : lines) {
     const std::string& head = line.tokens.front();
     if (head == "platform") {
+      if (!platformName.empty()) fail(line, "repeated 'platform'");
       if (line.tokens.size() != 2) fail(line, "platform needs a name");
       platformName = line.tokens[1];
     } else if (head == "shared_memory") {
+      if (sharedMemBytes >= 0) fail(line, "repeated 'shared_memory'");
       if (line.tokens.size() != 2) fail(line, "shared_memory needs byte size");
       sharedMemBytes =
           parseInt(line, "shared_memory", line.tokens[1], 0, kMaxInt64);
     } else if (head == "interconnect") {
+      if (interconnectLine != nullptr) fail(line, "repeated 'interconnect'");
+      interconnectLine = &line;
       if (line.tokens.size() < 2) fail(line, "interconnect needs a kind");
       const std::string& kind = line.tokens[1];
       if (kind == "bus") {
@@ -186,13 +196,17 @@ Platform parseAdl(std::string_view text) {
       }
     } else if (head == "core") {
       CoreModel core = parseCore(line);
-      cores[core.name] = core;
+      const std::string name = core.name;
+      if (!cores.emplace(name, std::move(core)).second) {
+        fail(line, "repeated core '" + name + "'");
+      }
     } else if (head == "tile") {
       if (line.tokens.size() != 3) fail(line, "tile needs index and core name");
-      tileSpecs.emplace_back(
+      tileSpecs.push_back(TileSpec{
+          &line,
           static_cast<int>(
               parseInt(line, "tile index", line.tokens[1], 0, kMaxInt)),
-          line.tokens[2]);
+          line.tokens[2]});
     } else {
       fail(line, "unknown directive '" + head + "'");
     }
@@ -200,33 +214,43 @@ Platform parseAdl(std::string_view text) {
 
   if (platformName.empty()) throw ToolchainError("ADL: missing 'platform'");
   if (sharedMemBytes < 0) throw ToolchainError("ADL: missing 'shared_memory'");
-  if (!bus.has_value() && !noc.has_value()) {
+  if (interconnectLine == nullptr) {
     throw ToolchainError("ADL: missing 'interconnect'");
   }
   if (tileSpecs.empty()) throw ToolchainError("ADL: no tiles declared");
 
-  std::vector<Tile> tiles;
-  tiles.resize(tileSpecs.size());
+  const int tileCount = static_cast<int>(tileSpecs.size());
+  std::vector<Tile> tiles(tileSpecs.size());
   std::vector<bool> seen(tileSpecs.size(), false);
-  for (const auto& [index, coreName] : tileSpecs) {
-    if (index < 0 || index >= static_cast<int>(tiles.size())) {
-      throw ToolchainError("ADL: tile index " + std::to_string(index) +
-                           " out of range (tiles must be 0..n-1)");
+  for (const TileSpec& spec : tileSpecs) {
+    const std::string index = std::to_string(spec.index);
+    if (spec.index >= tileCount) {
+      fail(*spec.line, "tile index " + index +
+                           " out of range (tiles must be 0.." +
+                           std::to_string(tileCount - 1) + ")");
     }
-    if (seen[static_cast<std::size_t>(index)]) {
-      throw ToolchainError("ADL: duplicate tile " + std::to_string(index));
+    if (seen[static_cast<std::size_t>(spec.index)]) {
+      fail(*spec.line, "duplicate tile " + index);
     }
-    seen[static_cast<std::size_t>(index)] = true;
-    auto it = cores.find(coreName);
+    seen[static_cast<std::size_t>(spec.index)] = true;
+    const auto it = cores.find(spec.core);
     if (it == cores.end()) {
-      throw ToolchainError("ADL: tile " + std::to_string(index) +
-                           " references unknown core '" + coreName + "'");
+      fail(*spec.line,
+           "tile " + index + " references unknown core '" + spec.core + "'");
     }
-    tiles[static_cast<std::size_t>(index)] = Tile{index, it->second};
+    tiles[static_cast<std::size_t>(spec.index)] = Tile{spec.index, it->second};
   }
 
   if (bus.has_value()) {
     return Platform(platformName, std::move(tiles), *bus, sharedMemBytes);
+  }
+  if (tileCount > noc->meshWidth * noc->meshHeight) {
+    fail(*interconnectLine,
+         std::to_string(tileCount) + " tiles do not fit the " +
+             std::to_string(noc->meshWidth) + "x" +
+             std::to_string(noc->meshHeight) + " mesh (" +
+             std::to_string(noc->meshWidth * noc->meshHeight) +
+             " positions)");
   }
   return Platform(platformName, std::move(tiles), *noc, sharedMemBytes);
 }

@@ -15,8 +15,11 @@
 //
 //   interconnect noc 4 4 router 3 link 1 flit_bytes 4 mem_access 16 mem_tile 0
 //
-// parseAdl throws support::ToolchainError with a line number on malformed
-// input; toAdlText(parseAdl(text)) round-trips.
+// `platform`, `shared_memory`, `interconnect` and each `core NAME` appear
+// once. parseAdl throws support::ToolchainError naming the line of any
+// malformed, out-of-range or repeated input (only a section missing
+// altogether is reported without one, as `ADL: missing ...`);
+// toAdlText(parseAdl(text)) round-trips.
 #pragma once
 
 #include <string>

@@ -765,45 +765,40 @@ Emission emitProgram(const par::ParallelProgram& program,
   }
   mc += "}\n";
 
-  // The recorded input trace, one array per Input variable.
-  if (!trace.steps.empty()) {
-    mc += "\n// Recorded inputs, one row per step.\n";
-    for (const ir::VarDecl& decl : fn.decls()) {
-      if (decl.role != ir::VarRole::Input) continue;
-      const std::string& cname = lowerer.cName(decl.name);
-      appendf(mc, "static const %s argo_in_%s[ARGO_STEPS][%lld] = {\n",
-              elementTypeName(decl.type.kind()), cname.c_str() + 2,
-              static_cast<long long>(decl.type.elementCount()));
-      for (const ir::Environment& step : trace.steps) {
-        const ir::Value& value = step.at(decl.name);
-        if (value.size() != decl.type.elementCount()) {
-          throw ToolchainError("codegen: trace value for '" + decl.name +
-                               "' does not match its declared type");
-        }
-        mc += "    {";
-        for (std::int64_t k = 0; k < value.size(); ++k) {
-          if (k != 0) mc += ", ";
-          mc += elementLiteral(decl, value, k);
-        }
-        mc += "},\n";
+  // The recorded input trace (never empty, checked above), one array per
+  // Input variable.
+  mc += "\n// Recorded inputs, one row per step.\n";
+  for (const ir::VarDecl& decl : fn.decls()) {
+    if (decl.role != ir::VarRole::Input) continue;
+    const std::string& cname = lowerer.cName(decl.name);
+    appendf(mc, "static const %s argo_in_%s[ARGO_STEPS][%lld] = {\n",
+            elementTypeName(decl.type.kind()), cname.c_str() + 2,
+            static_cast<long long>(decl.type.elementCount()));
+    for (const ir::Environment& step : trace.steps) {
+      const ir::Value& value = step.at(decl.name);
+      if (value.size() != decl.type.elementCount()) {
+        throw ToolchainError("codegen: trace value for '" + decl.name +
+                             "' does not match its declared type");
       }
-      mc += "};\n";
+      mc += "    {";
+      for (std::int64_t k = 0; k < value.size(); ++k) {
+        if (k != 0) mc += ", ";
+        mc += elementLiteral(decl, value, k);
+      }
+      mc += "},\n";
     }
+    mc += "};\n";
   }
 
   mc += "\nstatic void argo_load_inputs(int step) {\n";
-  if (trace.steps.empty()) {
-    mc += "  (void)step;\n";
-  } else {
-    for (const ir::VarDecl& decl : fn.decls()) {
-      if (decl.role != ir::VarRole::Input) continue;
-      const std::string& cname = lowerer.cName(decl.name);
-      appendf(mc,
-              "  for (int k = 0; k < %lld; ++k) %s[k] = "
-              "argo_in_%s[step][k];\n",
-              static_cast<long long>(decl.type.elementCount()), cname.c_str(),
-              cname.c_str() + 2);
-    }
+  for (const ir::VarDecl& decl : fn.decls()) {
+    if (decl.role != ir::VarRole::Input) continue;
+    const std::string& cname = lowerer.cName(decl.name);
+    appendf(mc,
+            "  for (int k = 0; k < %lld; ++k) %s[k] = "
+            "argo_in_%s[step][k];\n",
+            static_cast<long long>(decl.type.elementCount()), cname.c_str(),
+            cname.c_str() + 2);
   }
   mc += "}\n";
 

@@ -24,12 +24,8 @@ void addStage(std::vector<std::pair<std::string, std::uint64_t>>& entries,
 
 }  // namespace
 
-void warnDiskRejects(const char* tool,
-                     const std::optional<ToolchainCacheStats>& stats) {
-  if (!stats.has_value() || !stats->disk.has_value() ||
-      stats->disk->rejects == 0) {
-    return;
-  }
+void warnDiskRejects(const char* tool, const ToolchainCacheStats& stats) {
+  if (!stats.disk.has_value() || stats.disk->rejects == 0) return;
   // Determinism-relevant (a damaged or version-skewed cache directory
   // silently costing recomputes), so surfaced regardless of --timings —
   // unlike every other cache counter. Wording pinned by ctest.
@@ -38,33 +34,31 @@ void warnDiskRejects(const char* tool,
                "(recomputed; cache dir may be damaged or "
                "version-skewed)\n",
                tool,
-               static_cast<unsigned long long>(stats->disk->rejects));
+               static_cast<unsigned long long>(stats.disk->rejects));
 }
 
 void appendMetricsJson(std::string& out,
-                       const std::optional<ToolchainCacheStats>& cacheStats) {
+                       const ToolchainCacheStats& cacheStats) {
   std::vector<std::pair<std::string, std::uint64_t>> entries;
   for (const support::MetricSample& sample :
        support::MetricsRegistry::global().snapshot()) {
     entries.emplace_back(sample.name, sample.value);
   }
-  if (cacheStats.has_value()) {
-    // The per-stage counters fold into the same namespace under the
-    // kDiskStage* spelling — the one the per-lookup "cache" trace spans
-    // are named with, so span totals and counters line up one-to-one.
-    addStage(entries, kDiskStageTransforms, cacheStats->transforms);
-    addStage(entries, kDiskStageSequentialWcet, cacheStats->sequentialWcet);
-    addStage(entries, kDiskStageExpansion, cacheStats->expansion);
-    addStage(entries, kDiskStageTimings, cacheStats->timings);
-    addStage(entries, kDiskStageSchedules, cacheStats->schedules);
-    if (cacheStats->disk.has_value()) {
-      const support::DiskCacheStats& d = *cacheStats->disk;
-      entries.emplace_back("disk.hits", d.hits);
-      entries.emplace_back("disk.misses", d.misses);
-      entries.emplace_back("disk.rejects", d.rejects);
-      entries.emplace_back("disk.stores", d.stores);
-      entries.emplace_back("disk.store_failures", d.storeFailures);
-    }
+  // The per-stage counters fold into the same namespace under the
+  // kDiskStage* spelling — the one the per-lookup "cache" trace spans are
+  // named with, so span totals and counters line up one-to-one.
+  addStage(entries, kDiskStageTransforms, cacheStats.transforms);
+  addStage(entries, kDiskStageSequentialWcet, cacheStats.sequentialWcet);
+  addStage(entries, kDiskStageExpansion, cacheStats.expansion);
+  addStage(entries, kDiskStageTimings, cacheStats.timings);
+  addStage(entries, kDiskStageSchedules, cacheStats.schedules);
+  if (cacheStats.disk.has_value()) {
+    const support::DiskCacheStats& d = *cacheStats.disk;
+    entries.emplace_back("disk.hits", d.hits);
+    entries.emplace_back("disk.misses", d.misses);
+    entries.emplace_back("disk.rejects", d.rejects);
+    entries.emplace_back("disk.stores", d.stores);
+    entries.emplace_back("disk.store_failures", d.storeFailures);
   }
   std::sort(entries.begin(), entries.end());
 

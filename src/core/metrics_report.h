@@ -13,7 +13,6 @@
 //    name-sorted namespace.
 #pragma once
 
-#include <optional>
 #include <string>
 
 #include "core/cache.h"
@@ -22,14 +21,14 @@ namespace argo::core {
 
 /// Prints the pinned disk-reject warning to stderr iff `stats` carries a
 /// disk tier with rejects > 0. `tool` is the CLI name prefix.
-void warnDiskRejects(const char* tool,
-                     const std::optional<ToolchainCacheStats>& stats);
+void warnDiskRejects(const char* tool, const ToolchainCacheStats& stats);
 
 /// Appends `,"metrics":{"name":value,...}` to `out` (leading comma
-/// included): every registered metric plus, when `cacheStats` is present,
-/// cache.<stage>.{hits,misses,inflight_waits} and (with a disk tier)
-/// disk.{hits,misses,rejects,stores,store_failures}. Names sorted.
+/// included): every registered metric plus the
+/// cache.<stage>.{hits,misses,inflight_waits} of `cacheStats` and (with a
+/// disk tier) disk.{hits,misses,rejects,stores,store_failures}. Names
+/// sorted.
 void appendMetricsJson(std::string& out,
-                       const std::optional<ToolchainCacheStats>& cacheStats);
+                       const ToolchainCacheStats& cacheStats);
 
 }  // namespace argo::core

@@ -350,12 +350,17 @@ std::string ToolchainResult::reportText(bool includeStageTimings) const {
      << " cycles\n";
   os << "guaranteed speedup:  " << wcetSpeedup() << "x\n";
   os << "feedback points:\n";
+  // The reduction keeps the first point at the minimum bound, so only
+  // that one is marked, even when later points tie with it.
+  bool marked = false;
   for (const FeedbackPoint& p : feedback) {
+    const bool chosen = !marked && p.systemWcet == system.makespan;
+    marked = marked || chosen;
     os << "  chunks=" << p.chunksPerLoop
        << (p.coreLimit == 1 ? " (sequential mapping)" : "")
        << " tasks=" << p.tasks
        << " systemWCET=" << support::formatCycles(p.systemWcet)
-       << (p.systemWcet == system.makespan ? "  <== chosen" : "") << "\n";
+       << (chosen ? "  <== chosen" : "") << "\n";
   }
   if (includeStageTimings) {
     os << "stage timings:\n";

@@ -92,98 +92,4 @@ void renameVars(Stmt& stmt, const std::map<std::string, std::string>& renames) {
   }
 }
 
-namespace {
-
-ExprPtr substituteInExpr(ExprPtr expr, const std::string& var,
-                         const Expr& replacement) {
-  switch (expr->kind()) {
-    case ExprKind::VarRef: {
-      auto& ref = static_cast<VarRef&>(*expr);
-      if (ref.name() == var && ref.indices().empty()) {
-        return replacement.clone();
-      }
-      for (ExprPtr& idx : ref.indices()) {
-        idx = substituteInExpr(std::move(idx), var, replacement);
-      }
-      return expr;
-    }
-    case ExprKind::BinOp: {
-      auto& bin = static_cast<BinOp&>(*expr);
-      ExprPtr lhs = substituteInExpr(bin.takeLhs(), var, replacement);
-      ExprPtr rhs = substituteInExpr(bin.takeRhs(), var, replacement);
-      return std::make_unique<BinOp>(bin.op(), std::move(lhs), std::move(rhs));
-    }
-    case ExprKind::UnOp: {
-      auto& un = static_cast<UnOp&>(*expr);
-      ExprPtr operand =
-          substituteInExpr(un.operand().clone(), var, replacement);
-      return std::make_unique<UnOp>(un.op(), std::move(operand));
-    }
-    case ExprKind::Call: {
-      auto& call = static_cast<Call&>(*expr);
-      std::vector<ExprPtr> args;
-      args.reserve(call.args().size());
-      for (const ExprPtr& a : call.args()) {
-        args.push_back(substituteInExpr(a->clone(), var, replacement));
-      }
-      return std::make_unique<Call>(call.callee(), std::move(args));
-    }
-    case ExprKind::Select: {
-      auto& sel = static_cast<Select&>(*expr);
-      return std::make_unique<Select>(
-          substituteInExpr(sel.cond().clone(), var, replacement),
-          substituteInExpr(sel.onTrue().clone(), var, replacement),
-          substituteInExpr(sel.onFalse().clone(), var, replacement));
-    }
-    default:
-      return expr;
-  }
-}
-
-}  // namespace
-
-ExprPtr substituteVar(ExprPtr expr, const std::string& var,
-                      const Expr& replacement) {
-  return substituteInExpr(std::move(expr), var, replacement);
-}
-
-void substituteVar(Stmt& stmt, const std::string& var,
-                   const Expr& replacement) {
-  switch (stmt.kind()) {
-    case StmtKind::Assign: {
-      auto& assign = cast<Assign>(stmt);
-      for (ExprPtr& idx : assign.lhs().indices()) {
-        idx = substituteInExpr(std::move(idx), var, replacement);
-      }
-      assign.setRhs(substituteInExpr(assign.takeRhs(), var, replacement));
-      break;
-    }
-    case StmtKind::For: {
-      auto& loop = cast<For>(stmt);
-      if (loop.var() == var) break;  // shadowed
-      for (const StmtPtr& s : loop.body().stmts()) {
-        substituteVar(*s, var, replacement);
-      }
-      break;
-    }
-    case StmtKind::If: {
-      auto& branch = cast<If>(stmt);
-      branch.setCond(
-          substituteInExpr(branch.takeCond(), var, replacement));
-      for (const StmtPtr& s : branch.thenBody().stmts()) {
-        substituteVar(*s, var, replacement);
-      }
-      for (const StmtPtr& s : branch.elseBody().stmts()) {
-        substituteVar(*s, var, replacement);
-      }
-      break;
-    }
-    case StmtKind::Block:
-      for (const StmtPtr& s : cast<Block>(stmt).stmts()) {
-        substituteVar(*s, var, replacement);
-      }
-      break;
-  }
-}
-
 }  // namespace argo::ir

@@ -1,8 +1,7 @@
-// In-place IR rewriting utilities: variable renaming and substitution.
+// In-place IR rewriting utility: variable renaming.
 //
 // renameVars serves the Scilab block inliner (port/local renaming) and
-// loop fusion (renaming the second loop's variable); substituteVar has no
-// tool-chain caller left, only the rewrite tests.
+// loop fusion (renaming the second loop's variable).
 #pragma once
 
 #include <map>
@@ -17,16 +16,5 @@ namespace argo::ir {
 /// unchanged.
 void renameVars(Expr& expr, const std::map<std::string, std::string>& renames);
 void renameVars(Stmt& stmt, const std::map<std::string, std::string>& renames);
-
-/// Replaces every scalar reference to `var` in `expr` with a clone of
-/// `replacement`. Returns the possibly-new root (the root itself may be the
-/// reference being replaced).
-[[nodiscard]] ExprPtr substituteVar(ExprPtr expr, const std::string& var,
-                                    const Expr& replacement);
-
-/// Replaces scalar references to `var` with `replacement` throughout a
-/// statement tree (including array index expressions and loop bounds are
-/// unaffected — bounds are constants by construction).
-void substituteVar(Stmt& stmt, const std::string& var, const Expr& replacement);
 
 }  // namespace argo::ir

@@ -119,12 +119,6 @@ class For final : public Stmt {
 
   [[nodiscard]] const Block& body() const noexcept { return *body_; }
   [[nodiscard]] Block& body() noexcept { return *body_; }
-  [[nodiscard]] std::unique_ptr<Block> takeBody() noexcept {
-    return std::move(body_);
-  }
-  void setBody(std::unique_ptr<Block> body) noexcept {
-    body_ = std::move(body);
-  }
 
   [[nodiscard]] StmtPtr clone() const override;
 

@@ -180,16 +180,12 @@ EvalReport runEval(const EvalOptions& options) {
   report.scenarioCount = scenarioCount;
   report.platformCases = sweep.size();
 
-  // One stage cache shared by the whole batch; without it every unit's
-  // toolchain run uses a private cache. Stage values are pure functions
-  // of their keyed inputs, so sharing never changes the report bytes —
-  // only how often work is recomputed. A batch that should start warm
-  // reads the disk tier of `cacheDir`.
-  std::shared_ptr<core::ToolchainCache> cache;
-  if (options.cacheEnabled) {
-    cache = std::make_shared<core::ToolchainCache>();
-    if (!options.cacheDir.empty()) cache->attachDisk(options.cacheDir);
-  }
+  // One stage cache shared by the whole batch. Stage values are pure
+  // functions of their keyed inputs, so sharing never changes the report
+  // bytes — only how often work is recomputed. A batch that should start
+  // warm reads the disk tier of `cacheDir`.
+  const auto cache = std::make_shared<core::ToolchainCache>();
+  if (!options.cacheDir.empty()) cache->attachDisk(options.cacheDir);
 
   // Every node writes its own slot; the assembly below reads them
   // strictly in unit order, so the execution order is invisible to the
@@ -198,12 +194,13 @@ EvalReport runEval(const EvalOptions& options) {
   std::vector<Scenario> scenarioSlots(scenarioCount);
 
   // Dependency-graph execution (support/graph.h): each scenario's
-  // generation is a shared upstream node, and each unit is one node that
-  // runs the tool-chain and then its simulator probes. Units of different
-  // cells overlap; there is no batch-wide rendezvous until the sinks.
-  // With the batch cache, every cell also gets a prefix node
-  // (Toolchain::warmSharedStages) that its unit nodes fan out from, so the
-  // shared stage prefix is computed once per cell instead of per policy.
+  // generation is a shared upstream node, every cell has a prefix node
+  // (Toolchain::warmSharedStages) that computes the shared stage prefix
+  // once per cell instead of per policy, and each unit is one node after
+  // its cell's prefix that runs the tool-chain and then its simulator
+  // probes. Units of different cells overlap; there is no batch-wide
+  // rendezvous until the sinks. Every node is added after its
+  // predecessors, so every edge points forward (TaskGraph::addEdge).
   support::TaskGraph graph;
   std::vector<support::TaskGraph::NodeId> scenarioNodes(scenarioCount);
   for (std::size_t s = 0; s < scenarioCount; ++s) {
@@ -216,20 +213,16 @@ EvalReport runEval(const EvalOptions& options) {
     const EvalCell& cell = cells[cellIndex];
     const std::string cellTag =
         std::to_string(cell.scenario) + "/" + sweep[cell.sweepCase].name;
-    support::TaskGraph::NodeId upstream = scenarioNodes[cell.scenario];
-    if (cache != nullptr) {
-      const auto prefix = graph.addNode("prefix/" + cellTag, [&, cellIndex] {
-        const EvalCell& c = cells[cellIndex];
-        core::ToolchainOptions warm = options.toolchain;
-        warm.explorationThreads = 1;
-        warm.sched.parallelThreads = 1;
-        warm.cache = cache;
-        core::Toolchain(sweep[c.sweepCase].platform, warm)
-            .warmSharedStages(scenarioSlots[c.scenario].model);
-      });
-      graph.addEdge(upstream, prefix);
-      upstream = prefix;
-    }
+    const auto prefix = graph.addNode("prefix/" + cellTag, [&, cellIndex] {
+      const EvalCell& c = cells[cellIndex];
+      core::ToolchainOptions warm = options.toolchain;
+      warm.explorationThreads = 1;
+      warm.sched.parallelThreads = 1;
+      warm.cache = cache;
+      core::Toolchain(sweep[c.sweepCase].platform, warm)
+          .warmSharedStages(scenarioSlots[c.scenario].model);
+    });
+    graph.addEdge(scenarioNodes[cell.scenario], prefix);
     for (std::size_t p = 0; p < policyCount; ++p) {
       const std::size_t unit = cellIndex * policyCount + p;
       const auto unitNode = graph.addNode(
@@ -240,7 +233,7 @@ EvalReport runEval(const EvalOptions& options) {
                                   sweep[c.sweepCase].platform,
                                   report.policies[p], options, cache);
           });
-      graph.addEdge(upstream, unitNode);
+      graph.addEdge(prefix, unitNode);
     }
   }
   graph.run(options.threads);
@@ -277,7 +270,7 @@ EvalReport runEval(const EvalOptions& options) {
     if (atBest > 1) row.winner.clear();
     report.scenarios.push_back(std::move(row));
   }
-  if (cache != nullptr) report.cacheStats = cache->stats();
+  report.cacheStats = cache->stats();
   return report;
 }
 

@@ -10,25 +10,22 @@
 //
 // Parallelism and determinism: the batch runs on the support::TaskGraph
 // dependency-graph executor (support/graph.h). Each scenario's generation
-// is a shared upstream node, and every (cell, policy) unit is one node
-// that runs the tool-chain and then its simulator probes, with edges only
-// on those true data dependences — so independent units overlap instead
-// of rendezvousing at a batch-wide barrier. With the batch cache enabled
-// (the default), each (scenario, platform) cell additionally gets a
-// prefix node that warms the policy-independent stages once, fanning out
-// to the cell's unit nodes. Every unit writes into its own slot and the
-// report is assembled strictly in unit order afterwards, so the report is
-// bit-identical for any thread count (the ladder-order rule of
-// docs/ARCHITECTURE.md) *and* byte-identical to a `--cache off` run,
-// where every unit computes on a fresh cache of its own — the
-// differential oracles of tests/eval_test.cpp. toJson() uses fixed
-// formatting; byte-identical values make byte-identical documents, which
-// CI checks by diffing --threads 1 vs --threads 8 runs and --cache off vs
-// the cached default.
+// is a shared upstream node, each (scenario, platform) cell has a prefix
+// node that warms the policy-independent stages once in the batch's one
+// stage cache, and every (cell, policy) unit is one node after its cell's
+// prefix that runs the tool-chain and then its simulator probes. Edges sit
+// only on those true data dependences, so independent units overlap
+// instead of rendezvousing at a batch-wide barrier. Every unit writes into
+// its own slot and the report is assembled strictly in unit order
+// afterwards, so the report is bit-identical for any thread count (the
+// ladder-order rule of docs/ARCHITECTURE.md) and equal, field for field,
+// to running every unit alone on a fresh cache — the differential oracles
+// of tests/eval_test.cpp. toJson() uses fixed formatting; byte-identical
+// values make byte-identical documents, which CI checks by diffing
+// --threads 1 vs --threads 8 runs.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -97,21 +94,16 @@ struct EvalOptions {
   int simTrials = 3;
   /// Base tool-chain configuration for every unit. The batch overrides,
   /// per unit: the policy under test, interferenceAware (off for
-  /// "contention_oblivious", mirroring argo_cc), and both thread knobs to
-  /// 1 (the batch owns the pool; pools do not nest).
+  /// "contention_oblivious", mirroring argo_cc), both thread knobs to 1
+  /// (the batch owns the threads; teams do not nest), and the cache (the
+  /// batch's one core::ToolchainCache, shared by every unit).
   core::ToolchainOptions toolchain = defaultEvalToolchainOptions();
-  /// Memoize toolchain stages in one core::ToolchainCache shared by every
-  /// unit of the batch (default true). `false` gives every unit a fresh
-  /// cache of its own, so nothing is shared across units — the built-in
-  /// differential oracle: the report is byte-identical either way
-  /// (`argo_eval --cache off`, CI `cmp`).
-  bool cacheEnabled = true;
   /// On-disk cache directory (`argo_eval --cache-dir` / ARGO_CACHE_DIR):
   /// when non-empty, the batch cache gets a support::DiskCache tier, so
   /// a later batch over the same directory, in this process or a fresh
   /// one, starts warm. It is the one way a cache crosses batches.
   /// Byte-identity is unchanged (the disk-tier differential oracle in
-  /// tests/eval_test.cpp + CI). Ignored when cacheEnabled is false.
+  /// tests/eval_test.cpp + CI).
   std::string cacheDir;
 };
 
@@ -177,18 +169,17 @@ struct EvalReport {
   std::vector<std::string> policies;  ///< Resolved request order.
   std::vector<ScenarioResult> scenarios;  ///< One entry per cell.
   bool allSimSafe = true;
-  /// Stage-cache counters of this batch, set when caching was enabled.
-  /// Rendered only under includeTimings, as the cache.* and
-  /// disk.* keys of the `metrics` block: the hit/wait split is
-  /// thread-timing-dependent, so it must stay out of the canonical
-  /// report.
-  std::optional<core::ToolchainCacheStats> cacheStats;
+  /// Counters of the batch's stage cache. Rendered only under
+  /// includeTimings, as the cache.* and disk.* keys of the `metrics`
+  /// block: the hit/wait split is thread-timing-dependent, so it must
+  /// stay out of the canonical report.
+  core::ToolchainCacheStats cacheStats;
 
   /// Renders the machine-readable report: one JSON document
   /// ({"bench":..., "rows":[...], "summary":...}), one row per (cell,
   /// policy) unit plus per-policy aggregates. Deterministic: fixed field
   /// order and fixed float formatting; byte-identical across thread
-  /// counts and cache settings.
+  /// counts and disk-tier states.
   /// Wall-clock fields and the `metrics` block appear only when
   /// `includeTimings` (they vary run to run).
   [[nodiscard]] std::string toJson(bool includeTimings = false) const;

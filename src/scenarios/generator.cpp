@@ -15,6 +15,14 @@ namespace {
 
 using support::ToolchainError;
 
+/// Maximum upstream values one layered-DAG node reads. The first input
+/// always comes from the previous layer (keeps the depth real); the rest
+/// are drawn from all earlier layers (TGFF-style shortcuts).
+constexpr int kMaxFanIn = 3;
+/// Arithmetic operations per element at workFactor 1 and ccr 1: the
+/// baseline the ccr and wcetSpread knobs scale.
+constexpr int kBaseOpsPerElement = 4;
+
 /// One upstream value a node may read: a declared array or scalar.
 struct Upstream {
   std::string name;
@@ -30,14 +38,12 @@ void checkRange(bool ok, const char* what) {
 void checkOptions(const GeneratorOptions& o) {
   checkRange(o.minLayers >= 1 && o.maxLayers >= o.minLayers, "layer range");
   checkRange(o.minWidth >= 1 && o.maxWidth >= o.minWidth, "width range");
-  checkRange(o.maxFanIn >= 1, "maxFanIn");
   checkRange(o.minArrayLen >= 1 && o.maxArrayLen >= o.minArrayLen,
              "array length range");
   checkRange(o.ccr > 0.0, "ccr (must be > 0)");
   checkRange(o.wcetSpread >= 1.0, "wcetSpread (must be >= 1)");
   checkRange(o.accumulatorFraction >= 0.0 && o.accumulatorFraction <= 1.0,
              "accumulatorFraction (must be in [0, 1])");
-  checkRange(o.baseOpsPerElement >= 1, "baseOpsPerElement");
   checkRange(o.stencilRadius >= 0, "stencilRadius (must be >= 0)");
 }
 
@@ -143,7 +149,7 @@ void generateStencilChain(const GeneratorOptions& options, Scenario& scenario,
       const double workFactor = std::exp(rng.uniformDouble() * logSpread);
       const int targetOps = std::max(
           1, static_cast<int>(std::lround(
-                 workFactor * options.baseOpsPerElement / options.ccr)));
+                 workFactor * kBaseOpsPerElement / options.ccr)));
       // snprintf instead of string concatenation: GCC 12's optimizer
       // trips a -Wrestrict false positive (PR105329) on the + chain here.
       char buf[48];
@@ -285,7 +291,7 @@ Scenario generateScenario(const GeneratorOptions& options, int index) {
                        produced[static_cast<std::size_t>(e)].end());
       }
       const int fanIn = static_cast<int>(rng.uniformInt(
-          1, std::min<std::int64_t>(options.maxFanIn,
+          1, std::min<std::int64_t>(kMaxFanIn,
                                     static_cast<std::int64_t>(earlier.size()))));
       for (int k = 1; k < fanIn; ++k) {
         const Upstream& pick = earlier[static_cast<std::size_t>(rng.uniformInt(
@@ -300,7 +306,7 @@ Scenario generateScenario(const GeneratorOptions& options, int index) {
       const double workFactor = std::exp(rng.uniformDouble() * logSpread);
       const int targetOps = std::max(
           1, static_cast<int>(std::lround(
-                 workFactor * options.baseOpsPerElement / options.ccr)));
+                 workFactor * kBaseOpsPerElement / options.ccr)));
       const std::string loopVar =
           "i" + std::to_string(l) + "_" + std::to_string(j);
       const bool accumulator = rng.chance(options.accumulatorFraction);

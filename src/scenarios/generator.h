@@ -16,7 +16,7 @@
 // Every node is realized as top-level statements the HTG extractor sees
 // directly:
 //  * a *parallel* node — one element-wise for-loop writing its own array
-//    from 1..maxFanIn upstream arrays/scalars through an arithmetic chain
+//    from 1..3 upstream arrays/scalars through an arithmetic chain
 //    (expandable by htg::expand, like the paper's fine-grain tasks), or
 //  * an *accumulator* node — a loop-carried scalar reduction (sequential
 //    by construction; exercises the non-expandable path). Accumulators
@@ -57,7 +57,7 @@ enum class Shape : std::uint8_t {
   /// predecessor array (min/max index clamping at the borders), and a
   /// chain may be terminated by a scalar reduction (accumulatorFraction).
   /// Long dependence chains with wide-but-regular reads — the sweep spot
-  /// the layered DAG does not cover. maxFanIn is unused by this shape.
+  /// the layered DAG does not cover.
   StencilChain,
 };
 
@@ -82,10 +82,6 @@ struct GeneratorOptions {
   /// 1..3). Controls the fan-out available to the scheduler.
   int minWidth = 1;
   int maxWidth = 3;
-  /// Maximum upstream values one node reads (count, default 3). The first
-  /// input always comes from the previous layer (keeps the depth real);
-  /// the rest are drawn from all earlier layers (TGFF-style shortcuts).
-  int maxFanIn = 3;
   /// Array length shared by every array of the scenario (elements, default
   /// 8..48). Also the trip count of every generated loop, and — times 8
   /// bytes — the payload of every array dependence edge.
@@ -94,8 +90,8 @@ struct GeneratorOptions {
   /// Communication-to-computation ratio knob (dimensionless, default 1).
   /// Edge payloads are fixed by the array length, so CCR is steered from
   /// the compute side: every node's arithmetic chain runs
-  /// baseOpsPerElement * workFactor / ccr operations per element. Raising
-  /// ccr makes scenarios communication-bound, lowering it compute-bound.
+  /// 4 * workFactor / ccr operations per element. Raising ccr makes
+  /// scenarios communication-bound, lowering it compute-bound.
   double ccr = 1.0;
   /// WCET spread between the lightest and heaviest node (ratio >= 1,
   /// default 4). Node work factors are drawn log-uniformly from
@@ -106,9 +102,6 @@ struct GeneratorOptions {
   /// 0.25). Accumulators are non-expandable, so they bound the achievable
   /// parallelism the way the paper's sequential regions do.
   double accumulatorFraction = 0.25;
-  /// Arithmetic operations per element at workFactor 1 and ccr 1 (count,
-  /// default 4). The baseline the ccr / wcetSpread knobs scale.
-  int baseOpsPerElement = 4;
   /// Workload shape (default LayeredDag). For StencilChain, `minLayers..
   /// maxLayers` is the stage count per chain and `minWidth..maxWidth` the
   /// number of independent chains.

@@ -1,6 +1,5 @@
 #include "support/graph.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -53,16 +52,14 @@ void TaskGraph::addEdge(NodeId from, NodeId to) {
     throw ToolchainError(
         "support::TaskGraph: edge references an unknown node id");
   }
-  if (from == to) {
-    throw ToolchainError("support::TaskGraph: self-edge on node '" +
-                         nodes_[from].name + "'");
+  if (from >= to) {
+    throw ToolchainError(
+        "support::TaskGraph: edge from node " + std::to_string(from) + " '" +
+        nodes_[from].name + "' to node " + std::to_string(to) + " '" +
+        nodes_[to].name + "' does not point forward (add each node after "
+        "its predecessors)");
   }
-  std::vector<NodeId>& successors = nodes_[from].successors;
-  if (std::find(successors.begin(), successors.end(), to) !=
-      successors.end()) {
-    return;  // duplicate dependences are harmless; keep indegrees exact
-  }
-  successors.push_back(to);
+  nodes_[from].successors.push_back(to);
   nodes_[to].indegree += 1;
 }
 
@@ -73,79 +70,15 @@ const std::string& TaskGraph::nodeName(NodeId id) const {
   return nodes_[id].name;
 }
 
-void TaskGraph::checkAcyclic() const {
-  const std::size_t n = nodes_.size();
-  std::vector<int> pending(n);
-  std::vector<NodeId> stack;
-  std::size_t released = 0;
-  for (NodeId id = 0; id < n; ++id) {
-    pending[id] = nodes_[id].indegree;
-    if (pending[id] == 0) stack.push_back(id);
-  }
-  while (!stack.empty()) {
-    const NodeId id = stack.back();
-    stack.pop_back();
-    ++released;
-    for (NodeId s : nodes_[id].successors) {
-      if (--pending[s] == 0) stack.push_back(s);
-    }
-  }
-  if (released == n) return;
-
-  // Kahn's leftover (pending > 0) is the cycles plus everything only
-  // reachable through them; peel nodes with no remaining successor inside
-  // the leftover so the diagnostic names just the nodes on cyclic paths.
-  std::vector<char> offending(n, 0);
-  std::vector<int> liveSuccessors(n, 0);
-  for (NodeId id = 0; id < n; ++id) offending[id] = pending[id] > 0;
-  for (NodeId id = 0; id < n; ++id) {
-    if (!offending[id]) continue;
-    for (NodeId s : nodes_[id].successors) {
-      if (offending[s]) liveSuccessors[id] += 1;
-    }
-  }
-  stack.clear();
-  for (NodeId id = 0; id < n; ++id) {
-    if (offending[id] && liveSuccessors[id] == 0) stack.push_back(id);
-  }
-  while (!stack.empty()) {
-    const NodeId id = stack.back();
-    stack.pop_back();
-    offending[id] = 0;
-    for (NodeId p = 0; p < n; ++p) {
-      if (!offending[p]) continue;
-      const std::vector<NodeId>& successors = nodes_[p].successors;
-      if (std::find(successors.begin(), successors.end(), id) !=
-              successors.end() &&
-          --liveSuccessors[p] == 0) {
-        stack.push_back(p);
-      }
-    }
-  }
-
-  std::string message =
-      "support::TaskGraph::run: dependency cycle among nodes:";
-  bool first = true;
-  for (NodeId id = 0; id < n; ++id) {
-    if (!offending[id]) continue;
-    message += first ? " '" : ", '";
-    message += nodes_[id].name;
-    message += '\'';
-    first = false;
-  }
-  throw ToolchainError(message);
-}
-
 void TaskGraph::run(int threads) {
   if (nodes_.empty()) return;
-  checkAcyclic();
   const std::size_t n = nodes_.size();
 
   struct RunState {
     std::mutex mutex;
     std::condition_variable wake;
-    // Lowest ready id first: a team of one runs the nodes in a fixed
-    // topological order, so single-threaded runs are exactly reproducible.
+    // Lowest ready id first: a team of one runs the nodes in id order,
+    // so single-threaded runs are exactly reproducible.
     // Larger teams may finish nodes in any order; slot discipline makes
     // the outcome the same.
     std::priority_queue<NodeId, std::vector<NodeId>, std::greater<NodeId>>
@@ -232,8 +165,8 @@ void TaskGraph::run(int threads) {
   detail::runTeam(effectiveParallelism(threads, n), "support::TaskGraph::run",
                   drain);
 
-  // Execution order is not id order (an edge may point from a high id to
-  // a low one), so the lowest failing id is found after the run.
+  // A team of several may finish nodes out of id order, so the lowest
+  // failing id is found after the run.
   for (NodeId id = 0; id < n; ++id) {
     if (errors[id]) std::rethrow_exception(errors[id]);
   }

@@ -27,9 +27,9 @@
 //    parallelFor's lowest-failing-index rule. Which nodes run, which are
 //    skipped, and which exception surfaces are all independent of the
 //    thread count and the interleaving.
-//  * Cycle rejection. run() validates the graph before executing anything
-//    and throws ToolchainError naming the nodes involved in cyclic
-//    dependences (in node-id order).
+//  * Edges point forward. addEdge(from, to) requires from < to, so every
+//    graph is acyclic by construction and node-id order is a topological
+//    order; callers add each node after its predecessors.
 //  * No nested pools. run() with a resolved parallelism > 1 from inside a
 //    parallelFor task or another TaskGraph node throws, exactly like
 //    parallelFor; a resolved parallelism of 1 drains the graph on the
@@ -44,7 +44,7 @@
 // each; a team of one is the calling thread alone). Finishing a node
 // atomically decrements each successor's pending count and enqueues those
 // that hit zero. The queue pops the lowest ready id first, so a
-// one-thread run executes in node-id topological order.
+// one-thread run executes in node-id order.
 #pragma once
 
 #include <cstddef>
@@ -60,13 +60,14 @@ class TaskGraph {
 
   /// Adds a node and returns its id; ids are consecutive from 0 in
   /// insertion order (the ladder order of the determinism contract).
-  /// `name` appears in diagnostics (cycle reports); it need not be unique.
+  /// `name` appears in diagnostics (edge errors); it need not be unique.
   /// Throws ToolchainError when `fn` is empty.
   NodeId addNode(std::string name, std::function<void()> fn);
 
-  /// Declares that `from` must complete before `to` starts. Duplicate
-  /// edges are deduplicated; self-edges and unknown ids throw
-  /// ToolchainError.
+  /// Declares that `from` must complete before `to` starts. Throws
+  /// ToolchainError on an unknown id, and unless `from < to` (naming both
+  /// nodes): edges point forward, so no graph can hold a cycle. A
+  /// duplicate edge is counted and released twice, which stays exact.
   void addEdge(NodeId from, NodeId to);
 
   [[nodiscard]] std::size_t nodeCount() const noexcept {
@@ -79,8 +80,8 @@ class TaskGraph {
   /// follows the effectiveParallelism() convention (0 = hardware threads,
   /// 1 = the calling thread alone, clamped to the node count). May be
   /// called repeatedly — per-run state is rebuilt each time. Throws
-  /// ToolchainError on a cyclic graph or a nested pooled run; otherwise
-  /// rethrows the lowest failing node id's exception after the run drains.
+  /// ToolchainError on a nested pooled run; otherwise rethrows the lowest
+  /// failing node id's exception after the run drains.
   void run(int threads);
 
  private:
@@ -90,9 +91,6 @@ class TaskGraph {
     std::vector<NodeId> successors;
     int indegree = 0;
   };
-
-  /// Throws the pinned cycle diagnostic unless the graph is a DAG.
-  void checkAcyclic() const;
 
   std::vector<Node> nodes_;
 };

@@ -140,14 +140,6 @@ class StageCache {
     return map_.size();
   }
 
-  /// Drops every slot. Values stay alive through the shared_ptrs already
-  /// handed out; an in-flight computation completes into its (now
-  /// unreachable) entry and its waiters still receive it.
-  void clear() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    map_.clear();
-  }
-
   [[nodiscard]] StageCacheStats stats() const noexcept {
     StageCacheStats s;
     s.hits = hits_.load(std::memory_order_relaxed);

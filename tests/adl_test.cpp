@@ -364,5 +364,55 @@ TEST(AdlParser, RejectsUnknownAndDuplicateKeys) {
             "ADL line 3: duplicate key 'slot'");
 }
 
+// ---- Checks after the line loop name the line they concern ----
+
+TEST(AdlParser, TileIndexOutOfRangeNamesItsLine) {
+  EXPECT_EQ(adlError(with(kBusAdl, "tile 0 c\ntile 1 c\n", "tile 5 c\n")),
+            "ADL line 5: tile index 5 out of range (tiles must be 0..0)");
+}
+
+TEST(AdlParser, DuplicateTileNamesItsLine) {
+  EXPECT_EQ(adlError(with(kBusAdl, "tile 1 c", "tile 0 c")),
+            "ADL line 6: duplicate tile 0");
+}
+
+TEST(AdlParser, UnknownCoreNamesItsTileLine) {
+  EXPECT_EQ(adlError(with(kBusAdl, "tile 1 c", "tile 1 d")),
+            "ADL line 6: tile 1 references unknown core 'd'");
+}
+
+TEST(AdlParser, MoreTilesThanMeshPositionsNamesTheInterconnectLine) {
+  EXPECT_EQ(adlError(kNocAdl + "tile 2 c\ntile 3 c\ntile 4 c\n"),
+            "ADL line 3: 5 tiles do not fit the 2x2 mesh (4 positions)");
+}
+
+// ---- A directive that describes the whole platform appears once ----
+
+TEST(AdlParser, RejectsRepeatedPlatform) {
+  EXPECT_EQ(adlError(kBusAdl + "platform q\n"),
+            "ADL line 7: repeated 'platform'");
+}
+
+TEST(AdlParser, RejectsRepeatedSharedMemory) {
+  EXPECT_EQ(adlError(kBusAdl + "shared_memory 2048\n"),
+            "ADL line 7: repeated 'shared_memory'");
+}
+
+TEST(AdlParser, RejectsRedefinedCore) {
+  EXPECT_EQ(adlError(kBusAdl +
+                     "core c int_alu 2 int_mul 2 int_div 2 float_add 2 "
+                     "float_mul 2 float_div 2 math_func 2 compare 2 select 2 "
+                     "branch 2 loop_step 2 local_access 2 spm_access 2 "
+                     "spm_bytes 128\n"),
+            "ADL line 7: repeated core 'c'");
+}
+
+TEST(AdlParser, RejectsSecondInterconnect) {
+  EXPECT_EQ(adlError(kBusAdl +
+                     "interconnect noc 2 2 router 3 link 1 flit_bytes 4 "
+                     "mem_access 16 mem_tile 0\n"),
+            "ADL line 7: repeated 'interconnect'");
+}
+
 }  // namespace
 }  // namespace argo::adl

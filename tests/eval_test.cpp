@@ -1,25 +1,31 @@
 // Batch-evaluator suite: thread-count determinism of the argo_eval
-// report, the cache differentials ({cache on, off} x threads {1, 3, 8},
-// in modulo and cross mode, must reproduce a sequential --cache off run
-// byte for byte), the cross-product sweep mode, the policy-matrix smoke
-// check (every registered policy schedules every generated scenario, no
-// unexpected fallbacks), the JSON shape, and the shape of the batch graph
-// (one node per unit after its cell's prefix; a unit's eval span closes
-// before its simulator span opens).
+// report, the fresh-cache differentials (the batch at threads {1, 3, 8},
+// in modulo and cross mode, must reproduce every unit run alone on a
+// fresh cache, field for field), the disk-tier differentials, the
+// cross-product sweep mode, the policy-matrix smoke check (every
+// registered policy schedules every generated scenario, no unexpected
+// fallbacks), the JSON shape, and the shape of the batch graph (one node
+// per unit after its cell's prefix; a unit's eval span closes before its
+// simulator span opens).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/toolchain.h"
+#include "ir/evaluator.h"
 #include "sched/bnb.h"
 #include "sched/policy.h"
 #include "scenarios/eval.h"
+#include "sim/simulator.h"
 #include "support/diagnostics.h"
 #include "support/metrics.h"
+#include "support/rng.h"
 #include "support/trace.h"
 
 namespace argo {
@@ -66,42 +72,127 @@ TEST(EvalDeterminism, ReportIsByteIdenticalAcrossThreadCounts) {
   }
 }
 
-/// Every {cache on, off} x threads {1, 3, 8} run of `reference` must
-/// render the report of its sequential --cache off run byte for byte.
-void expectMatchesUncachedSequential(scenarios::EvalOptions reference) {
-  reference.cacheEnabled = false;
-  reference.threads = 1;
-  const std::string oracle = scenarios::runEval(reference).toJson();
-  for (const bool cacheEnabled : {false, true}) {
-    for (const int threads : {1, 3, 8}) {
-      scenarios::EvalOptions options = reference;
-      options.cacheEnabled = cacheEnabled;
-      options.threads = threads;
-      EXPECT_EQ(scenarios::runEval(options).toJson(), oracle)
-          << "cache=" << cacheEnabled << " threads=" << threads;
+/// The fresh-cache oracle: every (cell, policy) unit of `options`, in
+/// the batch's unit order (cells as runEval lays them out, policies
+/// innermost), run alone through its own core::Toolchain::run with no
+/// cache attached, then probed the way runEval probes a unit: the same
+/// per-trial input seeds, the worst simulated makespan, and whether every
+/// trial stayed within the bound. wallMs stays 0.
+std::vector<scenarios::PolicyOutcome> runUnitsAlone(
+    const scenarios::EvalOptions& options) {
+  const std::vector<scenarios::PlatformCase> sweep =
+      scenarios::buildPlatformSweep(options.sweep);
+  const std::vector<std::string> policies =
+      options.policies.empty() ? sched::registeredPolicyNames()
+                               : options.policies;
+  std::vector<scenarios::PolicyOutcome> outcomes;
+  for (int s = 0; s < options.scenarioCount; ++s) {
+    const scenarios::Scenario scenario =
+        scenarios::generateScenario(options.generator, s);
+    std::vector<std::size_t> cases;
+    if (options.sweepMode == scenarios::SweepMode::Modulo) {
+      cases.push_back(scenarios::moduloSweepCase(
+          static_cast<std::size_t>(s), sweep.size()));
+    } else {
+      for (std::size_t c = 0; c < sweep.size(); ++c) cases.push_back(c);
     }
+    for (const std::size_t c : cases) {
+      const adl::Platform& platform = sweep[c].platform;
+      for (const std::string& policy : policies) {
+        core::ToolchainOptions toolchainOptions = options.toolchain;
+        toolchainOptions.sched.policy = policy;
+        toolchainOptions.sched.interferenceAware =
+            policy != "contention_oblivious";
+        toolchainOptions.explorationThreads = 1;
+        toolchainOptions.sched.parallelThreads = 1;
+        const core::ToolchainResult result =
+            core::Toolchain(platform, toolchainOptions).run(scenario.model);
+
+        scenarios::PolicyOutcome outcome;
+        outcome.policy = policy;
+        outcome.scheduleLabel = result.schedule.policy;
+        outcome.tasks = static_cast<int>(result.graph->tasks.size());
+        outcome.tilesUsed = result.schedule.tilesUsed;
+        outcome.chosenChunks = result.chosenChunks;
+        outcome.sequentialWcet = result.sequentialWcet;
+        outcome.bound = result.system.makespan;
+        const sim::Simulator simulator(result.program, platform);
+        ir::Environment base = ir::makeZeroEnvironment(*result.fn);
+        for (const auto& [name, value] : result.constants) base[name] = value;
+        for (int trial = 0; trial < options.simTrials; ++trial) {
+          ir::Environment env = base;
+          support::Rng rng(scenario.seed + static_cast<std::uint64_t>(trial));
+          for (const ir::VarDecl& decl : result.fn->decls()) {
+            if (decl.role != ir::VarRole::Input) continue;
+            ir::Value& value = env[decl.name];
+            for (std::int64_t i = 0; i < value.size(); ++i) {
+              value.setFloat(i, rng.uniformDouble() * 2.0 - 1.0);
+            }
+          }
+          const adl::Cycles makespan = simulator.step(env).makespan;
+          if (makespan > outcome.observed) outcome.observed = makespan;
+          outcome.simSafe = outcome.simSafe && makespan <= outcome.bound;
+        }
+        outcomes.push_back(std::move(outcome));
+      }
+    }
+  }
+  return outcomes;
+}
+
+/// Every PolicyOutcome field except wallMs, on one line.
+std::string describe(const scenarios::PolicyOutcome& o) {
+  std::ostringstream os;
+  os << o.policy << " schedule=" << o.scheduleLabel << " tasks=" << o.tasks
+     << " tiles=" << o.tilesUsed << " chunks=" << o.chosenChunks
+     << " seq=" << o.sequentialWcet << " bound=" << o.bound
+     << " observed=" << o.observed << " safe=" << o.simSafe;
+  return os.str();
+}
+
+/// The batch of `options` at threads 1, 3 and 8 must reproduce
+/// runUnitsAlone unit for unit, and render one report byte for byte.
+void expectMatchesUnitsRunAlone(scenarios::EvalOptions options) {
+  const std::vector<scenarios::PolicyOutcome> oracle = runUnitsAlone(options);
+  std::string firstJson;
+  for (const int threads : {1, 3, 8}) {
+    options.threads = threads;
+    const scenarios::EvalReport report = scenarios::runEval(options);
+    std::size_t unit = 0;
+    for (const scenarios::ScenarioResult& row : report.scenarios) {
+      for (const scenarios::PolicyOutcome& outcome : row.outcomes) {
+        ASSERT_LT(unit, oracle.size()) << "threads=" << threads;
+        EXPECT_EQ(describe(outcome), describe(oracle[unit]))
+            << row.scenario << " on " << row.platformCase
+            << " threads=" << threads;
+        ++unit;
+      }
+    }
+    EXPECT_EQ(unit, oracle.size()) << "threads=" << threads;
+    const std::string json = report.toJson();
+    if (firstJson.empty()) firstJson = json;
+    EXPECT_EQ(json, firstJson) << "threads=" << threads;
   }
 }
 
 TEST(EvalCacheDifferential, CacheOffMatchesCachedDefaultByteForByte) {
-  // The cache differential in modulo mode, on a slice wide enough to
-  // cross every platform case several times and hit both fallback paths:
-  // a sequential uncached run (every unit on a fresh cache of its own) is
-  // the oracle. Hits must return bit-identical values, and the graph must
-  // assemble the same report whatever the thread count.
+  // The fresh-cache differential in modulo mode, on a slice wide enough
+  // to cross every platform case several times and hit both fallback
+  // paths: every unit run alone, with nothing shared, is the oracle. A
+  // hit on the batch's shared cache must return the value a fresh
+  // computation would, whatever the thread count.
   scenarios::EvalOptions options = smallBatch();
   options.scenarioCount = 25;
-  expectMatchesUncachedSequential(options);
+  expectMatchesUnitsRunAlone(options);
 }
 
 TEST(EvalCacheDifferential, CrossModeMatchesAcrossExecutorsAndCache) {
-  // The same differential matrix — the graph executor on 1, 3 and 8
-  // threads, cache on and off — on the full cross product, where cells
-  // sharing a scenario also share the stage prefix through the cache.
+  // The same differential on the full cross product, where cells sharing
+  // a scenario also share the stage prefix through the cache.
   scenarios::EvalOptions options = smallBatch();
   options.scenarioCount = 4;
   options.sweepMode = scenarios::SweepMode::Cross;
-  expectMatchesUncachedSequential(options);
+  expectMatchesUnitsRunAlone(options);
 }
 
 TEST(EvalCacheDifferential, SharedCacheRerunIsByteIdenticalAndAllHits) {
@@ -116,63 +207,57 @@ TEST(EvalCacheDifferential, SharedCacheRerunIsByteIdenticalAndAllHits) {
   const scenarios::EvalReport first = scenarios::runEval(options);
   const scenarios::EvalReport second = scenarios::runEval(options);
   EXPECT_EQ(first.toJson(), second.toJson());
-  ASSERT_TRUE(second.cacheStats.has_value());
-  ASSERT_TRUE(second.cacheStats->disk.has_value());
-  EXPECT_GT(second.cacheStats->disk->hits, 0u);
-  EXPECT_EQ(second.cacheStats->disk->misses, 0u);
-  EXPECT_EQ(second.cacheStats->disk->stores, 0u);
+  ASSERT_TRUE(second.cacheStats.disk.has_value());
+  EXPECT_GT(second.cacheStats.disk->hits, 0u);
+  EXPECT_EQ(second.cacheStats.disk->misses, 0u);
+  EXPECT_EQ(second.cacheStats.disk->stores, 0u);
 }
 
 TEST(EvalDiskCacheDifferential, DiskWarmRerunMatchesCacheOffByteForByte) {
   // The cross-process disk-tier oracle, in-process: every runEval call
-  // with a fresh (default) cache over the same --cache-dir models a
-  // fresh process — only the directory is shared. Cold populate, then
-  // warm reruns across thread counts, all compared byte for byte against
-  // an uncached reference.
+  // with a fresh batch cache over the same --cache-dir models a fresh
+  // process — only the directory is shared. Cold populate, then warm
+  // reruns across thread counts, all compared byte for byte against a
+  // sequential in-memory batch (no disk tier).
   scenarios::EvalOptions reference = smallBatch();
   reference.scenarioCount = 3;
   reference.sweepMode = scenarios::SweepMode::Cross;
-  reference.cacheEnabled = false;
   reference.threads = 1;
   const std::string oracle = scenarios::runEval(reference).toJson();
 
   TempCacheDir dir("diskwarm");
   scenarios::EvalOptions cold = reference;
-  cold.cacheEnabled = true;
   cold.cacheDir = dir.path;
   cold.threads = 8;
   const scenarios::EvalReport coldReport = scenarios::runEval(cold);
   EXPECT_EQ(coldReport.toJson(), oracle);
-  ASSERT_TRUE(coldReport.cacheStats.has_value());
-  ASSERT_TRUE(coldReport.cacheStats->disk.has_value());
-  EXPECT_GT(coldReport.cacheStats->disk->stores, 0u);
-  EXPECT_EQ(coldReport.cacheStats->disk->rejects, 0u);
+  ASSERT_TRUE(coldReport.cacheStats.disk.has_value());
+  EXPECT_GT(coldReport.cacheStats.disk->stores, 0u);
+  EXPECT_EQ(coldReport.cacheStats.disk->rejects, 0u);
 
   for (const int threads : {1, 8}) {
     scenarios::EvalOptions warm = cold;
     warm.threads = threads;
     const scenarios::EvalReport report = scenarios::runEval(warm);
     EXPECT_EQ(report.toJson(), oracle) << "warm threads=" << threads;
-    ASSERT_TRUE(report.cacheStats->disk.has_value());
-    EXPECT_GT(report.cacheStats->disk->hits, 0u);
-    EXPECT_EQ(report.cacheStats->disk->rejects, 0u);
+    ASSERT_TRUE(report.cacheStats.disk.has_value());
+    EXPECT_GT(report.cacheStats.disk->hits, 0u);
+    EXPECT_EQ(report.cacheStats.disk->rejects, 0u);
   }
 }
 
 TEST(EvalDiskCacheDifferential, ConcurrentWritersSharingOneDirectoryAgree) {
   // Two cold batches racing into ONE cache directory (the two-evals-one-
   // dir scenario of support/disk_cache.h): rename publication means both
-  // must still render the uncached reference byte for byte, with zero
+  // must still render the in-memory reference byte for byte, with zero
   // rejects — a torn record would show up as either.
   scenarios::EvalOptions reference = smallBatch();
   reference.scenarioCount = 4;
-  reference.cacheEnabled = false;
   reference.threads = 1;
   const std::string oracle = scenarios::runEval(reference).toJson();
 
   TempCacheDir dir("diskrace");
   scenarios::EvalOptions racing = reference;
-  racing.cacheEnabled = true;
   racing.cacheDir = dir.path;
   racing.threads = 4;
 
@@ -183,10 +268,10 @@ TEST(EvalDiskCacheDifferential, ConcurrentWritersSharingOneDirectoryAgree) {
   tb.join();
   EXPECT_EQ(reportA.toJson(), oracle);
   EXPECT_EQ(reportB.toJson(), oracle);
-  ASSERT_TRUE(reportA.cacheStats->disk.has_value());
-  ASSERT_TRUE(reportB.cacheStats->disk.has_value());
-  EXPECT_EQ(reportA.cacheStats->disk->rejects, 0u);
-  EXPECT_EQ(reportB.cacheStats->disk->rejects, 0u);
+  ASSERT_TRUE(reportA.cacheStats.disk.has_value());
+  ASSERT_TRUE(reportB.cacheStats.disk.has_value());
+  EXPECT_EQ(reportA.cacheStats.disk->rejects, 0u);
+  EXPECT_EQ(reportB.cacheStats.disk->rejects, 0u);
 }
 
 TEST(EvalCrossMode, FullMatrixScenarioMajorAndModuloDefault) {
@@ -233,10 +318,11 @@ TEST(EvalCacheStats, RenderedOnlyWithTimingsAndWhenEnabled) {
   options.scenarioCount = 2;
   options.policies = {"heft"};
   const scenarios::EvalReport cached = scenarios::runEval(options);
-  ASSERT_TRUE(cached.cacheStats.has_value());
-  // The counters exist but stay out of the canonical report: the
-  // hit/wait split depends on thread timing. Under --timings they are
-  // keys of the `metrics` block, the report's one stats block.
+  // The counters of the batch cache always exist but stay out of the
+  // canonical report: the hit/wait split depends on thread timing. Under
+  // --timings they are keys of the `metrics` block, the report's one
+  // stats block.
+  EXPECT_GT(cached.cacheStats.transforms.hits, 0u);
   const std::string canonical = cached.toJson(false);
   const std::string timed = cached.toJson(true);
   EXPECT_EQ(canonical.find("\"metrics\":"), std::string::npos);
@@ -249,13 +335,8 @@ TEST(EvalCacheStats, RenderedOnlyWithTimingsAndWhenEnabled) {
     EXPECT_NE(timed.find(key), std::string::npos) << key;
   }
   // No disk tier attached, so no disk.* keys.
+  EXPECT_FALSE(cached.cacheStats.disk.has_value());
   EXPECT_EQ(timed.find("\"disk.hits\":"), std::string::npos);
-
-  options.cacheEnabled = false;
-  const scenarios::EvalReport uncached = scenarios::runEval(options);
-  EXPECT_FALSE(uncached.cacheStats.has_value());
-  EXPECT_EQ(uncached.toJson(true).find("\"cache.transforms.hits\":"),
-            std::string::npos);
 }
 
 TEST(EvalPolicyMatrix, EveryRegisteredPolicySchedulesEveryScenario) {
@@ -389,8 +470,8 @@ TEST(EvalSimTrials, ZeroSkipsTheSimulatorCheck) {
 }
 
 TEST(EvalTaskGraph, OneNodePerUnitAfterItsCellPrefix) {
-  // S scenario nodes, then per cell one prefix node (batch cache only)
-  // and one node per policy that runs the tool-chain and the simulator.
+  // S scenario nodes, then per cell one prefix node and one node per
+  // policy that runs the tool-chain and the simulator.
   scenarios::EvalOptions options = smallBatch();
   options.scenarioCount = 2;
   options.sweepMode = scenarios::SweepMode::Cross;
@@ -398,18 +479,14 @@ TEST(EvalTaskGraph, OneNodePerUnitAfterItsCellPrefix) {
   options.policies = {"heft", "contention_oblivious"};
   const support::MetricCounter& nodesRun =
       support::MetricsRegistry::global().counter("graph.nodes_run");
-  for (const bool cacheEnabled : {true, false}) {
-    options.cacheEnabled = cacheEnabled;
-    const std::uint64_t before = nodesRun.value();
-    const scenarios::EvalReport report = scenarios::runEval(options);
-    const std::uint64_t scenarioNodes = report.scenarioCount;
-    const std::uint64_t cells = report.scenarios.size();
-    const std::uint64_t policies = report.policies.size();
-    ASSERT_EQ(cells, 2u * report.platformCases);
-    const std::uint64_t perCell = policies + (cacheEnabled ? 1 : 0);
-    EXPECT_EQ(nodesRun.value() - before, scenarioNodes + cells * perCell)
-        << "cache=" << cacheEnabled;
-  }
+  const std::uint64_t before = nodesRun.value();
+  const scenarios::EvalReport report = scenarios::runEval(options);
+  const std::uint64_t scenarioNodes = report.scenarioCount;
+  const std::uint64_t cells = report.scenarios.size();
+  const std::uint64_t policies = report.policies.size();
+  ASSERT_EQ(cells, 2u * report.platformCases);
+  EXPECT_EQ(nodesRun.value() - before,
+            scenarioNodes + cells * (policies + 1));
 }
 
 TEST(EvalTrace, UnitSpanClosesBeforeItsSimulatorSpan) {

@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "adl/parser.h"
 #include "apps/egpws.h"
 #include "apps/polka.h"
 #include "apps/weaa.h"
@@ -201,6 +205,33 @@ TEST(Toolchain, ReportContainsKeyFacts) {
   EXPECT_NE(report.find("parallel WCET bound"), std::string::npos);
   EXPECT_NE(report.find("feedback points"), std::string::npos);
   EXPECT_NE(report.find("<== chosen"), std::string::npos);
+}
+
+TEST(Toolchain, OnlyTheFirstPointAtTheMinimumIsMarkedChosen) {
+  // Every cycle cost 0: all four feedback points tie at bound 0. The
+  // reduction keeps the first minimum, the sequential mapping, so the
+  // report marks that row and no other.
+  const adl::Platform platform = adl::parseAdl(
+      "platform free\n"
+      "shared_memory 1048576\n"
+      "interconnect bus round_robin base_access 0 slot 0 word_bytes 4\n"
+      "core z int_alu 0 int_mul 0 int_div 0 float_add 0 float_mul 0 "
+      "float_div 0 math_func 0 compare 0 select 0 branch 0 loop_step 0 "
+      "local_access 0 spm_access 0 spm_bytes 4096\n"
+      "tile 0 z\n"
+      "tile 1 z\n");
+  const ToolchainResult result =
+      Toolchain(platform, ToolchainOptions{}).run(buildApp(App::Egpws));
+  ASSERT_EQ(result.feedback.size(), 4u);
+  for (const FeedbackPoint& p : result.feedback) EXPECT_EQ(p.systemWcet, 0);
+  std::vector<std::string> marked;
+  std::istringstream lines(result.reportText(false));
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("<== chosen") != std::string::npos) marked.push_back(line);
+  }
+  ASSERT_EQ(marked.size(), 1u) << result.reportText(false);
+  EXPECT_NE(marked.front().find("(sequential mapping)"), std::string::npos)
+      << marked.front();
 }
 
 TEST(Toolchain, StageTimingsRecorded) {

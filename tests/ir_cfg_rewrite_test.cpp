@@ -134,44 +134,5 @@ TEST(Rewrite, RenameLeavesOthersAlone) {
   EXPECT_EQ(toString(*s), "y = x;\n");
 }
 
-TEST(Rewrite, SubstituteScalarEverywhere) {
-  StmtPtr s = assign(ref("a", exprVec(add(var("i"), lit(1)))),
-                     mul(var("i"), var("i")));
-  const IntLit three(3);
-  substituteVar(*s, "i", three);
-  EXPECT_EQ(toString(*s), "a[(3 + 1)] = (3 * 3);\n");
-}
-
-TEST(Rewrite, SubstituteRespectsShadowing) {
-  // Substituting i must not touch a nested loop that redefines i.
-  auto inner = block();
-  inner->append(assign(ref("a", exprVec(var("i"))), var("i")));
-  auto outer = block();
-  outer->append(forLoop("i", 0, 2, std::move(inner)));
-  outer->append(assign(ref("y"), var("i")));
-  StmtPtr wrapper = std::make_unique<Block>(std::move(outer->stmts()));
-  const IntLit seven(7);
-  substituteVar(*wrapper, "i", seven);
-  const std::string text = toString(*wrapper);
-  EXPECT_NE(text.find("a[i] = i;"), std::string::npos);  // untouched
-  EXPECT_NE(text.find("y = 7;"), std::string::npos);     // substituted
-}
-
-TEST(Rewrite, SubstituteInIfCondition) {
-  auto thenB = block();
-  thenB->append(assign(ref("y"), lit(1)));
-  StmtPtr s = ifStmt(lt(var("i"), lit(4)), std::move(thenB));
-  const IntLit two(2);
-  substituteVar(*s, "i", two);
-  EXPECT_NE(toString(*s).find("if ((2 < 4))"), std::string::npos);
-}
-
-TEST(Rewrite, SubstituteWholeExpression) {
-  ExprPtr e = add(var("i"), mul(var("i"), lit(2)));
-  const ExprPtr replacement = add(var("base"), lit(5));
-  e = substituteVar(std::move(e), "i", *replacement);
-  EXPECT_EQ(toString(*e), "((base + 5) + ((base + 5) * 2))");
-}
-
 }  // namespace
 }  // namespace argo::ir

@@ -88,18 +88,6 @@ TEST(StageCache, FailedComputeIsRetriable) {
   EXPECT_EQ(cache.stats().misses, 2u);
 }
 
-TEST(StageCache, ClearDropsSlotsButNotHandedOutValues) {
-  StageCache<int> cache;
-  const StageKey k = Hasher().str("k").finish();
-  const auto value = cache.getOrCompute(k, [] { return 7; });
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(*value, 7);  // still alive through our shared_ptr
-  const auto again = cache.getOrCompute(k, [] { return 7; });
-  EXPECT_EQ(cache.stats().misses, 2u);
-  EXPECT_NE(value.get(), again.get());
-}
-
 TEST(StageCacheSingleFlight, OversubscribedMissComputesOnce) {
   // 64 threads race one key on whatever cores the machine has; exactly
   // one may run the compute closure, everyone sees the same slot.

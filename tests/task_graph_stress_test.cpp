@@ -73,20 +73,23 @@ std::unique_ptr<RandomDag> buildWide(std::uint64_t seed, std::size_t n) {
 }
 
 /// Deep: parallel chains with occasional forward cross-links — minimum
-/// ready width, maximum depth (the ready queue is nearly starved).
+/// ready width, maximum depth (the ready queue is nearly starved). Ids are
+/// position-major (position k of chain c is node k * chains + c), so an
+/// edge from an earlier position of any chain points forward.
 std::unique_ptr<RandomDag> buildDeep(std::uint64_t seed, std::size_t chains,
                                      std::size_t length) {
   auto dag = std::make_unique<RandomDag>(chains * length);
   Rng rng(seed);
+  const auto node = [chains](std::size_t chain, std::size_t position) {
+    return position * chains + chain;
+  };
   for (std::size_t c = 0; c < chains; ++c) {
     for (std::size_t k = 1; k < length; ++k) {
-      const TaskGraph::NodeId at = c * length + k;
-      dag->addEdge(at - 1, at);
+      dag->addEdge(node(c, k - 1), node(c, k));
       if (rng.uniformDouble() < 0.1) {
         // Forward cross-link from an earlier node of a random chain.
         const std::size_t victim = pick(rng, chains);
-        const TaskGraph::NodeId from = victim * length + pick(rng, k);
-        if (from != at) dag->addEdge(from, at);
+        dag->addEdge(node(victim, pick(rng, k)), node(c, k));
       }
     }
   }

@@ -1,6 +1,6 @@
 // support::TaskGraph: the dependency-graph job executor. Covers topology
 // semantics (diamond, fan-out/fan-in, disconnected components, single
-// node), cycle detection with the pinned diagnostic, the failure contract
+// node), forward-only edges with the pinned diagnostic, the failure contract
 // (lowest node id wins, downstream skipped, independent nodes still run),
 // the no-nested-pools rule shared with parallelFor, and byte-identity of
 // ladder-order slot assembly across thread counts and repeated runs.
@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "support/diagnostics.h"
@@ -74,13 +76,16 @@ TEST(TaskGraphTopology, FanOutFanInJoinsAllBranches) {
     std::atomic<int> middlesDone{0};
     int atSink = -1;
     const auto root = graph.addNode("root", [] {});
+    std::vector<TaskGraph::NodeId> middles;
+    for (std::size_t m = 0; m < kWidth; ++m) {
+      middles.push_back(graph.addNode("middle/" + std::to_string(m),
+                                      [&] { middlesDone.fetch_add(1); }));
+      graph.addEdge(root, middles.back());
+    }
     const auto sink = graph.addNode("sink", [&] {
       atSink = middlesDone.load();
     });
-    for (std::size_t m = 0; m < kWidth; ++m) {
-      const auto middle = graph.addNode("middle/" + std::to_string(m),
-                                        [&] { middlesDone.fetch_add(1); });
-      graph.addEdge(root, middle);
+    for (const TaskGraph::NodeId middle : middles) {
       graph.addEdge(middle, sink);
     }
     graph.run(threads);
@@ -113,17 +118,19 @@ TEST(TaskGraphTopology, DuplicateEdgesAreDeduplicated) {
     const auto a = graph.addNode("a", [] {});
     const auto b = graph.addNode("b", [&] { ++downstream; });
     graph.addEdge(a, b);
-    graph.addEdge(a, b);  // harmless: indegree must stay 1
+    graph.addEdge(a, b);  // harmless: counted and released three times
     graph.addEdge(a, b);
-    graph.run(threads);  // would deadlock/underflow if indegree were 3
+    graph.run(threads);  // b still becomes ready once, after a
     EXPECT_EQ(downstream, 1) << "threads " << threads;
   }
 }
 
 TEST(TaskGraphTopology, InlineRunUsesLadderTopologicalOrder) {
-  // The threads = 1 path executes the lowest ready node id first — a fixed
-  // reference order that makes sequential runs exactly reproducible. With
-  // the edge 3 -> 1, ids 0..4 run as 0, 2, 3, 1, 4.
+  // The threads = 1 path executes the lowest ready node id first, and
+  // every edge points forward, so a one-thread run executes in id order —
+  // a fixed reference order that makes sequential runs exactly
+  // reproducible. With the edges 0 -> 4 and 1 -> 2, a first-in-first-out
+  // queue over the sources {0, 1, 3} would run 0, 1, 3, 4, 2 instead.
   TaskGraph graph;
   std::vector<TaskGraph::NodeId> order;
   for (TaskGraph::NodeId id = 0; id < 5; ++id) {
@@ -131,35 +138,39 @@ TEST(TaskGraphTopology, InlineRunUsesLadderTopologicalOrder) {
       order.push_back(id);
     });
   }
-  graph.addEdge(3, 1);
+  graph.addEdge(0, 4);
+  graph.addEdge(1, 2);
   graph.run(1);
-  EXPECT_EQ(order, (std::vector<TaskGraph::NodeId>{0, 2, 3, 1, 4}));
+  EXPECT_EQ(order, (std::vector<TaskGraph::NodeId>{0, 1, 2, 3, 4}));
 }
 
 TEST(TaskGraphValidation, CycleDiagnosticNamesTheOffendingNodes) {
-  // b -> c -> d -> b is the cycle; 'a' is clean and 'e' hangs off the
-  // cycle (unrunnable, but not itself cyclic) — the diagnostic must name
-  // exactly the cycle members, in node-id order.
+  // b -> c -> d is a chain; the edge d -> b would close the cycle
+  // b -> c -> d -> b. Edges must point forward (from a lower id to a
+  // higher one), so addEdge rejects it on the spot, naming both nodes, and
+  // the graph is left as it was: a run still executes every node once.
   TaskGraph graph;
-  const auto a = graph.addNode("a", [] {});
-  const auto b = graph.addNode("b", [] {});
-  const auto c = graph.addNode("c", [] {});
-  const auto d = graph.addNode("d", [] {});
-  const auto e = graph.addNode("e", [] {});
+  int executed = 0;
+  const auto a = graph.addNode("a", [&] { ++executed; });
+  const auto b = graph.addNode("b", [&] { ++executed; });
+  const auto c = graph.addNode("c", [&] { ++executed; });
+  const auto d = graph.addNode("d", [&] { ++executed; });
   graph.addEdge(a, b);
   graph.addEdge(b, c);
   graph.addEdge(c, d);
-  graph.addEdge(d, b);
-  graph.addEdge(c, e);
+  try {
+    graph.addEdge(d, b);
+    FAIL() << "expected ToolchainError";
+  } catch (const ToolchainError& error) {
+    EXPECT_STREQ(error.what(),
+                 "support::TaskGraph: edge from node 3 'd' to node 1 'b' "
+                 "does not point forward (add each node after its "
+                 "predecessors)");
+  }
   for (int threads : {1, 4}) {
-    try {
-      graph.run(threads);
-      FAIL() << "expected ToolchainError";
-    } catch (const ToolchainError& error) {
-      EXPECT_STREQ(error.what(),
-                   "support::TaskGraph::run: dependency cycle among nodes: "
-                   "'b', 'c', 'd'");
-    }
+    executed = 0;
+    graph.run(threads);
+    EXPECT_EQ(executed, 4) << "threads " << threads;
   }
 }
 
@@ -199,23 +210,37 @@ TEST(TaskGraphFailure, LowestNodeIdExceptionWinsOnBothPaths) {
 }
 
 TEST(TaskGraphFailure, LowestIdWinsEvenWhenItExecutesLast) {
-  // Edges may point from a high id to a low one, so topological order is
-  // not id order: node 0 depends on clean node 4 and runs near the end,
-  // while node 5 fails early. Node 0's exception must still be the one
-  // rethrown — "lowest node id", not "first to fail".
+  // On a team of several, completion order is not id order: node 1 depends
+  // on the clean gate node 0, which holds until node 5 has failed, so node
+  // 1 fails last. Node 1's exception must still be the one rethrown —
+  // "lowest node id", not "first to fail". (A team of one runs in id
+  // order, so there node 1 fails first; the gate then does not wait.)
   for (int threads : {1, 4}) {
     TaskGraph graph;
-    graph.addNode("late", [] { throw ToolchainError("boom at 0"); });
-    for (TaskGraph::NodeId id = 1; id < 5; ++id) {
+    std::atomic<bool> earlyFailed{false};
+    graph.addNode("gate", [&earlyFailed, threads] {
+      if (threads == 1) return;
+      // Bounded, so a broken executor fails the test instead of hanging.
+      const auto giveUp =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!earlyFailed.load() && std::chrono::steady_clock::now() < giveUp) {
+        std::this_thread::yield();
+      }
+    });
+    graph.addNode("late", [] { throw ToolchainError("boom at 1"); });
+    for (TaskGraph::NodeId id = 2; id < 5; ++id) {
       graph.addNode("n" + std::to_string(id), [] {});
     }
-    graph.addNode("early", [] { throw ToolchainError("boom at 5"); });
-    graph.addEdge(4, 0);
+    graph.addNode("early", [&earlyFailed] {
+      earlyFailed = true;
+      throw ToolchainError("boom at 5");
+    });
+    graph.addEdge(0, 1);
     try {
       graph.run(threads);
       FAIL() << "expected ToolchainError";
     } catch (const ToolchainError& error) {
-      EXPECT_STREQ(error.what(), "boom at 0") << "threads " << threads;
+      EXPECT_STREQ(error.what(), "boom at 1") << "threads " << threads;
     }
   }
 }

@@ -287,10 +287,7 @@ int main(int argc, char** argv) {
     // Disk rejects are determinism-relevant (damaged or version-skewed
     // records silently costing recomputes), so they are always surfaced
     // through the pinned shared warning (core/metrics_report.h).
-    core::warnDiskRejects(
-        "argo_cc", cache != nullptr
-                       ? std::optional<core::ToolchainCacheStats>(cache->stats())
-                       : std::nullopt);
+    if (cache != nullptr) core::warnDiskRejects("argo_cc", cache->stats());
 
     // Emitted once, for --emit-c and every code:TILE report alike (a tile
     // unit's bytes do not depend on the exec mode, the asserts or the

@@ -4,8 +4,10 @@
 // policy winner) to stdout or --out.
 //
 // Determinism: the default output is byte-identical for any --threads
-// value (see docs/SCENARIOS.md); --timings adds wall-clock fields, which
-// are the one run-to-run varying part, for perf-trajectory recording.
+// value and any --cache-dir state (see docs/SCENARIOS.md); --timings adds
+// wall-clock fields, which are the one run-to-run varying part, for
+// perf-trajectory recording. Every run memoizes tool-chain stages in one
+// content-hash cache shared by the batch (core/cache.h).
 //
 //   argo_eval --seed 7 --scenarios 50 --threads 0 --timings > BENCH_eval.json
 //   argo_eval --seed 7 --scenarios 50 --threads 1 | cmp - <(argo_eval ... --threads 8)
@@ -18,21 +20,13 @@
 //                       modulo = scenario i on sweep case i % caseCount;
 //                       cross = every scenario on every sweep case (the
 //                       full design-space product; rows scenario-major).
-//   --cache NAME        on | off                            (default on)
-//                       on = memoize toolchain stages in one content-hash
-//                       cache shared by the batch (core/cache.h); off =
-//                       every unit runs on a fresh cache of its own, so
-//                       nothing is shared across units. The report is
-//                       byte-identical either way — the A/B pair is the
-//                       cache-differential oracle. Cache counters appear
-//                       in the JSON only together with --timings.
 //   --cache-dir DIR     persist the stage cache on disk under DIR
 //                       (support/disk_cache.h): a rerun in a fresh
 //                       process starts warm, and the report stays
-//                       byte-identical to --cache off. Defaults to the
-//                       ARGO_CACHE_DIR environment variable; unset/empty
-//                       means in-memory only. Ignored with --cache off.
-//                       Disk hit/miss/reject/store counters join the
+//                       byte-identical to an in-memory run. Defaults to
+//                       the ARGO_CACHE_DIR environment variable;
+//                       unset/empty means in-memory only. Cache and
+//                       disk hit/miss/reject/store counters join the
 //                       `metrics` JSON under --timings; a nonzero
 //                       reject count (malformed records recomputed —
 //                       damage or version skew in DIR) is additionally
@@ -99,8 +93,7 @@ using namespace argo;
   std::fprintf(
       stderr,
       "usage: %s [--seed N] [--scenarios N] [--threads N] [--policies a,b]\n"
-      "          [--sweep-mode modulo|cross] [--cache on|off]\n"
-      "          [--cache-dir DIR]\n"
+      "          [--sweep-mode modulo|cross] [--cache-dir DIR]\n"
       "          [--sim-trials N] [--layers MIN:MAX] [--width MIN:MAX]\n"
       "          [--array-len MIN:MAX] [--ccr X] [--spread X]\n"
       "          [--shape layered_dag|stencil_chain] [--stencil-radius N]\n"
@@ -202,16 +195,6 @@ int main(int argc, char** argv) {
         } else {
           throw support::ToolchainError("unknown sweep mode '" + name +
                                         "' (expected modulo or cross)");
-        }
-      } else if (arg == "--cache") {
-        const std::string name = value(i);
-        if (name == "on") {
-          options.cacheEnabled = true;
-        } else if (name == "off") {
-          options.cacheEnabled = false;
-        } else {
-          throw support::ToolchainError("unknown cache setting '" + name +
-                                        "' (expected on or off)");
         }
       } else if (arg == "--cache-dir") {
         options.cacheDir = value(i);
