@@ -338,15 +338,13 @@ std::string cStringLit(const std::string& s) {
   return out;
 }
 
-/// One dispatch slot gathered from a CoreProgram's op list.
+/// One entry of the sequential build's global dispatch table: the
+/// `indexInTile`-th task of its tile's order.
 struct Slot {
   int task = -1;
   int tile = -1;
-  adl::Cycles start = 0;
-  adl::Cycles finish = 0;
-  std::vector<int> waits;
-  std::vector<int> signals;
   int indexInTile = 0;
+  adl::Cycles start = 0;
 };
 
 /// Widths the emitted byte regions narrow integer stores to (the width
@@ -503,56 +501,21 @@ Emission emitProgram(const par::ParallelProgram& program,
   }
   shmTop = alignUp8(shmTop);
 
-  // ---- Slots per tile, then the global time-triggered order. ----
-  std::vector<std::vector<Slot>> tileSlots(
-      static_cast<std::size_t>(platform.coreCount()));
-  for (const par::CoreProgram& core : program.cores) {
-    std::vector<Slot>& slots = tileSlots[static_cast<std::size_t>(core.tile)];
-    std::vector<int> pendingWaits;
-    for (const par::ParOp& op : core.ops) {
-      switch (op.kind) {
-        case par::OpKind::Wait:
-          pendingWaits.push_back(op.event);
-          break;
-        case par::OpKind::Execute: {
-          Slot slot;
-          slot.task = op.task;
-          slot.tile = core.tile;
-          slot.start = program.schedule
-                           .placements[static_cast<std::size_t>(op.task)]
-                           .start;
-          slot.finish = program.schedule
-                            .placements[static_cast<std::size_t>(op.task)]
-                            .finish;
-          slot.waits = std::move(pendingWaits);
-          pendingWaits.clear();
-          slot.indexInTile = static_cast<int>(slots.size());
-          slots.push_back(std::move(slot));
-          break;
-        }
-        case par::OpKind::Signal:
-          if (slots.empty()) {
-            throw ToolchainError("codegen: Signal before any Execute on tile " +
-                                 std::to_string(core.tile));
-          }
-          slots.back().signals.push_back(op.event);
-          break;
-      }
+  // ---- The global time-triggered order: every tile's slots merged by
+  // scheduled start cycle, ties by task id. ----
+  const std::vector<std::vector<int>>& tileOrder = program.schedule.tileOrder;
+  std::vector<Slot> dispatch;
+  for (std::size_t t = 0; t < tileOrder.size(); ++t) {
+    for (std::size_t k = 0; k < tileOrder[t].size(); ++k) {
+      const int task = tileOrder[t][k];
+      dispatch.push_back(Slot{
+          task, static_cast<int>(t), static_cast<int>(k),
+          program.schedule.placements[static_cast<std::size_t>(task)].start});
     }
-    if (!pendingWaits.empty()) {
-      throw ToolchainError("codegen: trailing Wait without Execute on tile " +
-                           std::to_string(core.tile));
-    }
-  }
-
-  std::vector<const Slot*> dispatch;
-  for (const auto& slots : tileSlots) {
-    for (const Slot& slot : slots) dispatch.push_back(&slot);
   }
   std::sort(dispatch.begin(), dispatch.end(),
-            [](const Slot* a, const Slot* b) {
-              return a->start != b->start ? a->start < b->start
-                                          : a->task < b->task;
+            [](const Slot& a, const Slot& b) {
+              return a.start != b.start ? a.start < b.start : a.task < b.task;
             });
 
   Emission emission;
@@ -639,74 +602,74 @@ Emission emitProgram(const par::ParallelProgram& program,
   ph += "\n// Scheduled tasks and per-tile dispatch tables.\n";
   std::vector<int> activeTiles;
   for (int t = 0; t < platform.coreCount(); ++t) {
-    const auto& slots = tileSlots[static_cast<std::size_t>(t)];
-    if (slots.empty()) continue;
+    const std::vector<int>& order = tileOrder[static_cast<std::size_t>(t)];
+    if (order.empty()) continue;
     activeTiles.push_back(t);
-    for (const Slot& slot : slots) {
-      appendf(ph, "void argo_task_%d(void);\n", slot.task);
+    for (int task : order) {
+      appendf(ph, "void argo_task_%d(void);\n", task);
     }
     appendf(ph, "extern const argo_slot argo_tile%d_slots[%d];\n", t,
-            static_cast<int>(slots.size()));
+            static_cast<int>(order.size()));
   }
   ph += "\n#endif  // ARGO_PROGRAM_H\n";
   emission.files.push_back(SourceFile{"program.h", std::move(ph)});
 
   // ---- One translation unit per active tile. ----
   for (int t : activeTiles) {
-    const auto& slots = tileSlots[static_cast<std::size_t>(t)];
+    const std::vector<int>& order = tileOrder[static_cast<std::size_t>(t)];
     std::string tc;
     appendf(tc,
             "// Generated by the ARGO tool-chain - do not edit.\n"
             "// Tile %d (%s): %d scheduled tasks, static order.\n"
             "#include \"program.h\"\n",
             t, platform.tile(t).core.name.c_str(),
-            static_cast<int>(slots.size()));
-    for (const Slot& slot : slots) {
-      const htg::Task& task =
-          graph.tasks[static_cast<std::size_t>(slot.task)];
+            static_cast<int>(order.size()));
+    for (int id : order) {
+      const htg::Task& task = graph.tasks[static_cast<std::size_t>(id)];
       const sched::Placement& placement =
-          program.schedule.placements[static_cast<std::size_t>(slot.task)];
-      appendf(tc, "\n// task %d '%s' [start %lld, finish %lld]\n",
-              slot.task, task.name.c_str(),
-              static_cast<long long>(placement.start),
+          program.schedule.placements[static_cast<std::size_t>(id)];
+      appendf(tc, "\n// task %d '%s' [start %lld, finish %lld]\n", id,
+              task.name.c_str(), static_cast<long long>(placement.start),
               static_cast<long long>(placement.finish));
-      appendf(tc, "void argo_task_%d(void) {\n", slot.task);
+      appendf(tc, "void argo_task_%d(void) {\n", id);
       for (const ir::StmtPtr& stmt : task.stmts) {
         tc += lowerer.lowerStmt(*stmt, 1);
       }
       tc += "}\n";
     }
     tc += "\n";
-    for (const Slot& slot : slots) {
-      if (!slot.waits.empty()) {
-        appendf(tc, "static const int argo_w_%d[] = {", slot.task);
-        for (std::size_t k = 0; k < slot.waits.size(); ++k) {
-          appendf(tc, "%s%d", k == 0 ? "" : ", ", slot.waits[k]);
-        }
-        tc += "};\n";
+    // The event ids each task waits for ("w") and signals ("s"), by task.
+    auto eventTable = [&](const char* kind, int task,
+                          const std::vector<int>& ids) {
+      if (ids.empty()) return;
+      appendf(tc, "static const int argo_%s_%d[] = {", kind, task);
+      for (std::size_t k = 0; k < ids.size(); ++k) {
+        appendf(tc, "%s%d", k == 0 ? "" : ", ", ids[k]);
       }
-      if (!slot.signals.empty()) {
-        appendf(tc, "static const int argo_s_%d[] = {", slot.task);
-        for (std::size_t k = 0; k < slot.signals.size(); ++k) {
-          appendf(tc, "%s%d", k == 0 ? "" : ", ", slot.signals[k]);
-        }
-        tc += "};\n";
-      }
+      tc += "};\n";
+    };
+    for (int id : order) {
+      eventTable("w", id, program.waits[static_cast<std::size_t>(id)]);
+      eventTable("s", id, program.signals[static_cast<std::size_t>(id)]);
     }
     appendf(tc, "\nconst argo_slot argo_tile%d_slots[%d] = {\n", t,
-            static_cast<int>(slots.size()));
-    for (const Slot& slot : slots) {
+            static_cast<int>(order.size()));
+    for (int id : order) {
+      const sched::Placement& placement =
+          program.schedule.placements[static_cast<std::size_t>(id)];
+      const std::vector<int>& waits =
+          program.waits[static_cast<std::size_t>(id)];
+      const std::vector<int>& signals =
+          program.signals[static_cast<std::size_t>(id)];
       appendf(tc, "    {%lldll, %lldll, %d, argo_task_%d, %s, %d, %s, %d},\n",
-              static_cast<long long>(slot.start),
-              static_cast<long long>(slot.finish), slot.task, slot.task,
-              slot.waits.empty()
-                  ? "NULL"
-                  : ("argo_w_" + std::to_string(slot.task)).c_str(),
-              static_cast<int>(slot.waits.size()),
-              slot.signals.empty()
-                  ? "NULL"
-                  : ("argo_s_" + std::to_string(slot.task)).c_str(),
-              static_cast<int>(slot.signals.size()));
+              static_cast<long long>(placement.start),
+              static_cast<long long>(placement.finish), id, id,
+              waits.empty() ? "NULL"
+                            : ("argo_w_" + std::to_string(id)).c_str(),
+              static_cast<int>(waits.size()),
+              signals.empty() ? "NULL"
+                              : ("argo_s_" + std::to_string(id)).c_str(),
+              static_cast<int>(signals.size()));
     }
     tc += "};\n";
     const std::string name = "tile" + std::to_string(t) + ".c";
@@ -849,12 +812,11 @@ Emission emitProgram(const par::ParallelProgram& program,
     // time.
     appendf(mc, "\nstatic const argo_slot *const argo_dispatch[%d] = {\n",
             static_cast<int>(dispatch.size()));
-    for (const Slot* slot : dispatch) {
-      const htg::Task& task =
-          graph.tasks[static_cast<std::size_t>(slot->task)];
+    for (const Slot& slot : dispatch) {
+      const htg::Task& task = graph.tasks[static_cast<std::size_t>(slot.task)];
       appendf(mc, "    &argo_tile%d_slots[%d],  // task %d '%s' @ %lld\n",
-              slot->tile, slot->indexInTile, slot->task, task.name.c_str(),
-              static_cast<long long>(slot->start));
+              slot.tile, slot.indexInTile, slot.task, task.name.c_str(),
+              static_cast<long long>(slot.start));
     }
     mc += "};\n";
   } else {
@@ -928,7 +890,7 @@ Emission emitProgram(const par::ParallelProgram& program,
       for (int t : activeTiles) {
         appendf(mc, "      {argo_tile%d_slots, %d},\n", t,
                 static_cast<int>(
-                    tileSlots[static_cast<std::size_t>(t)].size()));
+                    tileOrder[static_cast<std::size_t>(t)].size()));
       }
       mc += "  };\n";
       appendf(mc, "  pthread_t argo_tile_threads[%d];\n", tileCount);

@@ -23,9 +23,8 @@
 // computation: every stage is a pure function of its keyed inputs.
 //
 // Sharing: one ToolchainCache may serve many Toolchain instances across
-// threads (scenarios::runEval shares one across the whole batch; the
-// future argod service shares one across requests). Single-flight and
-// thread safety come from support::StageCache.
+// threads (scenarios::runEval shares one across the whole batch).
+// Single-flight and thread safety come from support::StageCache.
 //
 // Disk tier: attachDisk(dir) layers a support::DiskCache under three of
 // the five in-memory caches — sequentialWcet, timings and schedules —
@@ -62,12 +61,11 @@ namespace argo::core {
 
 /// Cached value of the transforms stage: the transformed function (shared
 /// read-only by every consumer, ToolchainResult::fn included), the pass
-/// list, and the canonical IR text every downstream key derives from.
+/// list, and the key every downstream key derives from.
 struct TransformsStage {
   std::unique_ptr<const ir::Function> fn;
   std::vector<std::string> passesRun;
-  std::string irText;          ///< ir::toString(*fn).
-  support::StageKey irKey;     ///< Hash of irText, computed once.
+  support::StageKey irKey;  ///< Hash of ir::toString(*fn), computed once.
 };
 
 /// Cached value of one HTG expansion. The graph's task statements are

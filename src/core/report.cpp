@@ -15,7 +15,7 @@ std::string renderGantt(const ToolchainResult& result, int columns) {
   const Cycles makespan = std::max<Cycles>(1, result.system.makespan);
   os << "worst-case schedule (0 .. " << support::formatCycles(makespan)
      << " cycles; '#' executing, '.' idle)\n";
-  for (std::size_t tile = 0; tile < result.program.cores.size(); ++tile) {
+  for (std::size_t tile = 0; tile < result.schedule.tileOrder.size(); ++tile) {
     const auto& order = result.schedule.tileOrder[tile];
     if (order.empty()) continue;
     std::string row(static_cast<std::size_t>(columns), '.');

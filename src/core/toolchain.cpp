@@ -1,6 +1,8 @@
 #include "core/toolchain.h"
 
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <optional>
 #include <sstream>
 
@@ -68,15 +70,14 @@ std::vector<std::string> runTransformPasses(ir::Function& fn,
 }
 
 /// The transforms stage as a cacheable value: transformed clone of the
-/// model function plus its canonical IR text and key.
+/// model function plus the key of its canonical IR text.
 TransformsStage makeTransformsStage(const model::CompiledModel& model,
                                     const adl::Platform& platform,
                                     const ToolchainOptions& options) {
   TransformsStage stage;
   std::unique_ptr<ir::Function> fn = model.fn->clone();
   stage.passesRun = runTransformPasses(*fn, platform, options);
-  stage.irText = ir::toString(*fn);
-  stage.irKey = support::Hasher().str(stage.irText).finish();
+  stage.irKey = support::Hasher().str(ir::toString(*fn)).finish();
   stage.fn = std::move(fn);
   return stage;
 }
@@ -333,6 +334,13 @@ ToolchainResult Toolchain::run(const model::CompiledModel& model) const {
   return result;
 }
 
+double guaranteedSpeedup(Cycles sequential, Cycles bound) {
+  if (bound == 0) {
+    return sequential == 0 ? 1.0 : std::numeric_limits<double>::infinity();
+  }
+  return static_cast<double>(sequential) / static_cast<double>(bound);
+}
+
 std::string ToolchainResult::reportText(bool includeStageTimings) const {
   std::ostringstream os;
   os << "=== ARGO tool-chain report ===\n";
@@ -348,7 +356,12 @@ std::string ToolchainResult::reportText(bool includeStageTimings) const {
      << " cycles\n";
   os << "parallel WCET bound: " << support::formatCycles(system.makespan)
      << " cycles\n";
-  os << "guaranteed speedup:  " << wcetSpeedup() << "x\n";
+  os << "guaranteed speedup:  ";
+  if (std::isinf(wcetSpeedup())) {
+    os << "unbounded\n";
+  } else {
+    os << wcetSpeedup() << "x\n";
+  }
   os << "feedback points:\n";
   // The reduction keeps the first point at the minimum bound, so only
   // that one is marked, even when later points tie with it.

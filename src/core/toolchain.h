@@ -68,12 +68,17 @@ struct ToolchainOptions {
   /// transforms, sequential WCET, HTG expansion, per-task timings,
   /// schedule/system-WCET — on hashes of exactly the inputs each stage
   /// observes, and a cache shared across runs (a platform sweep, an
-  /// incremental re-run, the future argod service) reuses everything
+  /// incremental re-run, a batch) reuses everything
   /// whose inputs did not change. null (the default) gives every run a
   /// fresh cache of its own, dropped when the run returns. Results are
   /// byte-identical either way.
   std::shared_ptr<ToolchainCache> cache;
 };
+
+/// The guaranteed speedup `sequential / bound` of a parallel WCET bound
+/// over the single-core WCET: 1 when both are 0, +infinity when only the
+/// bound is 0 (reportText prints that as "unbounded").
+[[nodiscard]] double guaranteedSpeedup(Cycles sequential, Cycles bound);
 
 /// Wall-clock duration of one tool-chain stage (for E10).
 struct StageTiming {
@@ -108,12 +113,9 @@ struct ToolchainResult {
 
   /// WCET of the whole (transformed) function on tile 0, single core.
   Cycles sequentialWcet = 0;
-  /// sequentialWcet / system.makespan — the guaranteed speedup.
+  /// guaranteedSpeedup(sequentialWcet, system.makespan).
   [[nodiscard]] double wcetSpeedup() const {
-    return system.makespan == 0
-               ? 0.0
-               : static_cast<double>(sequentialWcet) /
-                     static_cast<double>(system.makespan);
+    return guaranteedSpeedup(sequentialWcet, system.makespan);
   }
 
   std::vector<std::string> passesRun;

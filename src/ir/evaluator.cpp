@@ -111,7 +111,7 @@ struct Scalar {
 
 class Interp {
  public:
-  Interp(const Function& fn, Environment& env, ExecutionMeter* meter)
+  Interp(const Function& fn, Environment& env, CountingMeter* meter)
       : fn_(fn), env_(env), meter_(meter) {}
 
   void execBlock(const Block& block) {
@@ -374,13 +374,13 @@ class Interp {
 
   const Function& fn_;
   Environment& env_;
-  ExecutionMeter* meter_;
+  CountingMeter* meter_;
   std::unordered_map<std::string, std::int64_t> loopVars_;
 };
 
 }  // namespace
 
-void Evaluator::run(Environment& env, ExecutionMeter* meter) const {
+void Evaluator::run(Environment& env, CountingMeter* meter) const {
   for (const VarDecl& d : fn_.decls()) {
     if (d.role == VarRole::Input && !env.contains(d.name)) {
       throw ToolchainError("missing input '" + d.name + "' for function '" +
@@ -392,7 +392,7 @@ void Evaluator::run(Environment& env, ExecutionMeter* meter) const {
 }
 
 void Evaluator::runStmt(const Stmt& stmt, Environment& env,
-                        ExecutionMeter* meter) const {
+                        CountingMeter* meter) const {
   Interp interp(fn_, env, meter);
   interp.execStmt(stmt);
 }

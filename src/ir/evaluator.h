@@ -5,8 +5,8 @@
 //     as the hand-written C++ use-case references (tests/).
 //  2. Transformation validation: a pass is semantics-preserving iff original
 //     and transformed functions evaluate equal on random inputs.
-//  3. Execution-time measurement: with an ExecutionMeter attached, every
-//     priced operation and memory access is reported, giving the simulator
+//  3. Execution-time measurement: with a CountingMeter attached, every
+//     priced operation and memory access is counted, giving the simulator
 //     the *actual* (input-dependent) cost of a task, to compare against the
 //     static WCET bound.
 #pragma once
@@ -68,19 +68,11 @@ class Value {
 /// Named variable environment.
 using Environment = std::unordered_map<std::string, Value>;
 
-/// Receives every priced event during evaluation.
-class ExecutionMeter {
+/// Counts every priced event during evaluation.
+class CountingMeter {
  public:
-  virtual ~ExecutionMeter() = default;
-  virtual void onOp(OpClass op) = 0;
-  virtual void onAccess(Storage storage, bool isWrite) = 0;
-};
-
-/// Meter that just accumulates counters.
-class CountingMeter final : public ExecutionMeter {
- public:
-  void onOp(OpClass op) override { ops_[op] += 1; }
-  void onAccess(Storage storage, bool isWrite) override {
+  void onOp(OpClass op) { ops_[op] += 1; }
+  void onAccess(Storage storage, bool isWrite) {
     auto& slot = isWrite ? writes_ : reads_;
     slot[static_cast<std::size_t>(storage)] += 1;
   }
@@ -111,12 +103,12 @@ class Evaluator {
   explicit Evaluator(const Function& fn) : fn_(fn) {}
 
   /// Runs the whole function body.
-  void run(Environment& env, ExecutionMeter* meter = nullptr) const;
+  void run(Environment& env, CountingMeter* meter = nullptr) const;
 
   /// Runs one statement (used by the simulator to execute a single task's
   /// slice of the function).
   void runStmt(const Stmt& stmt, Environment& env,
-               ExecutionMeter* meter = nullptr) const;
+               CountingMeter* meter = nullptr) const;
 
  private:
   const Function& fn_;

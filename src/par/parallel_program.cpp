@@ -1,7 +1,5 @@
 #include "par/parallel_program.h"
 
-#include <algorithm>
-
 #include "support/diagnostics.h"
 
 namespace argo::par {
@@ -88,6 +86,10 @@ ParallelProgram buildParallelProgram(const htg::TaskGraph& graph,
   if (schedule.placements.size() != graph.tasks.size()) {
     throw ToolchainError("schedule does not cover the task graph");
   }
+  if (schedule.tileOrder.size() !=
+      static_cast<std::size_t>(platform.coreCount())) {
+    throw ToolchainError("schedule does not give every tile a task order");
+  }
 
   ParallelProgram program;
   program.graph = &graph;
@@ -95,55 +97,21 @@ ParallelProgram buildParallelProgram(const htg::TaskGraph& graph,
   // A signal/wait is one flag write/read in shared memory.
   program.syncOverhead = platform.sharedAccessBase(0);
 
-  // Events: one per cross-tile dependence edge.
-  std::map<std::uint64_t, int> eventOf;  // (from<<32|to) -> event id
+  // Events: one per cross-tile dependence edge, ids in edge order, so each
+  // task's wait and signal lists come out ascending.
+  program.waits.resize(graph.tasks.size());
+  program.signals.resize(graph.tasks.size());
   for (const htg::Dep& dep : graph.deps) {
     const int fromTile =
         schedule.placements[static_cast<std::size_t>(dep.from)].tile;
     const int toTile =
         schedule.placements[static_cast<std::size_t>(dep.to)].tile;
     if (fromTile == toTile) continue;  // program order on the same core
-    Event event;
-    event.id = static_cast<int>(program.events.size());
-    event.producerTask = dep.from;
-    event.consumerTask = dep.to;
-    event.producerTile = fromTile;
-    event.consumerTile = toTile;
-    event.bytes = dep.bytes;
-    event.vars = dep.vars;
-    eventOf.emplace((static_cast<std::uint64_t>(
-                         static_cast<std::uint32_t>(dep.from))
-                     << 32) |
-                        static_cast<std::uint32_t>(dep.to),
-                    event.id);
-    program.events.push_back(std::move(event));
-  }
-
-  // Core programs: tile order from the schedule; a task's waits precede
-  // its Execute, its signals follow it (ordered by event id for
-  // determinism).
-  program.cores.resize(static_cast<std::size_t>(platform.coreCount()));
-  for (int tile = 0; tile < platform.coreCount(); ++tile) {
-    CoreProgram& core = program.cores[static_cast<std::size_t>(tile)];
-    core.tile = tile;
-    if (static_cast<std::size_t>(tile) >= schedule.tileOrder.size()) continue;
-    for (int task : schedule.tileOrder[static_cast<std::size_t>(tile)]) {
-      std::vector<int> waits;
-      std::vector<int> signals;
-      for (const Event& e : program.events) {
-        if (e.consumerTask == task) waits.push_back(e.id);
-        if (e.producerTask == task) signals.push_back(e.id);
-      }
-      std::sort(waits.begin(), waits.end());
-      std::sort(signals.begin(), signals.end());
-      for (int e : waits) {
-        core.ops.push_back(ParOp{OpKind::Wait, -1, e});
-      }
-      core.ops.push_back(ParOp{OpKind::Execute, task, -1});
-      for (int e : signals) {
-        core.ops.push_back(ParOp{OpKind::Signal, -1, e});
-      }
-    }
+    const int id = static_cast<int>(program.events.size());
+    program.events.push_back(
+        Event{id, dep.from, dep.to, fromTile, toTile, dep.bytes});
+    program.waits[static_cast<std::size_t>(dep.to)].push_back(id);
+    program.signals[static_cast<std::size_t>(dep.from)].push_back(id);
   }
 
   program.addresses = buildAddressMap(graph, schedule, platform);

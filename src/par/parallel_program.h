@@ -6,18 +6,19 @@
 // final memory address mapping of the variables and the buffers is
 // obtained."
 //
-// A ParallelProgram is a per-core list of operations:
-//   Execute(task)  — run one task's IR statements
-//   Signal(event)  — post a producer->consumer event (cross-core dep)
-//   Wait(event)    — block until the event is posted
-// plus the address map placing every Shared variable in shared memory and
-// every Scratchpad variable at an SPM offset of its owning tile. This is
-// the representation both the system-level WCET analysis (src/syswcet) and
-// the timing simulator (src/sim) consume.
+// A ParallelProgram keeps the schedule's per-tile task order
+// (schedule.tileOrder), one event per cross-tile dependence, and for every
+// task the events it waits for before it runs and the events it signals
+// after it finishes: tile T runs, for each task of tileOrder[T] in turn,
+// its waits, the task's IR statements, then its signals. A signal/wait is
+// one flag access in shared memory. The address map places every Shared
+// variable in shared memory and every Scratchpad variable at an SPM offset
+// of its owning tile. This is the representation the system-level WCET
+// analysis (src/syswcet), the timing simulator (src/sim) and the C
+// emitter (src/codegen) consume.
 #pragma once
 
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -29,24 +30,6 @@ namespace argo::par {
 
 using adl::Cycles;
 
-/// Kinds of per-core operations.
-enum class OpKind : std::uint8_t { Execute, Signal, Wait };
-
-/// One operation of a core program.
-struct ParOp {
-  OpKind kind = OpKind::Execute;
-  /// Execute: task id into the TaskGraph.
-  int task = -1;
-  /// Signal/Wait: event id.
-  int event = -1;
-};
-
-/// All operations of one core, in execution order.
-struct CoreProgram {
-  int tile = 0;
-  std::vector<ParOp> ops;
-};
-
 /// A cross-core dependence made explicit.
 struct Event {
   int id = 0;
@@ -56,7 +39,6 @@ struct Event {
   int consumerTile = -1;
   /// Bytes the consumer must see (drives the communication WCET).
   std::int64_t bytes = 0;
-  std::set<std::string> vars;
 };
 
 /// Placement of one variable in the memory map.
@@ -74,12 +56,17 @@ struct AddressEntry {
 /// The explicit parallel program.
 struct ParallelProgram {
   const htg::TaskGraph* graph = nullptr;
+  /// The schedule; tileOrder[T] is the order tile T runs its tasks in.
   sched::Schedule schedule;
-  std::vector<CoreProgram> cores;
   std::vector<Event> events;
+  /// Per task (indexed like TaskGraph::tasks): the events it waits for
+  /// before it runs and the events it signals after it finishes, ids
+  /// ascending.
+  std::vector<std::vector<int>> waits;
+  std::vector<std::vector<int>> signals;
   std::map<std::string, AddressEntry> addresses;
-  /// Cycles charged for executing one Signal or Wait operation (they are
-  /// implemented as one shared-memory flag access each).
+  /// Cycles charged for one signal or wait (one shared-memory flag access
+  /// each).
   Cycles syncOverhead = 0;
 
   [[nodiscard]] const Event& event(int id) const { return events.at(id); }

@@ -129,12 +129,10 @@ struct PolicyOutcome {
                       : static_cast<double>(observed) /
                             static_cast<double>(bound);
   }
-  /// sequentialWcet / bound: the guaranteed speedup of the parallel bound
-  /// over the single-core bound.
+  /// core::guaranteedSpeedup(sequentialWcet, bound): the guaranteed
+  /// speedup of the parallel bound over the single-core bound.
   [[nodiscard]] double boundSpeedup() const {
-    return bound == 0 ? 0.0
-                      : static_cast<double>(sequentialWcet) /
-                            static_cast<double>(bound);
+    return core::guaranteedSpeedup(sequentialWcet, bound);
   }
 };
 

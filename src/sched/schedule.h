@@ -64,7 +64,7 @@ struct Schedule {
 /// Computes TaskTiming for every task of `graph` on `platform` using the
 /// code-level WCET analyzer (one TimingModel per distinct tile). Tasks are
 /// independent, so with `parallelThreads != 1` they are analyzed on a
-/// work-stealing pool through the shared support::parallelFor layer;
+/// transient thread team through the shared support::parallelFor layer;
 /// every task writes its own slot, so
 /// the table is bit-identical to the sequential run. 0 = one thread per
 /// hardware thread; pass 1 when calling from inside another pooled phase.

@@ -68,19 +68,26 @@ class Arbiter {
   Cycles memFree_ = 0;
 };
 
-/// Per-core execution cursor.
+/// Per-core execution cursor: the tile walks its task order one action
+/// at a time. `phase` runs through the slot's waits, then the task, then
+/// its signals.
 struct CoreCursor {
   int tile = 0;
-  std::size_t opIndex = 0;
+  const std::vector<int>* order = nullptr;  // the tile's task order
+  std::size_t slot = 0;
+  std::size_t phase = 0;  // < waits: a wait; == waits: the task; > : a signal
   Cycles time = 0;
-  bool done = false;
 
-  // State of the Execute op in progress (split into access rounds).
+  // State of the task in progress (split into access rounds).
   bool inTask = false;
-  int task = -1;
   Cycles segment = 0;        // compute cycles between accesses
   Cycles finalSegment = 0;   // remainder after the last access
   std::int64_t accessesLeft = 0;
+
+  [[nodiscard]] bool done() const { return slot >= order->size(); }
+  [[nodiscard]] std::size_t task() const {
+    return static_cast<std::size_t>((*order)[slot]);
+  }
 };
 
 }  // namespace
@@ -95,10 +102,10 @@ StepResult Simulator::step(ir::Environment& env) const {
   result.tasks.assign(taskCount, TaskTrace{});
 
   Arbiter arbiter(platform_);
-  std::vector<CoreCursor> cores(program_.cores.size());
+  std::vector<CoreCursor> cores(program_.schedule.tileOrder.size());
   for (std::size_t c = 0; c < cores.size(); ++c) {
-    cores[c].tile = program_.cores[c].tile;
-    cores[c].done = program_.cores[c].ops.empty();
+    cores[c].tile = static_cast<int>(c);
+    cores[c].order = &program_.schedule.tileOrder[c];
   }
   // Event availability time; min() when not yet signalled.
   std::vector<Cycles> eventAvail(program_.events.size(),
@@ -109,93 +116,74 @@ StepResult Simulator::step(ir::Environment& env) const {
   // Effective time at which a core can perform its next action, or nullopt
   // when blocked on an unsignalled event.
   auto effectiveTime = [&](const CoreCursor& core) -> std::optional<Cycles> {
-    if (core.done) return std::nullopt;
-    if (core.inTask) return core.time;
-    const par::ParOp& op = program_.cores[static_cast<std::size_t>(
-        &core - cores.data())].ops[core.opIndex];
-    if (op.kind == par::OpKind::Wait) {
-      const Cycles avail = eventAvail[static_cast<std::size_t>(op.event)];
-      if (avail == std::numeric_limits<Cycles>::min()) return std::nullopt;
-      return std::max(core.time, avail);
-    }
-    return core.time;
+    const std::vector<int>& waits = program_.waits[core.task()];
+    if (core.phase >= waits.size()) return core.time;
+    const Cycles avail =
+        eventAvail[static_cast<std::size_t>(waits[core.phase])];
+    if (avail == std::numeric_limits<Cycles>::min()) return std::nullopt;
+    return std::max(core.time, avail);
   };
 
   auto advance = [&](CoreCursor& core) {
-    const par::CoreProgram& prog =
-        program_.cores[static_cast<std::size_t>(&core - cores.data())];
-
+    const std::size_t task = core.task();
+    const std::vector<int>& waits = program_.waits[task];
+    const std::vector<int>& signals = program_.signals[task];
+    TaskTrace& trace = result.tasks[task];
     if (core.inTask) {
       // One access round: compute segment, then an arbitrated access.
       core.time += core.segment;
       const Cycles before = core.time;
       core.time = arbiter.access(core.tile, core.time);
-      auto& trace = result.tasks[static_cast<std::size_t>(core.task)];
       trace.stall += std::max<Cycles>(
           0, (core.time - before) - platform_.sharedAccessBase(core.tile));
       trace.sharedAccesses += 1;
       result.totalSharedAccesses += 1;
-      if (--core.accessesLeft == 0) {
-        core.time += core.finalSegment;
-        trace.finish = core.time;
-        core.inTask = false;
-        ++core.opIndex;
-        core.done = core.opIndex >= prog.ops.size();
+      if (--core.accessesLeft > 0) return;
+      core.time += core.finalSegment;
+      trace.finish = core.time;
+      core.inTask = false;
+    } else if (core.phase < waits.size()) {
+      const Cycles avail =
+          eventAvail[static_cast<std::size_t>(waits[core.phase])];
+      core.time = std::max(core.time, avail);
+      // Successful poll: one arbitrated flag access.
+      core.time = arbiter.access(core.tile, core.time);
+    } else if (core.phase > waits.size()) {
+      // Flag write, then the payload becomes visible after the actual
+      // (uncontended) transfer latency.
+      const int id = signals[core.phase - waits.size() - 1];
+      core.time = arbiter.access(core.tile, core.time);
+      const par::Event& event = program_.event(id);
+      const Cycles transfer = platform_.transferWorstCase(
+          event.bytes, event.producerTile, event.consumerTile,
+          /*contenders=*/1);
+      eventAvail[static_cast<std::size_t>(id)] = core.time + transfer;
+    } else {
+      ir::CountingMeter meter;
+      for (const ir::StmtPtr& s : program_.graph->tasks[task].stmts) {
+        evaluator.runStmt(*s, env, &meter);
       }
-      return;
+      const Cycles compute =
+          nonSharedCost(meter, platform_.tile(core.tile).core);
+      const std::int64_t accesses = meter.reads(ir::Storage::Shared) +
+                                    meter.writes(ir::Storage::Shared);
+      trace.start = core.time;
+      if (accesses > 0) {
+        core.segment = compute / (accesses + 1);
+        core.finalSegment =
+            compute - core.segment * accesses;  // includes remainder
+        core.accessesLeft = accesses;
+        core.inTask = true;
+        return;
+      }
+      core.time += compute;
+      trace.finish = core.time;
     }
-
-    const par::ParOp& op = prog.ops[core.opIndex];
-    switch (op.kind) {
-      case par::OpKind::Wait: {
-        const Cycles avail = eventAvail[static_cast<std::size_t>(op.event)];
-        core.time = std::max(core.time, avail);
-        // Successful poll: one arbitrated flag access.
-        core.time = arbiter.access(core.tile, core.time);
-        ++core.opIndex;
-        break;
-      }
-      case par::OpKind::Signal: {
-        // Flag write, then the payload becomes visible after the actual
-        // (uncontended) transfer latency.
-        core.time = arbiter.access(core.tile, core.time);
-        const par::Event& event = program_.event(op.event);
-        const Cycles transfer = platform_.transferWorstCase(
-            event.bytes, event.producerTile, event.consumerTile,
-            /*contenders=*/1);
-        eventAvail[static_cast<std::size_t>(op.event)] = core.time + transfer;
-        ++core.opIndex;
-        break;
-      }
-      case par::OpKind::Execute: {
-        const htg::Task& task =
-            program_.graph->tasks[static_cast<std::size_t>(op.task)];
-        ir::CountingMeter meter;
-        for (const ir::StmtPtr& s : task.stmts) {
-          evaluator.runStmt(*s, env, &meter);
-        }
-        const Cycles compute =
-            nonSharedCost(meter, platform_.tile(core.tile).core);
-        const std::int64_t accesses = meter.reads(ir::Storage::Shared) +
-                                      meter.writes(ir::Storage::Shared);
-        auto& trace = result.tasks[static_cast<std::size_t>(op.task)];
-        trace.start = core.time;
-        if (accesses == 0) {
-          core.time += compute;
-          trace.finish = core.time;
-          ++core.opIndex;
-        } else {
-          core.task = op.task;
-          core.segment = compute / (accesses + 1);
-          core.finalSegment =
-              compute - core.segment * accesses;  // includes remainder
-          core.accessesLeft = accesses;
-          core.inTask = true;
-        }
-        break;
-      }
+    // The action is finished; the slot's last signal ends the slot.
+    if (++core.phase > waits.size() + signals.size()) {
+      ++core.slot;
+      core.phase = 0;
     }
-    core.done = !core.inTask && core.opIndex >= prog.ops.size();
   };
 
   while (true) {
@@ -203,7 +191,7 @@ StepResult Simulator::step(ir::Environment& env) const {
     Cycles best = std::numeric_limits<Cycles>::max();
     bool anyPending = false;
     for (std::size_t c = 0; c < cores.size(); ++c) {
-      if (cores[c].done) continue;
+      if (cores[c].done()) continue;
       anyPending = true;
       const auto t = effectiveTime(cores[c]);
       if (t.has_value() && *t < best) {

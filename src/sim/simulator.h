@@ -6,9 +6,10 @@
 // "observed execution time <= static bound" is checkable end-to-end.
 //
 // Execution model:
-//  * Each core runs its ParOp list. Execute ops run the task's IR through
-//    the reference interpreter on the shared environment, metering every
-//    priced operation; the metered non-shared cost is spread evenly between
+//  * Each core walks its tile's task order: a task's waits, the task,
+//    then its signals. A task runs its IR through the reference
+//    interpreter on the shared environment, metering every priced
+//    operation; the metered non-shared cost is spread evenly between
 //    the task's shared accesses (documented approximation — the IR carries
 //    no per-access timestamps).
 //  * Shared accesses are arbitrated individually:
@@ -18,7 +19,7 @@
 //      - TDMA bus: accesses start at the issuing core's next slot;
 //      - NoC: XY-route latency plus FCFS serialization at the memory
 //        controller.
-//  * Signal/Wait cost one arbitrated flag access each; consumer data is
+//  * A signal or wait costs one arbitrated flag access; consumer data is
 //    available after the actual (uncontended) transfer time.
 //  * Cores advance in global simulated-time order (the minimum-time
 //    runnable core acts next), so values are computed respecting

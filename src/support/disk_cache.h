@@ -4,12 +4,11 @@
 // stored one file per entry under a cache directory. The 128-bit keys are
 // stable across processes, platforms and compiler versions (support/hash.h),
 // so a directory populated by one process serves every later one: CLI
-// re-invocations, whole CI runs, and the future argod service's warm
-// starts. Layered under support::StageCache by core::ToolchainCache (for
-// the plain-data stages; core/cache.h says which), the lookup order is
-// memory -> disk -> compute, with the in-memory tier's single-flight
-// guaranteeing that one process hits the disk (and the compute) at most
-// once per key.
+// re-invocations, repeated batches and whole CI runs. Layered under
+// support::StageCache by core::ToolchainCache (for the plain-data stages;
+// core/cache.h says which), the lookup order is memory -> disk -> compute,
+// with the in-memory tier's single-flight guaranteeing that one process
+// hits the disk (and the compute) at most once per key.
 //
 // Trust model — the hard part. A persisted entry is only usable if hostile
 // on-disk state can never change a result byte. Every record is therefore
@@ -60,7 +59,7 @@ namespace argo::support {
 
 /// Bumped whenever the record framing or any stage payload encoding
 /// changes shape. A version-skewed record is rejected on load, so caches
-/// shared across builds (actions/cache, a long-lived argod directory)
+/// shared across builds (actions/cache, a long-lived cache directory)
 /// degrade to recompute instead of misparsing. CI keys its cache restore
 /// on this value (.github/workflows/ci.yml).
 inline constexpr std::uint32_t kDiskCacheFormatVersion = 3;

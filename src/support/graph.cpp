@@ -1,6 +1,5 @@
 #include "support/graph.h"
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -86,18 +85,19 @@ void TaskGraph::run(int threads) {
     std::size_t finished = 0;  // executed or skipped
   };
   RunState state;
-  // Countdown counters and poison marks live outside the mutex: finishing
-  // a node decrements each successor's count with acq_rel, so the thread
-  // that drops a count to zero has observed every predecessor's poison
-  // store (and, transitively, its slot writes) before it publishes the
-  // node to the ready queue.
-  std::vector<std::atomic<int>> pending(n);
-  std::vector<std::atomic<bool>> poisoned(n);
+  // Countdowns and poison marks are read and written under state.mutex,
+  // with one exception: an executor reads its own node's mark after
+  // popping the node. That is safe because every write to the mark (a
+  // predecessor finishing) happens before the node is pushed, the push and
+  // the pop hold the same mutex, and no thread writes the mark after the
+  // push. The marks are chars, not vector<bool> bits, so writing a
+  // neighbour's mark never touches the same memory location.
+  std::vector<int> pending(n);
+  std::vector<char> poisoned(n, 0);
   std::vector<std::exception_ptr> errors(n);
   for (NodeId id = 0; id < n; ++id) {
-    pending[id].store(nodes_[id].indegree, std::memory_order_relaxed);
-    poisoned[id].store(false, std::memory_order_relaxed);
-    if (nodes_[id].indegree == 0) state.ready.push(id);
+    pending[id] = nodes_[id].indegree;
+    if (pending[id] == 0) state.ready.push(id);
   }
 
   // The drain loop every team member runs: pop a ready node, execute (or
@@ -125,7 +125,7 @@ void TaskGraph::run(int threads) {
         state.ready.pop();
       }
 
-      const bool skip = poisoned[id].load(std::memory_order_relaxed);
+      const bool skip = poisoned[id] != 0;
       bool failed = false;
       if (!skip) {
         nodesRunCounter().add();
@@ -144,12 +144,8 @@ void TaskGraph::run(int threads) {
       {
         std::lock_guard<std::mutex> lock(state.mutex);
         for (NodeId s : nodes_[id].successors) {
-          if (failed || skip) {
-            poisoned[s].store(true, std::memory_order_relaxed);
-          }
-          if (pending[s].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            state.ready.push(s);
-          }
+          if (failed || skip) poisoned[s] = 1;
+          if (--pending[s] == 0) state.ready.push(s);
         }
         state.finished += 1;
       }

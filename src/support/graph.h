@@ -42,8 +42,8 @@
 // sources and drains it on a transient thread team (support::detail::
 // runTeam: the calling thread plus N-1 std::threads, one drain loop
 // each; a team of one is the calling thread alone). Finishing a node
-// atomically decrements each successor's pending count and enqueues those
-// that hit zero. The queue pops the lowest ready id first, so a
+// decrements each successor's pending count under the run's one mutex and
+// enqueues those that hit zero. The queue pops the lowest ready id first, so a
 // one-thread run executes in node-id order.
 #pragma once
 

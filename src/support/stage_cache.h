@@ -19,9 +19,9 @@
 // waiters of that in-flight computation (they rethrow it), and the slot
 // is erased — a later lookup retries from scratch.
 //
-// The cache is unbounded and in-process: one batch or one resident
-// service owns it and its lifetime bounds the memory. Eviction and the
-// on-disk tier are the ROADMAP follow-up, not this layer.
+// The cache is unbounded and in-process: one batch owns it and its
+// lifetime bounds the memory. Nothing is evicted; the on-disk tier
+// (support/disk_cache.h) is layered under it by core::ToolchainCache.
 #pragma once
 
 #include <atomic>

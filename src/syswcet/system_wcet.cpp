@@ -12,7 +12,7 @@ using support::ToolchainError;
 
 namespace {
 
-/// Task-level happens-before edges: per-core program order plus
+/// Task-level happens-before edges: per-tile task order plus
 /// producer->consumer event edges (annotated with communicated bytes).
 struct HbGraph {
   struct Edge {
@@ -32,12 +32,9 @@ HbGraph buildHb(const par::ParallelProgram& program) {
     hb.succ[static_cast<std::size_t>(from)].push_back({to, bytes});
     hb.pred[static_cast<std::size_t>(to)].push_back(from);
   };
-  for (const par::CoreProgram& core : program.cores) {
-    int prev = -1;
-    for (const par::ParOp& op : core.ops) {
-      if (op.kind != par::OpKind::Execute) continue;
-      if (prev >= 0) addEdge(prev, op.task, 0);
-      prev = op.task;
+  for (const std::vector<int>& order : program.schedule.tileOrder) {
+    for (std::size_t k = 1; k < order.size(); ++k) {
+      addEdge(order[k - 1], order[k], 0);
     }
   }
   for (const par::Event& e : program.events) {
@@ -89,31 +86,13 @@ SystemWcet analyzeSystem(const par::ParallelProgram& program,
   }
   const HbGraph hb = buildHb(program);
 
-  // Sync overhead per task: one flag access per Wait/Signal it executes.
-  std::vector<int> syncOps(n, 0);
-  for (const par::CoreProgram& core : program.cores) {
-    int pendingBefore = 0;
-    for (const par::ParOp& op : core.ops) {
-      switch (op.kind) {
-        case par::OpKind::Wait:
-          ++pendingBefore;
-          break;
-        case par::OpKind::Execute:
-          syncOps[static_cast<std::size_t>(op.task)] += pendingBefore;
-          pendingBefore = 0;
-          break;
-        case par::OpKind::Signal: {
-          const int producer = program.event(op.event).producerTask;
-          syncOps[static_cast<std::size_t>(producer)] += 1;
-          break;
-        }
-      }
-    }
-  }
-
+  // Per task: its tile, and one sync flag access per wait and per signal.
   std::vector<int> tileOf(n);
+  std::vector<int> syncOps(n);
   for (std::size_t i = 0; i < n; ++i) {
     tileOf[i] = program.schedule.placements[i].tile;
+    syncOps[i] = static_cast<int>(program.waits[i].size() +
+                                  program.signals[i].size());
   }
 
   SystemWcet result;

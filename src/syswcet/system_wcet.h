@@ -76,7 +76,7 @@ struct SystemWcet {
 
 /// MHP matrix: result[i][j] is true when tasks i and j are unordered by
 /// happens-before (and i != j). Symmetric. Each task's reachable set is an
-/// independent traversal, so rows are computed on a work-stealing pool
+/// independent traversal, so rows are computed on a transient thread team
 /// through the shared support::parallelFor layer when
 /// `parallelThreads != 1` (same convention as analyzeSystem); the matrix
 /// is identical for any thread count.

@@ -3,6 +3,7 @@
 
 #include "adl/parser.h"
 #include "adl/platform.h"
+#include "mutants.h"
 #include "support/diagnostics.h"
 
 namespace argo::adl {
@@ -412,6 +413,27 @@ TEST(AdlParser, RejectsSecondInterconnect) {
                      "interconnect noc 2 2 router 3 link 1 flit_bytes 4 "
                      "mem_access 16 mem_tile 0\n"),
             "ADL line 7: repeated 'interconnect'");
+}
+
+// ---- Mutation corpus: a one-edit mutant parses or names its line ----
+
+TEST(AdlParser, EveryMutantParsesOrNamesItsLine) {
+  // Only the checks of a whole platform (a section that never appeared)
+  // have no line to name.
+  test::MutantSweep sweep{
+      "ADL line ",
+      {"ADL: missing 'platform'", "ADL: missing 'shared_memory'",
+       "ADL: missing 'interconnect'", "ADL: no tiles declared"}};
+  for (const Platform& seed :
+       {makeRecoreXentiumBus(2), makeKitLeon3Inoc(2, 2),
+        makeRecoreXentiumBus(3, Arbitration::Tdma)}) {
+    sweep.run(toAdlText(seed),
+              [](const std::string& text) { (void)parseAdl(text); });
+  }
+  EXPECT_GT(sweep.parsed, 0);
+  EXPECT_GT(sweep.rejected, 0);
+  EXPECT_EQ(sweep.breaks.size(), 0u)
+      << "the first: " << (sweep.breaks.empty() ? "" : sweep.breaks.front());
 }
 
 }  // namespace

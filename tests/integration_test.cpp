@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -207,21 +208,24 @@ TEST(Toolchain, ReportContainsKeyFacts) {
   EXPECT_NE(report.find("<== chosen"), std::string::npos);
 }
 
+/// A two-tile bus on which every cycle cost is 0.
+const char* const kAllZeroAdl =
+    "platform free\n"
+    "shared_memory 1048576\n"
+    "interconnect bus round_robin base_access 0 slot 0 word_bytes 4\n"
+    "core z int_alu 0 int_mul 0 int_div 0 float_add 0 float_mul 0 "
+    "float_div 0 math_func 0 compare 0 select 0 branch 0 loop_step 0 "
+    "local_access 0 spm_access 0 spm_bytes 4096\n"
+    "tile 0 z\n"
+    "tile 1 z\n";
+
 TEST(Toolchain, OnlyTheFirstPointAtTheMinimumIsMarkedChosen) {
   // Every cycle cost 0: all four feedback points tie at bound 0. The
   // reduction keeps the first minimum, the sequential mapping, so the
   // report marks that row and no other.
-  const adl::Platform platform = adl::parseAdl(
-      "platform free\n"
-      "shared_memory 1048576\n"
-      "interconnect bus round_robin base_access 0 slot 0 word_bytes 4\n"
-      "core z int_alu 0 int_mul 0 int_div 0 float_add 0 float_mul 0 "
-      "float_div 0 math_func 0 compare 0 select 0 branch 0 loop_step 0 "
-      "local_access 0 spm_access 0 spm_bytes 4096\n"
-      "tile 0 z\n"
-      "tile 1 z\n");
   const ToolchainResult result =
-      Toolchain(platform, ToolchainOptions{}).run(buildApp(App::Egpws));
+      Toolchain(adl::parseAdl(kAllZeroAdl), ToolchainOptions{})
+          .run(buildApp(App::Egpws));
   ASSERT_EQ(result.feedback.size(), 4u);
   for (const FeedbackPoint& p : result.feedback) EXPECT_EQ(p.systemWcet, 0);
   std::vector<std::string> marked;
@@ -232,6 +236,47 @@ TEST(Toolchain, OnlyTheFirstPointAtTheMinimumIsMarkedChosen) {
   ASSERT_EQ(marked.size(), 1u) << result.reportText(false);
   EXPECT_NE(marked.front().find("(sequential mapping)"), std::string::npos)
       << marked.front();
+}
+
+TEST(Toolchain, ZeroBoundOfZeroWorkIsSpeedupOne) {
+  // Both the sequential WCET and the bound are 0: nothing is gained and
+  // nothing lost, so the guaranteed speedup is 1.
+  const ToolchainResult result =
+      Toolchain(adl::parseAdl(kAllZeroAdl), ToolchainOptions{})
+          .run(buildApp(App::Egpws));
+  EXPECT_EQ(result.sequentialWcet, 0);
+  EXPECT_EQ(result.system.makespan, 0);
+  EXPECT_EQ(result.wcetSpeedup(), 1.0);
+  EXPECT_NE(result.reportText(false).find("guaranteed speedup:  1x\n"),
+            std::string::npos)
+      << result.reportText(false);
+}
+
+TEST(Toolchain, ZeroBoundOfPositiveWorkIsUnboundedSpeedup) {
+  // Tile 0 pays one cycle in every cost field and tile 1 pays nothing, on
+  // a bus that costs nothing: the sequential WCET (tile 0) is positive
+  // while the chosen bound (all on tile 1) is 0.
+  const adl::Platform platform = adl::parseAdl(
+      "platform lopsided\n"
+      "shared_memory 1048576\n"
+      "interconnect bus round_robin base_access 0 slot 0 word_bytes 4\n"
+      "core one int_alu 1 int_mul 1 int_div 1 float_add 1 float_mul 1 "
+      "float_div 1 math_func 1 compare 1 select 1 branch 1 loop_step 1 "
+      "local_access 1 spm_access 1 spm_bytes 4096\n"
+      "core free int_alu 0 int_mul 0 int_div 0 float_add 0 float_mul 0 "
+      "float_div 0 math_func 0 compare 0 select 0 branch 0 loop_step 0 "
+      "local_access 0 spm_access 0 spm_bytes 4096\n"
+      "tile 0 one\n"
+      "tile 1 free\n");
+  const ToolchainResult result =
+      Toolchain(platform, ToolchainOptions{}).run(buildApp(App::Egpws));
+  EXPECT_GT(result.sequentialWcet, 0);
+  EXPECT_EQ(result.system.makespan, 0);
+  EXPECT_EQ(result.wcetSpeedup(), std::numeric_limits<double>::infinity());
+  EXPECT_NE(
+      result.reportText(false).find("guaranteed speedup:  unbounded\n"),
+      std::string::npos)
+      << result.reportText(false);
 }
 
 TEST(Toolchain, StageTimingsRecorded) {
@@ -267,27 +312,23 @@ TEST(Toolchain, GeneratedCodeAvailablePerCore) {
   codegen::InputTrace trace;
   trace.steps.push_back(ir::makeZeroEnvironment(*result.fn));
   const codegen::Emission emission = toolchain.emitC(result, trace);
-  for (const par::CoreProgram& core : result.program.cores) {
-    const std::string unit = "tile" + std::to_string(core.tile) + ".c";
+  const std::vector<std::vector<int>>& tileOrder = result.schedule.tileOrder;
+  for (std::size_t tile = 0; tile < tileOrder.size(); ++tile) {
+    const std::string unit = "tile" + std::to_string(tile) + ".c";
     const bool emitted = std::find(emission.cUnits.begin(),
                                    emission.cUnits.end(),
                                    unit) != emission.cUnits.end();
-    const bool runsTask =
-        std::any_of(core.ops.begin(), core.ops.end(), [](const par::ParOp& op) {
-          return op.kind == par::OpKind::Execute;
-        });
-    EXPECT_EQ(emitted, runsTask) << unit;
+    EXPECT_EQ(emitted, !tileOrder[tile].empty()) << unit;
     if (!emitted) continue;
     const std::string& source = emission.file(unit).contents;
-    EXPECT_NE(source.find("argo_tile" + std::to_string(core.tile) + "_slots["),
+    EXPECT_NE(source.find("argo_tile" + std::to_string(tile) + "_slots["),
               std::string::npos)
         << unit;
-    for (const par::ParOp& op : core.ops) {
-      if (op.kind != par::OpKind::Execute) continue;
-      EXPECT_NE(source.find("void argo_task_" + std::to_string(op.task) +
+    for (int task : tileOrder[tile]) {
+      EXPECT_NE(source.find("void argo_task_" + std::to_string(task) +
                             "(void)"),
                 std::string::npos)
-          << unit << " task " << op.task;
+          << unit << " task " << task;
     }
   }
 }

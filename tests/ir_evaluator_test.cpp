@@ -12,7 +12,7 @@ namespace {
 
 /// Builds a function, runs it on an empty environment, returns env.
 Environment runFn(Function& fn, Environment env = {},
-                  ExecutionMeter* meter = nullptr) {
+                  CountingMeter* meter = nullptr) {
   Evaluator evaluator(fn);
   evaluator.run(env, meter);
   return env;

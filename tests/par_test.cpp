@@ -55,16 +55,18 @@ struct Built {
 
 TEST(ParallelProgram, EveryTaskExecutedExactlyOnce) {
   Built built;
+  const std::vector<std::vector<int>>& tileOrder =
+      built.program.schedule.tileOrder;
+  ASSERT_EQ(tileOrder.size(),
+            static_cast<std::size_t>(built.platform.coreCount()));
   std::vector<int> executions(built.graph.tasks.size(), 0);
-  for (const CoreProgram& core : built.program.cores) {
-    for (const ParOp& op : core.ops) {
-      if (op.kind == OpKind::Execute) {
-        executions[static_cast<std::size_t>(op.task)] += 1;
-        // And on the scheduled tile.
-        EXPECT_EQ(core.tile,
-                  built.schedule.placements[static_cast<std::size_t>(op.task)]
-                      .tile);
-      }
+  for (std::size_t tile = 0; tile < tileOrder.size(); ++tile) {
+    for (int task : tileOrder[tile]) {
+      executions[static_cast<std::size_t>(task)] += 1;
+      // And on the scheduled tile.
+      EXPECT_EQ(static_cast<int>(tile),
+                built.schedule.placements[static_cast<std::size_t>(task)]
+                    .tile);
     }
   }
   for (int count : executions) EXPECT_EQ(count, 1);
@@ -89,32 +91,22 @@ TEST(ParallelProgram, EventsOnlyForCrossTileDeps) {
 }
 
 TEST(ParallelProgram, WaitsPrecedeExecuteSignalsFollow) {
+  // A task waits for exactly the events it consumes before it runs and
+  // signals exactly the events it produces after it finishes, ids
+  // ascending (events are listed by id, so the expected lists are).
   Built built;
-  for (const CoreProgram& core : built.program.cores) {
-    for (std::size_t k = 0; k < core.ops.size(); ++k) {
-      const ParOp& op = core.ops[k];
-      if (op.kind == OpKind::Wait) {
-        // The next non-wait op must be the consumer's Execute.
-        std::size_t j = k;
-        while (j < core.ops.size() && core.ops[j].kind == OpKind::Wait) ++j;
-        ASSERT_LT(j, core.ops.size());
-        EXPECT_EQ(core.ops[j].kind, OpKind::Execute);
-        EXPECT_EQ(core.ops[j].task,
-                  built.program.event(op.event).consumerTask);
-      }
-      if (op.kind == OpKind::Signal) {
-        // Some earlier op on this core is the producer's Execute.
-        bool found = false;
-        for (std::size_t j = 0; j < k; ++j) {
-          if (core.ops[j].kind == OpKind::Execute &&
-              core.ops[j].task ==
-                  built.program.event(op.event).producerTask) {
-            found = true;
-          }
-        }
-        EXPECT_TRUE(found);
-      }
-    }
+  const std::size_t n = built.graph.tasks.size();
+  ASSERT_EQ(built.program.waits.size(), n);
+  ASSERT_EQ(built.program.signals.size(), n);
+  std::vector<std::vector<int>> consumes(n);
+  std::vector<std::vector<int>> produces(n);
+  for (const Event& e : built.program.events) {
+    consumes[static_cast<std::size_t>(e.consumerTask)].push_back(e.id);
+    produces[static_cast<std::size_t>(e.producerTask)].push_back(e.id);
+  }
+  for (std::size_t task = 0; task < n; ++task) {
+    EXPECT_EQ(built.program.waits[task], consumes[task]) << "task " << task;
+    EXPECT_EQ(built.program.signals[task], produces[task]) << "task " << task;
   }
 }
 
@@ -200,6 +192,12 @@ TEST(ParallelProgram, MismatchedScheduleRejected) {
   Built built;
   sched::Schedule broken = built.schedule;
   broken.placements.pop_back();
+  EXPECT_THROW(
+      (void)buildParallelProgram(built.graph, broken, built.platform),
+      support::ToolchainError);
+  // Every tile needs a task order, even an empty one.
+  broken = built.schedule;
+  broken.tileOrder.pop_back();
   EXPECT_THROW(
       (void)buildParallelProgram(built.graph, broken, built.platform),
       support::ToolchainError);

@@ -8,6 +8,7 @@
 #include "model/blocks.h"
 #include "model/diagram.h"
 #include "model/scilab.h"
+#include "mutants.h"
 #include "support/diagnostics.h"
 
 namespace argo::model {
@@ -300,6 +301,67 @@ TEST(ScilabBlock, ParseFailureAtConstruction) {
                            std::vector<PortSpec>{},
                            std::vector<PortSpec>{{"y", Type::float64()}}),
                ToolchainError);
+}
+
+// ---- Mutation corpus: a one-edit mutant parses or names its line ----
+
+// The EGPWS scripts (apps/egpws.cpp) at the default configuration.
+constexpr const char* kLookaheadScript =
+    "local t; local px; local py; local palt\n"
+    "local ix; local iy; local fx; local fy\n"
+    "local e00; local e01; local e10; local e11; local elev\n"
+    "for i = 1:32\n"
+    "  t = float(i) * 0.5\n"
+    "  px = x + gs * t * cos(heading) / 100\n"
+    "  py = y + gs * t * sin(heading) / 100\n"
+    "  palt = alt + vs * t\n"
+    "  px = min(max(px, 1.0), 31.0 - 0.001)\n"
+    "  py = min(max(py, 1.0), 31.0 - 0.001)\n"
+    "  ix = int(floor(px))\n"
+    "  iy = int(floor(py))\n"
+    "  fx = px - float(ix)\n"
+    "  fy = py - float(iy)\n"
+    "  e00 = terrain(iy, ix)\n"
+    "  e01 = terrain(iy, ix + 1)\n"
+    "  e10 = terrain(iy + 1, ix)\n"
+    "  e11 = terrain(iy + 1, ix + 1)\n"
+    "  elev = e00*(1.0-fx)*(1.0-fy) + e01*fx*(1.0-fy) + e10*(1.0-fx)*fy"
+    " + e11*fx*fy\n"
+    "  clr(i) = palt - elev\n"
+    "end\n";
+
+constexpr const char* kAlertScript =
+    "alert = 0.0\n"
+    "if minclr < 500.0 then alert = 1.0 end\n"
+    "if minclr < 200.0 then alert = 2.0 end\n";
+
+TEST(Scilab, EveryMutantParsesOrNamesItsLine) {
+  const std::map<std::string, Type> lookaheadPorts = {
+      {"terrain", Type::array(ScalarKind::Float64, {32, 32})},
+      {"x", Type::float64()},
+      {"y", Type::float64()},
+      {"alt", Type::float64()},
+      {"gs", Type::float64()},
+      {"vs", Type::float64()},
+      {"heading", Type::float64()},
+      {"clr", Type::array(ScalarKind::Float64, {32})}};
+  const std::map<std::string, Type> alertPorts = {
+      {"minclr", Type::float64()}, {"alert", Type::float64()}};
+  // Both seeds parse as they stand.
+  (void)scilab::parseScript(kLookaheadScript, lookaheadPorts);
+  (void)scilab::parseScript(kAlertScript, alertPorts);
+
+  test::MutantSweep sweep{"scilab line ", {}};
+  sweep.run(kLookaheadScript, [&](const std::string& text) {
+    (void)scilab::parseScript(text, lookaheadPorts);
+  });
+  sweep.run(kAlertScript, [&](const std::string& text) {
+    (void)scilab::parseScript(text, alertPorts);
+  });
+  EXPECT_GT(sweep.parsed, 0);
+  EXPECT_GT(sweep.rejected, 0);
+  EXPECT_EQ(sweep.breaks.size(), 0u)
+      << "the first: " << (sweep.breaks.empty() ? "" : sweep.breaks.front());
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Determinism regression for the parallel cross-layer feedback
-// exploration: evaluating the candidate ladder on the work-stealing pool
+// exploration: evaluating the candidate ladder on a transient thread team
 // must be observationally identical to the sequential path — same chosen
 // candidate, same FeedbackPoint sequence, same report text.
 #include <gtest/gtest.h>
