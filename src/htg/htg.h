@@ -100,7 +100,11 @@ struct Task {
 struct TaskGraph {
   const ir::Function* fn = nullptr;
   std::vector<Task> tasks;
-  std::vector<Dep> deps;  ///< Indices into `tasks`.
+  /// Edges between indices into `tasks`. Every edge has `from < to`, so
+  /// task ids are a topological order: expand() numbers tasks in program
+  /// order, and the scheduler's rank and critical-path passes walk ids
+  /// in reverse.
+  std::vector<Dep> deps;
 
   [[nodiscard]] std::vector<std::vector<int>> successors() const;
   [[nodiscard]] std::vector<std::vector<int>> predecessors() const;

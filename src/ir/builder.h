@@ -72,9 +72,6 @@ template <typename... Args>
 [[nodiscard]] inline ExprPtr ge(ExprPtr a, ExprPtr b) {
   return bin(BinOpKind::Ge, std::move(a), std::move(b));
 }
-[[nodiscard]] inline ExprPtr eq(ExprPtr a, ExprPtr b) {
-  return bin(BinOpKind::Eq, std::move(a), std::move(b));
-}
 [[nodiscard]] inline ExprPtr un(UnOpKind op, ExprPtr a) {
   return std::make_unique<UnOp>(op, std::move(a));
 }

@@ -82,6 +82,12 @@ bool Value::approxEquals(const Value& other, double tolerance) const {
 
 namespace {
 
+/// Throws for an int64 result ir::checkedIntOp has no value for. Kept out
+/// of line, off the evaluator's hot path.
+[[noreturn]] void throwIntOverflow(const char* op) {
+  throw ToolchainError(std::string("integer overflow in ") + op);
+}
+
 /// A transient scalar during expression evaluation.
 struct Scalar {
   bool isFloat = false;
@@ -277,25 +283,18 @@ class Interp {
         case BinOpKind::Max: return Scalar::ofFloat(std::fmax(x, y));
         default: break;
       }
-    } else {
-      const std::int64_t x = a.asInt();
-      const std::int64_t y = b.asInt();
-      switch (bin.op()) {
-        case BinOpKind::Add: return Scalar::ofInt(x + y);
-        case BinOpKind::Sub: return Scalar::ofInt(x - y);
-        case BinOpKind::Mul: return Scalar::ofInt(x * y);
-        case BinOpKind::Div:
-          if (y == 0) throw ToolchainError("integer division by zero");
-          return Scalar::ofInt(x / y);
-        case BinOpKind::Mod:
-          if (y == 0) throw ToolchainError("integer modulo by zero");
-          return Scalar::ofInt(x % y);
-        case BinOpKind::Min: return Scalar::ofInt(std::min(x, y));
-        case BinOpKind::Max: return Scalar::ofInt(std::max(x, y));
-        default: break;
-      }
+      throw ToolchainError("unhandled binary operator");
     }
-    throw ToolchainError("unhandled binary operator");
+    if (const auto v = checkedIntOp(bin.op(), a.i, b.i)) {
+      return Scalar::ofInt(*v);
+    }
+    if (b.i == 0 && bin.op() == BinOpKind::Div) {
+      throw ToolchainError("integer division by zero");
+    }
+    if (b.i == 0 && bin.op() == BinOpKind::Mod) {
+      throw ToolchainError("integer modulo by zero");
+    }
+    throwIntOverflow(binOpName(bin.op()));
   }
 
   Scalar evalUn(const UnOp& un) {
@@ -303,12 +302,18 @@ class Interp {
     meterOp(classifyUnOp(un.op(), a.isFloat));
     switch (un.op()) {
       case UnOpKind::Neg:
-        return a.isFloat ? Scalar::ofFloat(-a.f) : Scalar::ofInt(-a.i);
+      case UnOpKind::Abs: {
+        if (a.isFloat) {
+          return Scalar::ofFloat(un.op() == UnOpKind::Neg ? -a.f
+                                                          : std::abs(a.f));
+        }
+        if (const auto v = checkedIntOp(un.op(), a.i)) {
+          return Scalar::ofInt(*v);
+        }
+        throwIntOverflow(unOpName(un.op()));
+      }
       case UnOpKind::Not:
         return Scalar::ofBool(!a.truthy());
-      case UnOpKind::Abs:
-        return a.isFloat ? Scalar::ofFloat(std::abs(a.f))
-                         : Scalar::ofInt(std::abs(a.i));
       case UnOpKind::Sqrt: return Scalar::ofFloat(std::sqrt(a.asFloat()));
       case UnOpKind::Exp: return Scalar::ofFloat(std::exp(a.asFloat()));
       case UnOpKind::Log: return Scalar::ofFloat(std::log(a.asFloat()));

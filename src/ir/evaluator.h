@@ -49,12 +49,6 @@ class Value {
     return type_.elementCount();
   }
 
-  /// Raw access for bulk initialization (float-kind values only).
-  [[nodiscard]] std::vector<double>& floatData() { return f_; }
-  [[nodiscard]] const std::vector<double>& floatData() const { return f_; }
-  [[nodiscard]] std::vector<std::int64_t>& intData() { return i_; }
-  [[nodiscard]] const std::vector<std::int64_t>& intData() const { return i_; }
-
   /// Element-wise comparison with absolute tolerance for floats.
   [[nodiscard]] bool approxEquals(const Value& other,
                                   double tolerance = 1e-9) const;
@@ -96,8 +90,8 @@ class CountingMeter {
 /// The environment must contain every Input variable; State variables are
 /// zero-initialized when absent and persist across run() calls; Output and
 /// Temp variables are (re)created. Throws ToolchainError on out-of-range
-/// indices or division by zero — programs the tool-chain generates are
-/// expected to be total.
+/// indices, integer division by zero and int64 overflow (ir::checkedIntOp)
+/// — programs the tool-chain generates are expected to be total.
 class Evaluator {
  public:
   explicit Evaluator(const Function& fn) : fn_(fn) {}

@@ -5,8 +5,11 @@
 // isa<>/cast<> helpers at the bottom of this header.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,6 +48,46 @@ enum class UnOpKind : std::uint8_t {
 [[nodiscard]] const char* unOpName(UnOpKind op) noexcept;
 [[nodiscard]] bool isComparison(BinOpKind op) noexcept;
 [[nodiscard]] bool isLogical(BinOpKind op) noexcept;
+
+/// The IR's checked int64 arithmetic, shared by the Scilab front end,
+/// constant folding and the evaluator: `a op b` for Add, Sub, Mul, Div,
+/// Mod, Min and Max, or no value where C leaves the result undefined — a
+/// zero divisor, INT64_MIN / -1 and INT64_MIN % -1, and any overflow of
+/// +, - or *. Comparisons and logical operators have no value here.
+[[nodiscard]] inline std::optional<std::int64_t> checkedIntOp(
+    BinOpKind op, std::int64_t a, std::int64_t b) noexcept {
+  std::int64_t out = 0;
+  switch (op) {
+    case BinOpKind::Add:
+      if (__builtin_add_overflow(a, b, &out)) return std::nullopt;
+      return out;
+    case BinOpKind::Sub:
+      if (__builtin_sub_overflow(a, b, &out)) return std::nullopt;
+      return out;
+    case BinOpKind::Mul:
+      if (__builtin_mul_overflow(a, b, &out)) return std::nullopt;
+      return out;
+    case BinOpKind::Div:
+    case BinOpKind::Mod:
+      if (b == 0 ||
+          (b == -1 && a == std::numeric_limits<std::int64_t>::min())) {
+        return std::nullopt;
+      }
+      return op == BinOpKind::Div ? a / b : a % b;
+    case BinOpKind::Min: return std::min(a, b);
+    case BinOpKind::Max: return std::max(a, b);
+    default: return std::nullopt;
+  }
+}
+
+/// `op a` for Neg and Abs, or no value when it overflows (a is
+/// INT64_MIN). Every other unary operator has no value here.
+[[nodiscard]] inline std::optional<std::int64_t> checkedIntOp(
+    UnOpKind op, std::int64_t a) noexcept {
+  if (op == UnOpKind::Abs && a >= 0) return a;
+  if (op != UnOpKind::Neg && op != UnOpKind::Abs) return std::nullopt;
+  return checkedIntOp(BinOpKind::Sub, 0, a);
+}
 
 /// Base class of all expressions.
 class Expr {

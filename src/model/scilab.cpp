@@ -337,13 +337,16 @@ class Parser {
     const std::int64_t lo = parseConstInt("loop lower bound");
     expect(Tok::Colon);
     const std::int64_t hi = parseConstInt("loop upper bound");
+    // Scilab ranges are inclusive; IR loops are half-open.
+    const std::optional<std::int64_t> end =
+        ir::checkedIntOp(ir::BinOpKind::Add, hi, 1);
+    if (!end) fail("loop upper bound must be below " + std::to_string(hi));
     accept(Tok::KwDo);
     loopVars_.insert(var.text);
     auto body = parseStmts({Tok::KwEnd});
     loopVars_.erase(var.text);
     expect(Tok::KwEnd);
-    // Scilab ranges are inclusive; IR loops are half-open.
-    return ir::forLoop(var.text, lo, hi + 1, std::move(body));
+    return ir::forLoop(var.text, lo, *end, std::move(body));
   }
 
   ir::StmtPtr parseIf() {
@@ -360,36 +363,40 @@ class Parser {
                       std::move(elseBody));
   }
 
-  /// Constant integer expression (loop bounds): literals with + - * /.
+  /// Constant integer expression (loop bounds): integer literals combined
+  /// by the arithmetic operators and unary minus, in checked int64
+  /// arithmetic (ir::checkedIntOp).
   std::int64_t parseConstInt(const std::string& what) {
     ir::ExprPtr expr = parseExpr();
-    const std::optional<std::int64_t> value = constEval(*expr);
+    const std::optional<std::int64_t> value = constEval(*expr, what);
     if (!value.has_value()) fail(what + " must be a compile-time constant");
     return *value;
   }
 
-  static std::optional<std::int64_t> constEval(const ir::Expr& expr) {
+  /// No value when `expr` is not constant; fails when its arithmetic
+  /// divides by zero or overflows.
+  std::optional<std::int64_t> constEval(const ir::Expr& expr,
+                                        const std::string& what) {
     if (const auto* i = ir::dynCast<ir::IntLit>(expr)) return i->value();
+    std::optional<std::int64_t> value;
     if (const auto* b = ir::dynCast<ir::BinOp>(expr)) {
-      const auto lhs = constEval(b->lhs());
-      const auto rhs = constEval(b->rhs());
+      if (ir::isComparison(b->op()) || ir::isLogical(b->op())) {
+        return std::nullopt;
+      }
+      const auto lhs = constEval(b->lhs(), what);
+      const auto rhs = constEval(b->rhs(), what);
       if (!lhs || !rhs) return std::nullopt;
-      switch (b->op()) {
-        case ir::BinOpKind::Add: return *lhs + *rhs;
-        case ir::BinOpKind::Sub: return *lhs - *rhs;
-        case ir::BinOpKind::Mul: return *lhs * *rhs;
-        case ir::BinOpKind::Div: return *rhs == 0 ? std::nullopt
-                                                  : std::optional(*lhs / *rhs);
-        default: return std::nullopt;
-      }
+      value = ir::checkedIntOp(b->op(), *lhs, *rhs);
+    } else if (const auto* u = ir::dynCast<ir::UnOp>(expr);
+               u != nullptr && u->op() == ir::UnOpKind::Neg) {
+      const auto operand = constEval(u->operand(), what);
+      if (!operand) return std::nullopt;
+      value = ir::checkedIntOp(u->op(), *operand);
+    } else {
+      return std::nullopt;
     }
-    if (const auto* u = ir::dynCast<ir::UnOp>(expr)) {
-      if (u->op() == ir::UnOpKind::Neg) {
-        const auto v = constEval(u->operand());
-        if (v) return -*v;
-      }
-    }
-    return std::nullopt;
+    if (!value) fail(what + " divides by zero or overflows 64-bit integers");
+    return value;
   }
 
   // Precedence climbing: | < & < comparisons < +- < */ < ^ < unary.

@@ -35,79 +35,66 @@ support::MetricCounter& acceptedCounter() {
   return counter;
 }
 
-class AnnealedPolicy final : public SchedulingPolicy {
- public:
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "annealed";
-  }
-
-  [[nodiscard]] Schedule run(const SchedContext& ctx,
-                             const SchedOptions& options) const override {
-    const detail::CommTable comm(ctx);
-    Schedule seed = detail::listSchedule(ctx, comm, options.interferenceAware,
-                                         std::string(name()));
-    const std::vector<int> order =
-        detail::priorityOrder(detail::upwardRanks(ctx, comm));
-    const std::size_t n = ctx.graph.tasks.size();
-    std::vector<int> seedAssignment(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      seedAssignment[i] = seed.placements[i].tile;
-    }
-
-    // The chain starts from the seed assignment. `best` is the best
-    // assignment it accepted; strict `<` lets the earliest move win ties.
-    detail::ListPlacer placer(ctx, comm, options.interferenceAware);
-    Cycles bestMakespan = seed.makespan;
-    std::vector<int> best = seedAssignment;
-    std::vector<int> assignment = seedAssignment;
-    Cycles current = seed.makespan;
-    std::uint64_t moves = 0;     // assignments evaluated
-    std::uint64_t accepted = 0;  // of those, accepted
-    support::Rng rng(options.seed);
-    double temperature = kSaInitialTemp * static_cast<double>(seed.makespan);
-    const double cooling =
-        std::pow(0.01, 1.0 / std::max(1, options.saIterations));
-    for (int iter = 0; iter < options.saIterations; ++iter) {
-      const std::size_t task = static_cast<std::size_t>(
-          rng.uniformInt(0, static_cast<int>(n) - 1));
-      const int oldTile = assignment[task];
-      const int newTile = static_cast<int>(rng.uniformInt(0, ctx.cores - 1));
-      if (newTile == oldTile) continue;
-      assignment[task] = newTile;
-      const Cycles candidate = placer.placeAssignment(order, assignment);
-      ++moves;
-      const double delta =
-          static_cast<double>(candidate) - static_cast<double>(current);
-      const bool accept =
-          delta <= 0.0 ||
-          rng.uniformDouble() < std::exp(-delta / std::max(1.0, temperature));
-      if (accept) {
-        ++accepted;
-        current = candidate;
-        if (candidate < bestMakespan) {
-          bestMakespan = candidate;
-          best = assignment;
-        }
-      } else {
-        assignment[task] = oldTile;
-      }
-      temperature *= cooling;
-    }
-    movesCounter().add(moves);
-    acceptedCounter().add(accepted);
-
-    // Annealing never returns something worse than its seed.
-    if (placer.placeAssignment(order, best) > seed.makespan) return seed;
-    return placer.finish(std::string(name()));
-  }
-};
-
 }  // namespace
 
 namespace detail {
 
-std::unique_ptr<SchedulingPolicy> makeAnnealedPolicy() {
-  return std::make_unique<AnnealedPolicy>();
+Schedule annealed(const SchedContext& ctx, const SchedOptions& options) {
+  const CommTable comm(ctx);
+  Schedule seed =
+      listSchedule(ctx, comm, options.interferenceAware, "annealed");
+  const std::vector<int> order = priorityOrder(upwardRanks(ctx, comm));
+  const std::size_t n = ctx.graph.tasks.size();
+  std::vector<int> seedAssignment(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    seedAssignment[i] = seed.placements[i].tile;
+  }
+
+  // The chain starts from the seed assignment. `best` is the best
+  // assignment it accepted; strict `<` lets the earliest move win ties.
+  ListPlacer placer(ctx, comm, options.interferenceAware);
+  Cycles bestMakespan = seed.makespan;
+  std::vector<int> best = seedAssignment;
+  std::vector<int> assignment = seedAssignment;
+  Cycles current = seed.makespan;
+  std::uint64_t moves = 0;     // assignments evaluated
+  std::uint64_t accepted = 0;  // of those, accepted
+  support::Rng rng(options.seed);
+  double temperature = kSaInitialTemp * static_cast<double>(seed.makespan);
+  const double cooling =
+      std::pow(0.01, 1.0 / std::max(1, options.saIterations));
+  for (int iter = 0; iter < options.saIterations; ++iter) {
+    const std::size_t task = static_cast<std::size_t>(
+        rng.uniformInt(0, static_cast<int>(n) - 1));
+    const int oldTile = assignment[task];
+    const int newTile = static_cast<int>(rng.uniformInt(0, ctx.cores - 1));
+    if (newTile == oldTile) continue;
+    assignment[task] = newTile;
+    const Cycles candidate = placer.placeAssignment(order, assignment);
+    ++moves;
+    const double delta =
+        static_cast<double>(candidate) - static_cast<double>(current);
+    const bool accept =
+        delta <= 0.0 ||
+        rng.uniformDouble() < std::exp(-delta / std::max(1.0, temperature));
+    if (accept) {
+      ++accepted;
+      current = candidate;
+      if (candidate < bestMakespan) {
+        bestMakespan = candidate;
+        best = assignment;
+      }
+    } else {
+      assignment[task] = oldTile;
+    }
+    temperature *= cooling;
+  }
+  movesCounter().add(moves);
+  acceptedCounter().add(accepted);
+
+  // Annealing never returns something worse than its seed.
+  if (placer.placeAssignment(order, best) > seed.makespan) return seed;
+  return placer.finish("annealed");
 }
 
 }  // namespace detail

@@ -111,33 +111,17 @@ struct Frame {
 };
 
 /// Remaining critical path per task (min-WCET weights, no communication):
-/// an admissible lower bound for pruning.
+/// an admissible lower bound for pruning. One reverse pass over task ids,
+/// which are a topological order (htg::TaskGraph::deps).
 std::vector<Cycles> remainingCriticalPath(const SchedContext& ctx,
                                           const std::vector<Cycles>& minW) {
-  const std::size_t n = minW.size();
-  std::vector<Cycles> cp(n, -1);
-  // Reverse topological accumulation (iterate until stable; graphs are
-  // small when BnB is enabled).
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::size_t i = 0; i < n; ++i) {
-      Cycles tail = 0;
-      bool ready = true;
-      for (int s : ctx.succ[i]) {
-        if (cp[static_cast<std::size_t>(s)] < 0) {
-          ready = false;
-          break;
-        }
-        tail = std::max(tail, cp[static_cast<std::size_t>(s)]);
-      }
-      if (!ready) continue;
-      const Cycles value = minW[i] + tail;
-      if (value != cp[i]) {
-        cp[i] = value;
-        changed = true;
-      }
+  std::vector<Cycles> cp(minW.size());
+  for (std::size_t i = cp.size(); i-- > 0;) {
+    Cycles tail = 0;
+    for (int s : ctx.succ[i]) {
+      tail = std::max(tail, cp[static_cast<std::size_t>(s)]);
     }
+    cp[i] = minW[i] + tail;
   }
   return cp;
 }
@@ -272,88 +256,76 @@ bool search(const SearchContext& sc, Frame& frame, std::int64_t& nodesLeft,
   return visit(visit, 0);
 }
 
-class BnbPolicy final : public SchedulingPolicy {
- public:
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "branch_and_bound";
-  }
-
-  [[nodiscard]] Schedule run(const SchedContext& ctx,
-                             const SchedOptions& options) const override {
-    const std::size_t n = ctx.graph.tasks.size();
-    const detail::CommTable comm(ctx);
-    if (!bnbExactSearchFeasible(n)) {
-      // Exact search is hopeless at this size (kBnbTaskLimit, which the
-      // bitmask width kBnbMaxTasks bounds); fall back to the heuristic —
-      // the ARGO "exact + heuristics" combination. Oversized graphs are
-      // scheduled, never rejected.
-      return detail::listSchedule(ctx, comm, options.interferenceAware,
-                                  "branch_and_bound(fallback=heft)");
-    }
-
-    SearchContext sc{ctx, comm, {}, std::vector<Cycles>(n),
-                     std::vector<std::uint32_t>(n), n,
-                     n >= 32 ? ~0u : (1u << n) - 1u};
-    Cycles totalMinWork = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      sc.minW[i] = *std::min_element(ctx.timings[i].wcetByTile.begin(),
-                                     ctx.timings[i].wcetByTile.end());
-      totalMinWork += sc.minW[i];
-      for (int p : ctx.pred[i]) sc.predMask[i] |= 1u << p;
-    }
-    sc.cp = remainingCriticalPath(ctx, sc.minW);
-
-    // Seed incumbent with HEFT: the search only has to *improve* on it.
-    const Schedule seed =
-        detail::listSchedule(ctx, comm, options.interferenceAware, "heft");
-
-    Frame root;
-    root.placements.resize(n);
-    root.tileAvail.assign(static_cast<std::size_t>(ctx.cores), 0);
-    root.workLeft = totalMinWork;
-
-    Incumbent best{seed.makespan, seed.placements};
-    const std::int64_t budget =
-        std::max<std::int64_t>(options.bnbNodeBudget, 0);
-    std::int64_t nodesLeft = budget;
-    const bool budgetExhausted = !search(sc, root, nodesLeft, best);
-
-    nodesCounter().add(static_cast<std::uint64_t>(budget - nodesLeft));
-    if (budgetExhausted) budgetExhaustedCounter().add();
-
-    // Rebuild tile order / usage from the winning placements.
-    Schedule result;
-    result.placements = std::move(best.placements);
-    result.makespan = best.makespan;
-    result.tileOrder.assign(
-        static_cast<std::size_t>(ctx.platform.coreCount()), {});
-    std::vector<int> byStart(n);
-    std::iota(byStart.begin(), byStart.end(), 0);
-    std::sort(byStart.begin(), byStart.end(), [&](int a, int b) {
-      return result.placements[static_cast<std::size_t>(a)].start <
-             result.placements[static_cast<std::size_t>(b)].start;
-    });
-    for (int t : byStart) {
-      result
-          .tileOrder[static_cast<std::size_t>(
-              result.placements[static_cast<std::size_t>(t)].tile)]
-          .push_back(t);
-    }
-    for (const auto& order : result.tileOrder) {
-      if (!order.empty()) ++result.tilesUsed;
-    }
-    result.policy = budgetExhausted ? "branch_and_bound(budget)"
-                                    : "branch_and_bound";
-    return result;
-  }
-};
-
 }  // namespace
 
 namespace detail {
 
-std::unique_ptr<SchedulingPolicy> makeBnbPolicy() {
-  return std::make_unique<BnbPolicy>();
+Schedule branchAndBound(const SchedContext& ctx, const SchedOptions& options) {
+  const std::size_t n = ctx.graph.tasks.size();
+  const CommTable comm(ctx);
+  if (!bnbExactSearchFeasible(n)) {
+    // Exact search is hopeless at this size (kBnbTaskLimit, which the
+    // bitmask width kBnbMaxTasks bounds); fall back to the heuristic —
+    // the ARGO "exact + heuristics" combination. Oversized graphs are
+    // scheduled, never rejected.
+    return listSchedule(ctx, comm, options.interferenceAware,
+                        "branch_and_bound(fallback=heft)");
+  }
+
+  SearchContext sc{ctx, comm, {}, std::vector<Cycles>(n),
+                   std::vector<std::uint32_t>(n), n,
+                   n >= 32 ? ~0u : (1u << n) - 1u};
+  Cycles totalMinWork = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    sc.minW[i] = *std::min_element(ctx.timings[i].wcetByTile.begin(),
+                                   ctx.timings[i].wcetByTile.end());
+    totalMinWork += sc.minW[i];
+    for (int p : ctx.pred[i]) sc.predMask[i] |= 1u << p;
+  }
+  sc.cp = remainingCriticalPath(ctx, sc.minW);
+
+  // Seed incumbent with HEFT: the search only has to *improve* on it.
+  const Schedule seed =
+      listSchedule(ctx, comm, options.interferenceAware, "heft");
+
+  Frame root;
+  root.placements.resize(n);
+  root.tileAvail.assign(static_cast<std::size_t>(ctx.cores), 0);
+  root.workLeft = totalMinWork;
+
+  Incumbent best{seed.makespan, seed.placements};
+  const std::int64_t budget =
+      std::max<std::int64_t>(options.bnbNodeBudget, 0);
+  std::int64_t nodesLeft = budget;
+  const bool budgetExhausted = !search(sc, root, nodesLeft, best);
+
+  nodesCounter().add(static_cast<std::uint64_t>(budget - nodesLeft));
+  if (budgetExhausted) budgetExhaustedCounter().add();
+
+  // Rebuild tile order / usage from the winning placements.
+  Schedule result;
+  result.placements = std::move(best.placements);
+  result.makespan = best.makespan;
+  result.tileOrder.assign(
+      static_cast<std::size_t>(ctx.platform.coreCount()), {});
+  std::vector<int> byStart(n);
+  std::iota(byStart.begin(), byStart.end(), 0);
+  std::sort(byStart.begin(), byStart.end(), [&](int a, int b) {
+    return result.placements[static_cast<std::size_t>(a)].start <
+           result.placements[static_cast<std::size_t>(b)].start;
+  });
+  for (int t : byStart) {
+    result
+        .tileOrder[static_cast<std::size_t>(
+            result.placements[static_cast<std::size_t>(t)].tile)]
+        .push_back(t);
+  }
+  for (const auto& order : result.tileOrder) {
+    if (!order.empty()) ++result.tilesUsed;
+  }
+  result.policy = budgetExhausted ? "branch_and_bound(budget)"
+                                  : "branch_and_bound";
+  return result;
 }
 
 }  // namespace detail

@@ -14,48 +14,16 @@
 #include "sched/list_placement.h"
 #include "sched/policy.h"
 
-namespace argo::sched {
+namespace argo::sched::detail {
 
-namespace {
-
-class HeftPolicy final : public SchedulingPolicy {
- public:
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "heft";
-  }
-  [[nodiscard]] Schedule run(const SchedContext& ctx,
-                             const SchedOptions& options) const override {
-    return detail::listSchedule(ctx, detail::CommTable(ctx),
-                                options.interferenceAware,
-                                std::string(name()));
-  }
-};
-
-class ContentionObliviousPolicy final : public SchedulingPolicy {
- public:
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "contention_oblivious";
-  }
-  [[nodiscard]] Schedule run(const SchedContext& ctx,
-                             const SchedOptions& /*options*/) const override {
-    return detail::listSchedule(ctx, detail::CommTable(ctx),
-                                /*interferenceAware=*/false,
-                                std::string(name()));
-  }
-};
-
-}  // namespace
-
-namespace detail {
-
-std::unique_ptr<SchedulingPolicy> makeHeftPolicy() {
-  return std::make_unique<HeftPolicy>();
+Schedule heft(const SchedContext& ctx, const SchedOptions& options) {
+  return listSchedule(ctx, CommTable(ctx), options.interferenceAware, "heft");
 }
 
-std::unique_ptr<SchedulingPolicy> makeContentionObliviousPolicy() {
-  return std::make_unique<ContentionObliviousPolicy>();
+Schedule contentionOblivious(const SchedContext& ctx,
+                             const SchedOptions& /*options*/) {
+  return listSchedule(ctx, CommTable(ctx), /*interferenceAware=*/false,
+                      "contention_oblivious");
 }
 
-}  // namespace detail
-
-}  // namespace argo::sched
+}  // namespace argo::sched::detail

@@ -5,8 +5,6 @@
 #include <numeric>
 #include <utility>
 
-#include "support/interval.h"
-
 namespace argo::sched::detail {
 
 CommTable::CommTable(const SchedContext& ctx)
@@ -60,33 +58,15 @@ std::vector<double> upwardRanks(const SchedContext& ctx,
               2.0);
     }
   }
-  std::vector<double> rank(n, -1.0);
-  // Process in reverse topological order via DFS.
-  std::vector<int> state(n, 0);
-  std::vector<int> stack;
-  for (int root = 0; root < static_cast<int>(n); ++root) {
-    if (state[static_cast<std::size_t>(root)] != 0) continue;
-    stack.push_back(root);
-    while (!stack.empty()) {
-      const int t = stack.back();
-      if (state[static_cast<std::size_t>(t)] == 0) {
-        state[static_cast<std::size_t>(t)] = 1;
-        for (int s : ctx.succ[static_cast<std::size_t>(t)]) {
-          if (state[static_cast<std::size_t>(s)] == 0) stack.push_back(s);
-        }
-        continue;
-      }
-      stack.pop_back();
-      if (state[static_cast<std::size_t>(t)] == 2) continue;
-      state[static_cast<std::size_t>(t)] = 2;
-      double best = 0.0;
-      for (const auto& [s, halfComm] :
-           succComm[static_cast<std::size_t>(t)]) {
-        best = std::max(best, halfComm + rank[static_cast<std::size_t>(s)]);
-      }
-      rank[static_cast<std::size_t>(t)] =
-          avgW[static_cast<std::size_t>(t)] + best;
+  // Task ids are a topological order (htg::TaskGraph::deps), so a
+  // reverse pass sees every successor's rank before its predecessors'.
+  std::vector<double> rank(n);
+  for (std::size_t t = n; t-- > 0;) {
+    double best = 0.0;
+    for (const auto& [s, halfComm] : succComm[t]) {
+      best = std::max(best, halfComm + rank[static_cast<std::size_t>(s)]);
     }
+    rank[t] = avgW[t] + best;
   }
   return rank;
 }
@@ -129,14 +109,15 @@ Cycles ListPlacer::placedCost(int task, int tile, Cycles start) const {
       ctx_.timings[static_cast<std::size_t>(task)].sharedAccesses;
   if (accesses == 0) return base;
   // Contenders: tiles whose currently-placed work overlaps the window
-  // this task would occupy (including this task's tile itself).
-  const support::Interval window{start, start + base};
+  // this task would occupy (including this task's tile itself). Windows
+  // are half-open: [start, end) against each placed [start, finish).
+  const Cycles end = start + base;
   int contenders = 1;
   for (int t = 0; t < ctx_.cores; ++t) {
     if (t == tile) continue;
     for (int other : tileOrder_[static_cast<std::size_t>(t)]) {
       const Placement& op = placements_[static_cast<std::size_t>(other)];
-      if (window.overlaps(support::Interval{op.start, op.finish})) {
+      if (start < op.finish && op.start < end) {
         ++contenders;
         break;
       }

@@ -44,7 +44,9 @@ class CommTable {
 };
 
 /// Upward ranks: rank(t) = avgWcet(t) + max over successors of
-/// (avgComm(edge) + rank(succ)). Decreasing rank is a topological order.
+/// (avgComm(edge) + rank(succ)). A task never ranks below a successor,
+/// and ties go to the lower id, which is the predecessor's
+/// (htg::TaskGraph::deps), so priorityOrder is a topological order.
 [[nodiscard]] std::vector<double> upwardRanks(const SchedContext& ctx,
                                               const CommTable& comm);
 

@@ -1,5 +1,8 @@
 #include "sched/policy.h"
 
+#include <algorithm>
+#include <array>
+
 #include "support/diagnostics.h"
 #include "support/strings.h"
 
@@ -9,25 +12,25 @@ using support::ToolchainError;
 
 namespace {
 
-/// Every policy, sorted by name: one row per detail::make* factory.
-const std::vector<std::unique_ptr<SchedulingPolicy>>& policies() {
-  static const std::vector<std::unique_ptr<SchedulingPolicy>> table = [] {
-    std::vector<std::unique_ptr<SchedulingPolicy>> rows;
-    for (auto factory : {detail::makeAnnealedPolicy, detail::makeBnbPolicy,
-                         detail::makeContentionObliviousPolicy,
-                         detail::makeHeftPolicy}) {
-      rows.push_back(factory());
-    }
-    return rows;
-  }();
-  return table;
-}
+/// Every policy, sorted by name: one row per detail:: run function.
+constexpr std::array kPolicies{
+    SchedulingPolicy{"annealed", detail::annealed},
+    SchedulingPolicy{"branch_and_bound", detail::branchAndBound},
+    SchedulingPolicy{"contention_oblivious", detail::contentionOblivious},
+    SchedulingPolicy{"heft", detail::heft},
+};
+static_assert(std::adjacent_find(kPolicies.begin(), kPolicies.end(),
+                                 [](const SchedulingPolicy& a,
+                                    const SchedulingPolicy& b) {
+                                   return a.name >= b.name;
+                                 }) == kPolicies.end(),
+              "the policy table must be sorted by name, without repeats");
 
 }  // namespace
 
 const SchedulingPolicy* findPolicy(std::string_view name) {
-  for (const std::unique_ptr<SchedulingPolicy>& policy : policies()) {
-    if (policy->name() == name) return policy.get();
+  for (const SchedulingPolicy& policy : kPolicies) {
+    if (policy.name == name) return &policy;
   }
   return nullptr;
 }
@@ -41,9 +44,9 @@ const SchedulingPolicy& policyOrThrow(std::string_view name) {
 
 std::vector<std::string> registeredPolicyNames() {
   std::vector<std::string> names;
-  names.reserve(policies().size());
-  for (const std::unique_ptr<SchedulingPolicy>& policy : policies()) {
-    names.emplace_back(policy->name());
+  names.reserve(kPolicies.size());
+  for (const SchedulingPolicy& policy : kPolicies) {
+    names.emplace_back(policy.name);
   }
   return names;
 }

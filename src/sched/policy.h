@@ -14,12 +14,11 @@
 //
 // Policies are looked up by name (SchedOptions::policy) and run against a
 // SchedContext — the precomputed facts every policy needs. The registry is
-// a fixed table, sorted by name: a new policy is one translation unit
-// under sched/ with one detail::make* factory, plus one row in the table
-// in policy.cpp (docs/POLICY_AUTHORING.md).
+// a fixed table, sorted by name: a new policy is one detail:: function in
+// its own translation unit under sched/, plus one row in the table in
+// policy.cpp (docs/POLICY_AUTHORING.md).
 #pragma once
 
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -44,22 +43,16 @@ struct SchedContext {
   int cores = 0;
 };
 
-/// One mapping strategy. Implementations must be stateless: a single
-/// instance serves concurrent runs, e.g. the batch graph scheduling
-/// several units at once.
-class SchedulingPolicy {
- public:
-  virtual ~SchedulingPolicy() = default;
-
+/// One mapping strategy: its registry name and the function that runs it.
+struct SchedulingPolicy {
   /// Stable registry name, also the default Schedule::policy label.
-  [[nodiscard]] virtual std::string_view name() const noexcept = 0;
+  std::string_view name;
 
   /// Computes a complete, valid schedule on the calling thread.
   /// Determinism contract: the result may depend only on `ctx` and
   /// `options` — never on thread count, wall-clock, or interleaving
   /// (docs/ARCHITECTURE.md).
-  [[nodiscard]] virtual Schedule run(const SchedContext& ctx,
-                                     const SchedOptions& options) const = 0;
+  Schedule (*run)(const SchedContext& ctx, const SchedOptions& options);
 };
 
 /// Name lookup; nullptr when unknown. The returned pointer stays valid for
@@ -79,11 +72,12 @@ class SchedulingPolicy {
 [[nodiscard]] std::string resolvePolicyAlias(std::string_view name);
 
 namespace detail {
-// Policy factories (one per translation unit under sched/).
-std::unique_ptr<SchedulingPolicy> makeHeftPolicy();
-std::unique_ptr<SchedulingPolicy> makeContentionObliviousPolicy();
-std::unique_ptr<SchedulingPolicy> makeBnbPolicy();
-std::unique_ptr<SchedulingPolicy> makeAnnealedPolicy();
+// The registered policies' run functions (heft.cpp, bnb.cpp, annealed.cpp).
+Schedule heft(const SchedContext& ctx, const SchedOptions& options);
+Schedule contentionOblivious(const SchedContext& ctx,
+                             const SchedOptions& options);
+Schedule branchAndBound(const SchedContext& ctx, const SchedOptions& options);
+Schedule annealed(const SchedContext& ctx, const SchedOptions& options);
 }  // namespace detail
 
 }  // namespace argo::sched

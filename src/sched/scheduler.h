@@ -2,11 +2,12 @@
 //
 // Paper Section III-C: the mapping problem is NP-hard; ARGO explores "an
 // approach using a combination of exact techniques and advanced
-// heuristics". The strategies themselves are pluggable SchedulingPolicy
-// objects selected by name (see sched/policy.h for the built-ins and the
-// registry); this facade owns what every policy shares — the per-task
-// timing tables (computed once, in parallel when allowed) and the graph's
-// dependence adjacency — and dispatches run() through the registry.
+// heuristics". The strategies themselves are SchedulingPolicy rows — a
+// name and a run function — selected by name (see sched/policy.h for the
+// built-ins and the registry); this facade owns what every policy shares
+// — the per-task timing tables (computed once, in parallel when allowed)
+// and the graph's dependence adjacency — and dispatches run() through the
+// registry.
 #pragma once
 
 #include "sched/options.h"

@@ -49,22 +49,10 @@ std::optional<ExprPtr> foldBin(BinOpKind op, const Lit& a, const Lit& b) {
       default: return std::nullopt;
     }
   }
-  const std::int64_t x = a.i;
-  const std::int64_t y = b.i;
-  switch (op) {
-    case BinOpKind::Add: return makeLit(false, 0, x + y);
-    case BinOpKind::Sub: return makeLit(false, 0, x - y);
-    case BinOpKind::Mul: return makeLit(false, 0, x * y);
-    case BinOpKind::Div:
-      if (y == 0) return std::nullopt;
-      return makeLit(false, 0, x / y);
-    case BinOpKind::Mod:
-      if (y == 0) return std::nullopt;
-      return makeLit(false, 0, x % y);
-    case BinOpKind::Min: return makeLit(false, 0, std::min(x, y));
-    case BinOpKind::Max: return makeLit(false, 0, std::max(x, y));
-    default: return std::nullopt;
-  }
+  // No value (a zero divisor or an overflow) keeps run-time semantics.
+  const std::optional<std::int64_t> value = ir::checkedIntOp(op, a.i, b.i);
+  if (!value) return std::nullopt;
+  return makeLit(false, 0, *value);
 }
 
 void foldStmt(ir::Stmt& stmt, bool& changed);
@@ -102,21 +90,25 @@ ir::ExprPtr foldExpr(ir::ExprPtr expr, bool& changed) {
                                     innerBin->op() == BinOpKind::Sub)) {
           const auto innerLit = asLiteral(innerBin->rhs());
           if (innerLit && !innerLit->isFloat) {
-            const std::int64_t innerSigned =
-                innerBin->op() == BinOpKind::Add ? innerLit->i : -innerLit->i;
-            const std::int64_t outerSigned =
-                bin.op() == BinOpKind::Add ? lb->i : -lb->i;
-            const std::int64_t combined = innerSigned + outerSigned;
-            ExprPtr base = innerBin->takeLhs();
-            changed = true;
-            if (combined == 0) return base;
-            if (combined > 0) {
-              return std::make_unique<ir::BinOp>(BinOpKind::Add,
-                                                 std::move(base),
-                                                 makeLit(false, 0, combined));
+            // x op1 c1 op2 c2 == x + combined, with combined = 0 op1 c1
+            // op2 c2, rewritten as x + |combined| or x - |combined|. An
+            // overflow anywhere leaves the expression as it is.
+            const std::optional<std::int64_t> inner =
+                ir::checkedIntOp(innerBin->op(), 0, innerLit->i);
+            const std::optional<std::int64_t> combined =
+                inner ? ir::checkedIntOp(bin.op(), *inner, lb->i)
+                      : std::nullopt;
+            const std::optional<std::int64_t> magnitude =
+                combined ? ir::checkedIntOp(ir::UnOpKind::Abs, *combined)
+                         : std::nullopt;
+            if (magnitude) {
+              ExprPtr base = innerBin->takeLhs();
+              changed = true;
+              if (*magnitude == 0) return base;
+              return std::make_unique<ir::BinOp>(
+                  *combined > 0 ? BinOpKind::Add : BinOpKind::Sub,
+                  std::move(base), makeLit(false, 0, *magnitude));
             }
-            return std::make_unique<ir::BinOp>(BinOpKind::Sub, std::move(base),
-                                               makeLit(false, 0, -combined));
           }
         }
       }
@@ -151,8 +143,14 @@ ir::ExprPtr foldExpr(ir::ExprPtr expr, bool& changed) {
       ExprPtr operand = foldExpr(un.operand().clone(), changed);
       if (un.op() == ir::UnOpKind::Neg) {
         if (const auto lit = asLiteral(*operand)) {
-          changed = true;
-          return makeLit(lit->isFloat, -lit->f, -lit->i);
+          if (lit->isFloat) {
+            changed = true;
+            return makeLit(true, -lit->f, 0);
+          }
+          if (const auto value = ir::checkedIntOp(un.op(), lit->i)) {
+            changed = true;
+            return makeLit(false, 0, *value);
+          }
         }
       }
       return std::make_unique<ir::UnOp>(un.op(), std::move(operand));

@@ -1,10 +1,14 @@
 // Unit tests for HTG extraction and expansion into flat task graphs.
 #include <gtest/gtest.h>
 
+#include "apps/registry.h"
 #include "htg/htg.h"
 #include "ir/builder.h"
 #include "ir/evaluator.h"
+#include "scenarios/generator.h"
 #include "support/diagnostics.h"
+#include "transform/const_fold.h"
+#include "transform/loop_transforms.h"
 
 namespace argo::htg {
 namespace {
@@ -230,6 +234,53 @@ TEST(TaskGraph, SuccessorPredecessorConsistency) {
   for (const auto& list : pred) predEdges += static_cast<int>(list.size());
   EXPECT_EQ(succEdges, predEdges);
   EXPECT_EQ(succEdges, static_cast<int>(graph.deps.size()));
+}
+
+TEST(TaskGraph, EveryEdgePointsToAHigherTaskId) {
+  // Task ids are a topological order (TaskGraph::deps): the scheduler's
+  // rank and critical-path passes walk them in reverse, and HEFT's
+  // lowest-id tie-break relies on it. Checked on the three apps and the
+  // seed-7 scenarios of both shapes, before and after the tool-chain's
+  // predictability passes, at several granularities, merged and not.
+  std::vector<std::unique_ptr<ir::Function>> fns;
+  for (const char* app : {"egpws", "weaa", "polka"}) {
+    fns.push_back(std::move(apps::buildAppDiagram(app).compile().fn));
+  }
+  for (const scenarios::Shape shape :
+       {scenarios::Shape::LayeredDag, scenarios::Shape::StencilChain}) {
+    scenarios::GeneratorOptions generator;
+    generator.seed = 7;
+    generator.shape = shape;
+    for (int index = 0; index < 12; ++index) {
+      fns.push_back(std::move(
+          scenarios::generateScenario(generator, index).model.fn));
+    }
+  }
+  const std::size_t models = fns.size();
+  for (std::size_t m = 0; m < models; ++m) {
+    std::unique_ptr<ir::Function> transformed = fns[m]->clone();
+    transform::PassManager passes;
+    passes.add(std::make_unique<transform::ConstantFolding>());
+    passes.add(std::make_unique<transform::IndexSetSplitting>());
+    passes.add(std::make_unique<transform::LoopFusion>());
+    (void)passes.run(*transformed);
+    fns.push_back(std::move(transformed));
+  }
+  std::size_t edges = 0;
+  for (const std::unique_ptr<ir::Function>& fn : fns) {
+    const Htg htg = buildHtg(*fn);
+    for (const int chunks : {1, 2, 4, 8}) {
+      for (const bool merge : {false, true}) {
+        const TaskGraph graph = expand(htg, ExpandOptions{chunks, merge});
+        for (const Dep& d : graph.deps) {
+          EXPECT_LT(d.from, d.to) << fn->name() << " chunks " << chunks
+                                  << " merge " << merge;
+        }
+        edges += graph.deps.size();
+      }
+    }
+  }
+  EXPECT_GT(edges, 0u);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Unit tests for IR types, expressions, statements, functions, printer.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "ir/builder.h"
 #include "ir/function.h"
 #include "ir/printer.h"
@@ -73,6 +75,30 @@ TEST(Expr, Classification) {
   EXPECT_FALSE(isComparison(BinOpKind::Add));
   EXPECT_TRUE(isLogical(BinOpKind::And));
   EXPECT_FALSE(isLogical(BinOpKind::Eq));
+}
+
+TEST(Expr, CheckedIntOpHasNoValueWhereCIsUndefined) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(checkedIntOp(BinOpKind::Add, kMax - 1, 1), kMax);
+  EXPECT_EQ(checkedIntOp(BinOpKind::Add, kMax, 1), std::nullopt);
+  EXPECT_EQ(checkedIntOp(BinOpKind::Sub, kMin, 1), std::nullopt);
+  EXPECT_EQ(checkedIntOp(BinOpKind::Mul, kMax, -1), -kMax);
+  EXPECT_EQ(checkedIntOp(BinOpKind::Mul, kMin, -1), std::nullopt);
+  EXPECT_EQ(checkedIntOp(BinOpKind::Div, -7, 2), -3);
+  EXPECT_EQ(checkedIntOp(BinOpKind::Div, kMin, -1), std::nullopt);
+  EXPECT_EQ(checkedIntOp(BinOpKind::Div, 7, 0), std::nullopt);
+  EXPECT_EQ(checkedIntOp(BinOpKind::Mod, -7, 2), -1);
+  EXPECT_EQ(checkedIntOp(BinOpKind::Mod, kMin, -1), std::nullopt);
+  EXPECT_EQ(checkedIntOp(BinOpKind::Mod, 7, 0), std::nullopt);
+  EXPECT_EQ(checkedIntOp(BinOpKind::Min, kMin, kMax), kMin);
+  EXPECT_EQ(checkedIntOp(BinOpKind::Max, kMin, kMax), kMax);
+  EXPECT_EQ(checkedIntOp(BinOpKind::Lt, 1, 2), std::nullopt);
+  EXPECT_EQ(checkedIntOp(UnOpKind::Neg, kMax), -kMax);
+  EXPECT_EQ(checkedIntOp(UnOpKind::Neg, kMin), std::nullopt);
+  EXPECT_EQ(checkedIntOp(UnOpKind::Abs, -5), 5);
+  EXPECT_EQ(checkedIntOp(UnOpKind::Abs, kMin), std::nullopt);
+  EXPECT_EQ(checkedIntOp(UnOpKind::Not, 0), std::nullopt);
 }
 
 TEST(Stmt, ForTripCount) {

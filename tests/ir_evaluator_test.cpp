@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "ir/builder.h"
 #include "ir/evaluator.h"
@@ -67,6 +68,36 @@ TEST(Evaluator, IntegerDivisionByZeroThrows) {
   fn.declare("y", Type::int32(), VarRole::Output);
   fn.body().append(assign(ref("y"), div(lit(7), lit(0))));
   EXPECT_THROW(runFn(fn), support::ToolchainError);
+}
+
+TEST(Evaluator, IntegerOverflowThrowsNamingTheOperator) {
+  // A result with no int64 value (ir::checkedIntOp) is a ToolchainError,
+  // not a wrapped value or a SIGFPE.
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const auto error = [](ExprPtr expr) -> std::string {
+    Function fn("f");
+    fn.declare("y", Type::int32(), VarRole::Output);
+    fn.body().append(assign(ref("y"), std::move(expr)));
+    try {
+      (void)runFn(fn);
+    } catch (const support::ToolchainError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(error(add(lit(kMax), lit(1))), "integer overflow in +");
+  EXPECT_EQ(error(sub(lit(kMin), lit(1))), "integer overflow in -");
+  EXPECT_EQ(error(mul(lit(kMax), lit(2))), "integer overflow in *");
+  EXPECT_EQ(error(div(lit(kMin), lit(-1))), "integer overflow in /");
+  EXPECT_EQ(error(bin(BinOpKind::Mod, lit(kMin), lit(-1))),
+            "integer overflow in %");
+  EXPECT_EQ(error(neg(lit(kMin))), "integer overflow in -");
+  EXPECT_EQ(error(un(UnOpKind::Abs, lit(kMin))), "integer overflow in abs");
+  EXPECT_EQ(error(div(lit(7), lit(0))), "integer division by zero");
+  EXPECT_EQ(error(bin(BinOpKind::Mod, lit(7), lit(0))),
+            "integer modulo by zero");
+  EXPECT_EQ(error(neg(lit(kMax))), "");
 }
 
 TEST(Evaluator, MixedPromotesToFloat) {

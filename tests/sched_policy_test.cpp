@@ -40,7 +40,7 @@ TEST(PolicyRegistry, NamesRoundTripThroughLookup) {
   for (const std::string& name : registeredPolicyNames()) {
     const SchedulingPolicy* policy = findPolicy(name);
     ASSERT_NE(policy, nullptr) << name;
-    EXPECT_EQ(policy->name(), name);
+    EXPECT_EQ(policy->name, name);
     EXPECT_EQ(&policyOrThrow(name), policy);
   }
 }

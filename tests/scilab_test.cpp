@@ -4,11 +4,14 @@
 
 #include <cmath>
 
+#include "adl/platform.h"
+#include "core/toolchain.h"
 #include "ir/printer.h"
 #include "model/blocks.h"
 #include "model/diagram.h"
 #include "model/scilab.h"
 #include "mutants.h"
+#include "sim/simulator.h"
 #include "support/diagnostics.h"
 
 namespace argo::model {
@@ -197,11 +200,12 @@ TEST(Scilab, MissingEndRejected) {
       ToolchainError);
 }
 
-/// The message parseScript throws on `source` (y is a scalar port); empty
-/// when `source` parses.
+/// The message parseScript throws on `source` (u and y are scalar ports);
+/// empty when `source` parses.
 std::string scriptError(const std::string& source) {
   try {
-    (void)scilab::parseScript(source, {{"y", Type::float64()}});
+    (void)scilab::parseScript(
+        source, {{"u", Type::float64()}, {"y", Type::float64()}});
   } catch (const ToolchainError& e) {
     return e.what();
   }
@@ -239,6 +243,27 @@ TEST(Scilab, OversizedLocalArrayRejected) {
             "scilab line 1: local 'b' has more than 2147483647 elements");
   EXPECT_EQ(scriptError("local b(65536, 65536)\n"),
             "scilab line 1: local 'b' has more than 2147483647 elements");
+}
+
+// Loop bounds are checked int64 arithmetic (ir::checkedIntOp): a bound
+// with no int64 value is a located error, not a SIGFPE or a wrapped loop.
+TEST(Scilab, LoopBoundWithoutAnInt64ValueNamesItsLine) {
+  EXPECT_EQ(
+      scriptError("y = u;\n"
+                  "for i = (-9223372036854775807-1)/(-1):1 do y = u; end\n"),
+      "scilab line 2: loop lower bound divides by zero or overflows 64-bit "
+      "integers");
+  EXPECT_EQ(scriptError("for i = 1:2/0 do y = u; end\n"),
+            "scilab line 1: loop upper bound divides by zero or overflows "
+            "64-bit integers");
+}
+
+TEST(Scilab, InclusiveUpperBoundAtInt64MaxIsRejected) {
+  // The half-open IR loop ends at hi + 1, which has no int64 value here.
+  EXPECT_EQ(scriptError("for i = 1:9223372036854775807 do y = u; end\n"),
+            "scilab line 1: loop upper bound must be below "
+            "9223372036854775807");
+  EXPECT_EQ(scriptError("for i = 1:9223372036854775806 do y = u; end\n"), "");
 }
 
 TEST(ScilabBlock, ArrayPorts) {
@@ -301,6 +326,52 @@ TEST(ScilabBlock, ParseFailureAtConstruction) {
                            std::vector<PortSpec>{},
                            std::vector<PortSpec>{{"y", Type::float64()}}),
                ToolchainError);
+}
+
+/// Runs the tool-chain on a one-in/one-out Scilab block on a 2-tile bus,
+/// then simulates one step on zero inputs.
+void compileAndSimulate(const std::string& source) {
+  Diagram d("t");
+  const BlockId in = d.add<InputBlock>("u", Type::float64());
+  const BlockId blk = d.add<ScilabBlock>(
+      "s", source, std::vector<PortSpec>{{"u", Type::float64()}},
+      std::vector<PortSpec>{{"y", Type::float64()}});
+  const BlockId out = d.add<OutputBlock>("yout");
+  d.connect(in, blk);
+  d.connect(blk, out);
+  const adl::Platform platform = adl::makeRecoreXentiumBus(2);
+  const core::ToolchainResult result =
+      core::Toolchain(platform, core::ToolchainOptions{}).run(d);
+  ir::Environment env = ir::makeZeroEnvironment(*result.fn);
+  for (const auto& [name, value] : result.constants) env[name] = value;
+  (void)sim::Simulator(result.program, platform).step(env);
+}
+
+/// The message compileAndSimulate throws on `source`; empty when it runs.
+std::string compileAndSimulateError(const std::string& source) {
+  try {
+    compileAndSimulate(source);
+  } catch (const ToolchainError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// INT64_MIN / -1 has no int64 value: constant folding leaves it to run
+// time, where the evaluator throws, instead of folding it (a SIGFPE).
+TEST(ScilabBlock, ConstantQuotientWithoutAnInt64ValueIsLeftUnfolded) {
+  EXPECT_EQ(compileAndSimulateError(
+                "y = u + (-9223372036854775807 - 1) / (-1);\n"),
+            "integer overflow in /");
+}
+
+// The same quotient computed from a loop variable reaches the simulator.
+TEST(ScilabBlock, RunTimeQuotientWithoutAnInt64ValueThrowsInTheSimulator) {
+  EXPECT_EQ(compileAndSimulateError(
+                "for i = 1:1 do\n"
+                "  y = u + ((-9223372036854775807 - 1) + i - 1) / (-1);\n"
+                "end\n"),
+            "integer overflow in /");
 }
 
 // ---- Mutation corpus: a one-edit mutant parses or names its line ----

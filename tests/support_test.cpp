@@ -1,7 +1,6 @@
 // Unit tests for the support utilities.
 #include <gtest/gtest.h>
 
-#include "support/interval.h"
 #include "support/rng.h"
 #include "support/strings.h"
 
@@ -49,31 +48,6 @@ TEST(Rng, ChanceExtremes) {
     EXPECT_FALSE(rng.chance(0.0));
     EXPECT_TRUE(rng.chance(1.0));
   }
-}
-
-TEST(Interval, EmptyAndLength) {
-  EXPECT_TRUE((Interval{5, 5}).empty());
-  EXPECT_TRUE((Interval{6, 5}).empty());
-  EXPECT_EQ((Interval{2, 7}).length(), 5);
-  EXPECT_EQ((Interval{7, 2}).length(), 0);
-}
-
-TEST(Interval, Contains) {
-  const Interval iv{10, 20};
-  EXPECT_TRUE(iv.contains(10));
-  EXPECT_TRUE(iv.contains(19));
-  EXPECT_FALSE(iv.contains(20));
-  EXPECT_FALSE(iv.contains(9));
-}
-
-TEST(Interval, OverlapsIsSymmetricAndHalfOpen) {
-  const Interval a{0, 10};
-  const Interval b{10, 20};
-  const Interval c{5, 15};
-  EXPECT_FALSE(a.overlaps(b));
-  EXPECT_FALSE(b.overlaps(a));
-  EXPECT_TRUE(a.overlaps(c));
-  EXPECT_TRUE(c.overlaps(b));
 }
 
 TEST(Strings, Split) {

@@ -2,6 +2,8 @@
 // and semantics preservation.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "ir/evaluator.h"
 #include "ir/printer.h"
 #include "testutil.h"
@@ -69,6 +71,32 @@ TEST(ConstFold, KeepsDivisionByZeroForRuntime) {
   fn.body().append(ir::assign(ir::ref("y"), ir::div(ir::lit(1), ir::lit(0))));
   ConstantFolding pass;
   EXPECT_FALSE(pass.run(fn));  // untouched
+}
+
+TEST(ConstFold, KeepsArithmeticWithoutAnInt64ValueForRuntime) {
+  // ir::checkedIntOp has no value for these, so folding leaves them as
+  // they are instead of wrapping or raising SIGFPE.
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  std::vector<ir::ExprPtr> exprs;
+  exprs.push_back(ir::div(ir::lit(kMin), ir::lit(-1)));
+  exprs.push_back(ir::bin(ir::BinOpKind::Mod, ir::lit(kMin), ir::lit(-1)));
+  exprs.push_back(ir::add(ir::lit(kMax), ir::lit(1)));
+  exprs.push_back(ir::sub(ir::lit(kMin), ir::lit(1)));
+  exprs.push_back(ir::mul(ir::lit(kMax), ir::lit(2)));
+  exprs.push_back(ir::neg(ir::lit(kMin)));
+  // (x + c1) + c2 is reassociated only when c1 + c2 fits.
+  exprs.push_back(ir::add(ir::add(ir::var("x"), ir::lit(kMax)), ir::lit(1)));
+  exprs.push_back(ir::sub(ir::sub(ir::var("x"), ir::lit(1)), ir::lit(kMax)));
+  for (ir::ExprPtr& expr : exprs) {
+    const std::string before = ir::toString(*expr);
+    ir::Function fn("f");
+    fn.declare("x", Type::int32(), VarRole::Input);
+    fn.declare("y", Type::int32(), VarRole::Output);
+    fn.body().append(ir::assign(ir::ref("y"), std::move(expr)));
+    ConstantFolding pass;
+    EXPECT_FALSE(pass.run(fn)) << before;
+  }
 }
 
 TEST(ConstFold, FoldsSelectOnLiteralCondition) {

@@ -63,9 +63,10 @@
 // Numeric flags take the whole token as one number: an integer for the
 // counts (at least 1 for --scenarios, at least 0 for --threads and
 // --sim-trials), a non-negative integer for --seed, a decimal for --ccr
-// and --spread, two integers for MIN:MAX ranges and positive integers for
-// the --cores and --spm lists. Anything else exits 2 with a message that
-// names the flag.
+// (above 0) and --spread (at least 1), two integers with
+// 1 <= MIN <= MAX for the ranges and positive integers for the --cores
+// and --spm lists. Anything else exits 2 with a message that names the
+// flag.
 //
 // Exit code: 0 iff the batch ran and every simulator probe stayed within
 // its bound; 1 on a bound violation or a tool-chain error; 2 on usage.
@@ -139,6 +140,9 @@ void parseRange(const std::string& flag, const std::string& value, int& lo,
   if (!min || !max) {
     flagError(flag + " expects MIN:MAX integers, got '" + value + "'");
   }
+  if (*min < 1 || *min > *max) {
+    flagError(flag + " expects 1 <= MIN <= MAX, got '" + value + "'");
+  }
   lo = *min;
   hi = *max;
 }
@@ -210,10 +214,17 @@ int main(int argc, char** argv) {
         parseRange(arg, value(i), options.generator.minArrayLen,
                    options.generator.maxArrayLen);
       } else if (arg == "--ccr") {
-        options.generator.ccr = number<double>(arg, value(i), "a number");
+        const std::string text = value(i);
+        options.generator.ccr = number<double>(arg, text, "a number");
+        if (!(options.generator.ccr > 0.0)) {
+          flagError("--ccr must be greater than 0, got " + text);
+        }
       } else if (arg == "--spread") {
-        options.generator.wcetSpread =
-            number<double>(arg, value(i), "a number");
+        const std::string text = value(i);
+        options.generator.wcetSpread = number<double>(arg, text, "a number");
+        if (!(options.generator.wcetSpread >= 1.0)) {
+          flagError("--spread must be at least 1, got " + text);
+        }
       } else if (arg == "--shape") {
         options.generator.shape = scenarios::shapeFromName(value(i));
       } else if (arg == "--stencil-radius") {

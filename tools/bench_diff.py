@@ -10,7 +10,10 @@ tightness, mean bound speedup, and (when both reports carry --timings)
 wall time — plus the mean per-row bound delta over the rows the two
 reports share (matched by (scenario, platform, policy)), and lists every
 matched row whose bound or schedule label moved, with a better / worse /
-label-only tally. Purely informational: exit 0 on success,
+label-only tally. Each report's wall times are one run, so the
+`wall_ms` column and `total_wall_ms` are labelled single samples: a
+speed call needs repeated, alternating runs (perfbench/README.md).
+Purely informational: exit 0 on success,
 1 on malformed input, 2 on usage. CI runs this against the previous
 run's BENCH_eval artifact to expose the bound/wall-time trajectory of
 every PR (see .github/workflows/ci.yml and docs/SCENARIOS.md).
@@ -117,7 +120,7 @@ def diff(old, new, out=sys.stdout):
               f"{new.get('platform_cases', 'n/a')}", file=out)
     header = (f"{'policy':<22} {'wins':<16} {'shared_best':<16} "
               f"{'mean_tightness':<28} {'mean_bound_speedup':<28} "
-              f"{'mean_bound_delta':<16} wall_ms")
+              f"{'mean_bound_delta':<16} wall_ms (single sample)")
     print(header, file=out)
     print("-" * len(header), file=out)
     for policy in policies:
@@ -141,7 +144,7 @@ def diff(old, new, out=sys.stdout):
     total = fmt_delta(old["summary"].get("total_wall_ms"),
                       new["summary"].get("total_wall_ms"))
     if total != "n/a":
-        print(f"total_wall_ms: {total}", file=out)
+        print(f"total_wall_ms (single sample): {total}", file=out)
     # Unified metrics block (--timings only): the counter
     # registry snapshot plus the batch cache's counters
     # (docs/OBSERVABILITY.md). Informational — many counters are
@@ -269,7 +272,10 @@ def self_test():
     text = out.getvalue()
     for needle in ("heft", "annealed", "1 -> 1", "0.8000 -> 0.8500",
                    "-10.00%", "all_sim_safe: True -> True",
-                   "total_wall_ms: 30.0000 -> 36.0000 (+20.0%)"):
+                   "wall_ms (single sample)",
+                   "10.0000 -> 12.0000 (+20.0%)",
+                   "total_wall_ms (single sample): 30.0000 -> 36.0000 "
+                   "(+20.0%)"):
         if needle not in text:
             raise SystemExit(
                 f"bench_diff --self-test: missing {needle!r} in:\n{text}")
