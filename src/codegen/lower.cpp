@@ -34,6 +34,13 @@ std::string truthy(const LoweredExpr& e) {
   return "(" + e.text + (e.isFloat ? " != 0.0)" : " != 0)");
 }
 
+/// An int64 value as C source. INT64_MIN has no decimal spelling: C reads
+/// `-9223372036854775808` as the negation of a constant no signed type
+/// holds, so it is spelled by its <stdint.h> name.
+std::string intLiteral(std::int64_t v) {
+  return v == INT64_MIN ? "INT64_MIN" : std::to_string(v);
+}
+
 }  // namespace
 
 std::string sanitizeIdent(const std::string& name) {
@@ -105,7 +112,7 @@ LoweredExpr Lowerer::lowerExpr(const ir::Expr& expr) {
   switch (expr.kind()) {
     case ExprKind::IntLit: {
       const auto v = ir::cast<ir::IntLit>(expr).value();
-      return {"((int64_t)" + std::to_string(v) + ")", false};
+      return {"((int64_t)" + intLiteral(v) + ")", false};
     }
     case ExprKind::FloatLit:
       return {floatLiteral(ir::cast<ir::FloatLit>(expr).value()), true};
@@ -303,8 +310,8 @@ std::string Lowerer::lowerStmt(const ir::Stmt& stmt, int indent) {
                              loop.var() + "'");
       }
       const std::string v = "L_" + sanitizeIdent(loop.var());
-      out += pad + "for (int64_t " + v + " = " + std::to_string(loop.lower()) +
-             "; " + v + " < " + std::to_string(loop.upper()) + "; " + v +
+      out += pad + "for (int64_t " + v + " = " + intLiteral(loop.lower()) +
+             "; " + v + " < " + intLiteral(loop.upper()) + "; " + v +
              " += " + std::to_string(loop.step()) + ") {\n";
       loopVars_.insert(loop.var());
       for (const ir::StmtPtr& s : loop.body().stmts()) {

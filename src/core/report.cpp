@@ -59,12 +59,10 @@ std::string renderMhpMatrix(const ToolchainResult& result) {
 }
 
 std::string renderBottlenecks(const ToolchainResult& result, int topN) {
-  // Recompute the per-task split with the tile-specific timing model.
   struct Row {
     int task;
     Cycles total;
-    Cycles compute;
-    Cycles memory;
+    Cycles codeLevel;
     Cycles interference;
     int contenders;
   };
@@ -72,18 +70,10 @@ std::string renderBottlenecks(const ToolchainResult& result, int topN) {
   for (std::size_t i = 0; i < result.graph->tasks.size(); ++i) {
     const int tile = result.schedule.placements[i].tile;
     const auto& bound = result.system.tasks[i];
-    const Cycles codeLevel =
-        result.timings[i].wcetByTile[static_cast<std::size_t>(tile)];
-    // Compute/memory split from a fresh code-level analysis.
-    Row row;
-    row.task = static_cast<int>(i);
-    row.total = bound.inflated;
-    row.interference = bound.interference;
-    row.contenders = bound.contenders;
-    // The timings table stores only totals; recover the split on demand.
-    row.compute = 0;
-    row.memory = codeLevel;  // refined below when analyzable
-    rows.push_back(row);
+    rows.push_back(Row{
+        static_cast<int>(i), bound.inflated,
+        result.timings[i].wcetByTile[static_cast<std::size_t>(tile)],
+        bound.interference, bound.contenders});
   }
   // Sort by inflated duration, largest first.
   std::sort(rows.begin(), rows.end(),
@@ -103,7 +93,7 @@ std::string renderBottlenecks(const ToolchainResult& result, int topN) {
     os << "  " << std::left << std::setw(4) << row.task << std::setw(26)
        << task.name.substr(0, 24) << std::right << std::setw(12)
        << support::formatCycles(row.total) << std::setw(12)
-       << support::formatCycles(row.memory) << std::setw(14)
+       << support::formatCycles(row.codeLevel) << std::setw(14)
        << support::formatCycles(row.interference) << std::setw(11)
        << row.contenders << 'x' << '\n';
   }

@@ -4,9 +4,9 @@
 // complex optimization decisions made by the tool-chain"; this module is
 // that interface in plain-text form: a Gantt chart of the worst-case
 // schedule, the may-happen-in-parallel matrix, and a per-task bottleneck
-// table (compute vs memory vs interference share), so "application
-// bottlenecks can be identified and the artifacts hindering an efficient
-// parallelization can be outlined".
+// table (code-level WCET vs interference), so "application bottlenecks can
+// be identified and the artifacts hindering an efficient parallelization
+// can be outlined".
 #pragma once
 
 #include <string>
@@ -25,9 +25,10 @@ namespace argo::core {
 /// parallel), with task names. Small graphs only (readability).
 [[nodiscard]] std::string renderMhpMatrix(const ToolchainResult& result);
 
-/// Per-task bottleneck table: WCET split into compute, memory and
-/// interference shares plus the contender count — the "what is hindering
-/// parallelization" view.
+/// Per-task bottleneck table, the `topN` tasks by inflated WCET: each
+/// row's inflated WCET, its code-level WCET on its tile, the interference
+/// added to it and its contender count, then the total interference — the
+/// "what is hindering parallelization" view.
 [[nodiscard]] std::string renderBottlenecks(const ToolchainResult& result,
                                             int topN = 12);
 

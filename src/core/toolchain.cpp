@@ -24,30 +24,19 @@ class StageClock {
   explicit StageClock(std::vector<StageTiming>& sink) : sink_(sink) {}
 
   template <typename Fn>
-  auto time(const std::string& stage, Fn&& fn) {
+  void time(const std::string& stage, Fn&& fn) {
     // Same boundary, two sinks: wall-ms into the --timings stage table,
     // and one "toolchain" span per stage into the trace recorder.
     support::TraceSpan span("toolchain", stage);
     const auto begin = std::chrono::steady_clock::now();
-    if constexpr (std::is_void_v<decltype(fn())>) {
-      fn();
-      record(stage, begin);
-    } else {
-      auto result = fn();
-      record(stage, begin);
-      return result;
-    }
-  }
-
- private:
-  void record(const std::string& stage,
-              std::chrono::steady_clock::time_point begin) {
+    fn();
     const auto end = std::chrono::steady_clock::now();
     sink_.push_back(StageTiming{
         stage,
         std::chrono::duration<double, std::milli>(end - begin).count()});
   }
 
+ private:
   std::vector<StageTiming>& sink_;
 };
 

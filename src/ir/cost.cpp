@@ -1,7 +1,5 @@
 #include "ir/cost.h"
 
-#include <algorithm>
-
 namespace argo::ir {
 
 const char* opClassName(OpClass op) noexcept {
@@ -19,30 +17,6 @@ const char* opClassName(OpClass op) noexcept {
     case OpClass::LoopStep: return "loop_step";
   }
   return "?";
-}
-
-OpCounts& OpCounts::operator+=(const OpCounts& other) noexcept {
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  return *this;
-}
-
-OpCounts& OpCounts::operator*=(std::int64_t factor) noexcept {
-  for (std::int64_t& c : counts_) c *= factor;
-  return *this;
-}
-
-OpCounts OpCounts::max(const OpCounts& a, const OpCounts& b) noexcept {
-  OpCounts out;
-  for (std::size_t i = 0; i < a.counts_.size(); ++i) {
-    out.counts_[i] = std::max(a.counts_[i], b.counts_[i]);
-  }
-  return out;
-}
-
-std::int64_t OpCounts::total() const noexcept {
-  std::int64_t sum = 0;
-  for (std::int64_t c : counts_) sum += c;
-  return sum;
 }
 
 OpClass classifyBinOp(BinOpKind op, bool floatOperands) noexcept {

@@ -43,13 +43,6 @@ class OpCounts {
   [[nodiscard]] std::int64_t operator[](OpClass op) const noexcept {
     return counts_[static_cast<std::size_t>(op)];
   }
-  OpCounts& operator+=(const OpCounts& other) noexcept;
-  /// Multiplies every counter, e.g. by a loop trip count.
-  OpCounts& operator*=(std::int64_t factor) noexcept;
-  /// Per-class maximum; used to merge if/else arms for worst-case counts.
-  [[nodiscard]] static OpCounts max(const OpCounts& a,
-                                    const OpCounts& b) noexcept;
-  [[nodiscard]] std::int64_t total() const noexcept;
 
  private:
   std::array<std::int64_t, kOpClassCount> counts_{};

@@ -1,6 +1,7 @@
 #include "ir/function.h"
 
 #include <functional>
+#include <limits>
 #include <unordered_set>
 
 #include "support/diagnostics.h"
@@ -106,6 +107,12 @@ class Validator {
         const auto& loop = cast<For>(stmt);
         if (loop.step() <= 0) {
           problems_.push_back("loop '" + loop.var() + "' has non-positive step");
+        }
+        constexpr auto kMaxTrips = static_cast<std::uint64_t>(
+            std::numeric_limits<std::int64_t>::max());
+        if (loop.iterations() > kMaxTrips) {
+          problems_.push_back("loop '" + loop.var() +
+                              "' runs more than INT64_MAX iterations");
         }
         if (fn_.find(loop.var()) != nullptr) {
           problems_.push_back("loop variable '" + loop.var() +

@@ -103,8 +103,9 @@ class Function {
 };
 
 /// Structural validation: every referenced variable is declared, index
-/// counts match ranks, loop steps positive, loop variables do not shadow
-/// declared variables. Returns problems as strings; empty means valid.
+/// counts match ranks, loop steps positive, loop trip counts fit in int64,
+/// loop variables do not shadow declared variables. Returns problems as
+/// strings; empty means valid.
 [[nodiscard]] std::vector<std::string> validate(const Function& fn);
 
 }  // namespace argo::ir

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -111,10 +112,23 @@ class For final : public Stmt {
     upper_ = upper;
   }
 
-  /// Number of iterations executed (0 when the range is empty).
-  [[nodiscard]] std::int64_t tripCount() const noexcept {
+  /// Number of iterations executed (0 when the range is empty), counted on
+  /// the unsigned span so it is exact for every range. It exceeds
+  /// INT64_MAX only for a loop ir::validate rejects.
+  [[nodiscard]] std::uint64_t iterations() const noexcept {
     if (upper_ <= lower_ || step_ <= 0) return 0;
-    return (upper_ - lower_ + step_ - 1) / step_;
+    const std::uint64_t span = static_cast<std::uint64_t>(upper_) -
+                               static_cast<std::uint64_t>(lower_);
+    return (span - 1) / static_cast<std::uint64_t>(step_) + 1;
+  }
+
+  /// iterations() as an int64: exact on every loop ir::validate accepts,
+  /// INT64_MAX on a longer one.
+  [[nodiscard]] std::int64_t tripCount() const noexcept {
+    constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+    const std::uint64_t n = iterations();
+    return n > static_cast<std::uint64_t>(kMax) ? kMax
+                                               : static_cast<std::int64_t>(n);
   }
 
   [[nodiscard]] const Block& body() const noexcept { return *body_; }

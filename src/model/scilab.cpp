@@ -341,6 +341,12 @@ class Parser {
     const std::optional<std::int64_t> end =
         ir::checkedIntOp(ir::BinOpKind::Add, hi, 1);
     if (!end) fail("loop upper bound must be below " + std::to_string(hi));
+    // The trip count, end - lo, must be an int64 (ir::validate).
+    if (*end > lo && !ir::checkedIntOp(ir::BinOpKind::Sub, *end, lo)) {
+      fail("loop runs more than " +
+           std::to_string(std::numeric_limits<std::int64_t>::max()) +
+           " iterations");
+    }
     accept(Tok::KwDo);
     loopVars_.insert(var.text);
     auto body = parseStmts({Tok::KwEnd});

@@ -33,7 +33,7 @@ std::vector<TaskTiming> computeTaskTimings(const htg::TaskGraph& graph,
       timing.wcetByTile[static_cast<std::size_t>(t)] = result.cycles;
       // Shared access counts are structural, identical on every tile; take
       // them from the first.
-      if (t == 0) timing.sharedAccesses = result.accesses.sharedTotal();
+      if (t == 0) timing.sharedAccesses = result.sharedAccesses;
     }
     timings[i] = std::move(timing);
   });

@@ -9,12 +9,26 @@ namespace argo::transform {
 
 namespace {
 
+/// `a op b` through ir::checkedIntOp; a trip-weighted count or a benefit
+/// beyond int64 is an error, never a wrapped value.
+std::int64_t checkedCount(ir::BinOpKind op, std::int64_t a, std::int64_t b) {
+  if (const auto value = ir::checkedIntOp(op, a, b)) return *value;
+  throw support::ToolchainError(
+      "spm_alloc: worst-case access count or benefit exceeds int64");
+}
+
+void addCount(std::map<std::string, std::int64_t>& counts,
+              const std::string& name, std::int64_t weight) {
+  std::int64_t& slot = counts[name];
+  slot = checkedCount(ir::BinOpKind::Add, slot, weight);
+}
+
 void countExpr(const ir::Expr& expr, std::int64_t weight,
                std::map<std::string, std::int64_t>& counts) {
   switch (expr.kind()) {
     case ir::ExprKind::VarRef: {
       const auto& ref = ir::cast<ir::VarRef>(expr);
-      counts[ref.name()] += weight;
+      addCount(counts, ref.name(), weight);
       for (const ir::ExprPtr& idx : ref.indices()) {
         countExpr(*idx, weight, counts);
       }
@@ -53,7 +67,7 @@ void countStmt(const ir::Stmt& stmt, std::int64_t weight,
     case ir::StmtKind::Assign: {
       const auto& assign = ir::cast<ir::Assign>(stmt);
       countExpr(assign.rhs(), weight, counts);
-      counts[assign.lhs().name()] += weight;
+      addCount(counts, assign.lhs().name(), weight);
       for (const ir::ExprPtr& idx : assign.lhs().indices()) {
         countExpr(*idx, weight, counts);
       }
@@ -64,7 +78,8 @@ void countStmt(const ir::Stmt& stmt, std::int64_t weight,
       const std::int64_t trips = loop.tripCount();
       if (trips > 0) {
         for (const ir::StmtPtr& s : loop.body().stmts()) {
-          countStmt(*s, weight * trips, counts);
+          countStmt(*s, checkedCount(ir::BinOpKind::Mul, weight, trips),
+                    counts);
         }
       }
       break;
@@ -142,7 +157,8 @@ bool ScratchpadAllocation::run(ir::Function& fn) {
     const std::int64_t accesses = it == counts.end() ? 0 : it->second;
     if (accesses == 0) continue;
     candidates.push_back(
-        Candidate{&decl, accesses * gain, decl.type.byteSize()});
+        Candidate{&decl, checkedCount(ir::BinOpKind::Mul, accesses, gain),
+                  decl.type.byteSize()});
   }
 
   // Greedy by benefit density, deterministic tie-break by name.
@@ -165,7 +181,8 @@ bool ScratchpadAllocation::run(ir::Function& fn) {
     remaining -= c.bytes;
     selected.push_back(c.decl->name);
     report_.bytesUsed += c.bytes;
-    report_.estimatedSaving += c.benefit;
+    report_.estimatedSaving =
+        checkedCount(ir::BinOpKind::Add, report_.estimatedSaving, c.benefit);
   }
   if (selected.empty()) return false;
 

@@ -61,7 +61,8 @@ class ScratchpadAllocation final : public Pass {
 
 /// Worst-case access counts per variable: every access weighted by the
 /// product of enclosing loop trip counts (conditional accesses counted on
-/// both arms' worst case). Exposed for tests and the allocator.
+/// both arms' worst case). Exposed for tests and the allocator. Throws
+/// support::ToolchainError when a count exceeds int64.
 [[nodiscard]] std::map<std::string, std::int64_t> worstCaseAccessCounts(
     const ir::Function& fn);
 

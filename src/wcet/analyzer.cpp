@@ -10,94 +10,54 @@ namespace argo::wcet {
 using ir::OpClass;
 using support::ToolchainError;
 
-AccessCounts& AccessCounts::operator+=(const AccessCounts& other) noexcept {
-  for (std::size_t i = 0; i < 3; ++i) {
-    reads[i] += other.reads[i];
-    writes[i] += other.writes[i];
-  }
-  return *this;
-}
-
-AccessCounts& AccessCounts::operator*=(std::int64_t factor) noexcept {
-  for (std::size_t i = 0; i < 3; ++i) {
-    reads[i] *= factor;
-    writes[i] *= factor;
-  }
-  return *this;
-}
-
-AccessCounts AccessCounts::max(const AccessCounts& a,
-                               const AccessCounts& b) noexcept {
-  AccessCounts out;
-  for (std::size_t i = 0; i < 3; ++i) {
-    out.reads[i] = std::max(a.reads[i], b.reads[i]);
-    out.writes[i] = std::max(a.writes[i], b.writes[i]);
-  }
-  return out;
-}
-
-WcetResult& WcetResult::operator+=(const WcetResult& other) noexcept {
-  cycles += other.cycles;
-  computeCycles += other.computeCycles;
-  memoryCycles += other.memoryCycles;
-  ops += other.ops;
-  accesses += other.accesses;
-  return *this;
-}
-
-WcetResult& WcetResult::operator*=(std::int64_t factor) noexcept {
-  cycles *= factor;
-  computeCycles *= factor;
-  memoryCycles *= factor;
-  ops *= factor;
-  accesses *= factor;
-  return *this;
-}
-
-WcetResult WcetResult::max(const WcetResult& a, const WcetResult& b) noexcept {
-  WcetResult out;
-  out.cycles = std::max(a.cycles, b.cycles);
-  out.computeCycles = std::max(a.computeCycles, b.computeCycles);
-  out.memoryCycles = std::max(a.memoryCycles, b.memoryCycles);
-  out.ops = ir::OpCounts::max(a.ops, b.ops);
-  out.accesses = AccessCounts::max(a.accesses, b.accesses);
-  return out;
-}
-
 namespace {
 
+/// `a op b` (Add or Mul) through ir::checkedIntOp. Both engines sum and
+/// multiply through it, so they agree on which bounds leave int64.
+std::int64_t checkedCount(ir::BinOpKind op, std::int64_t a, std::int64_t b) {
+  if (const auto value = ir::checkedIntOp(op, a, b)) return *value;
+  throw ToolchainError("code-level WCET: bound exceeds int64");
+}
+
 void chargeOp(WcetResult& r, OpClass op, const TimingModel& model) {
-  r.ops[op] += 1;
-  const Cycles c = model.opCost(op);
-  r.computeCycles += c;
-  r.cycles += c;
+  r += {model.opCost(op), 0};
 }
 
 /// Operand kinds (int vs float) are not tracked by the analyzer, but the
 /// interpreter meters the class the run-time operands actually have. To
 /// keep the bound sound regardless, charge the dearer of the two classes
-/// the operator can map to (attributed to the float class in the counters).
+/// the operator can map to.
 void chargeOpEither(WcetResult& r, OpClass intClass, OpClass floatClass,
                     const TimingModel& model) {
-  const Cycles c = std::max(model.opCost(intClass), model.opCost(floatClass));
-  r.ops[floatClass] += 1;
-  r.computeCycles += c;
-  r.cycles += c;
+  r += {std::max(model.opCost(intClass), model.opCost(floatClass)), 0};
 }
 
-void chargeAccess(WcetResult& r, ir::Storage storage, bool isWrite,
+void chargeAccess(WcetResult& r, ir::Storage storage,
                   const TimingModel& model) {
-  auto& slot = isWrite ? r.accesses.writes : r.accesses.reads;
-  slot[static_cast<std::size_t>(storage)] += 1;
-  const Cycles c = model.accessCost(storage);
-  r.memoryCycles += c;
-  r.cycles += c;
+  r += {model.accessCost(storage), storage == ir::Storage::Shared ? 1 : 0};
 }
 
 }  // namespace
 
-WcetResult SchemaAnalyzer::analyzeRef(const ir::VarRef& ref,
-                                      bool isWrite) const {
+WcetResult& WcetResult::operator+=(const WcetResult& other) {
+  cycles = checkedCount(ir::BinOpKind::Add, cycles, other.cycles);
+  sharedAccesses =
+      checkedCount(ir::BinOpKind::Add, sharedAccesses, other.sharedAccesses);
+  return *this;
+}
+
+WcetResult& WcetResult::operator*=(std::int64_t factor) {
+  cycles = checkedCount(ir::BinOpKind::Mul, cycles, factor);
+  sharedAccesses = checkedCount(ir::BinOpKind::Mul, sharedAccesses, factor);
+  return *this;
+}
+
+WcetResult WcetResult::max(const WcetResult& a, const WcetResult& b) noexcept {
+  return {std::max(a.cycles, b.cycles),
+          std::max(a.sharedAccesses, b.sharedAccesses)};
+}
+
+WcetResult SchemaAnalyzer::analyzeRef(const ir::VarRef& ref) const {
   WcetResult r;
   const ir::VarDecl* decl = fn_.find(ref.name());
   if (decl == nullptr) {
@@ -113,7 +73,7 @@ WcetResult SchemaAnalyzer::analyzeRef(const ir::VarRef& ref,
     if (d != 0) chargeOp(r, OpClass::IntMul, model_);
     if (rank > 1) chargeOp(r, OpClass::IntAlu, model_);
   }
-  chargeAccess(r, decl->storage, isWrite, model_);
+  chargeAccess(r, decl->storage, model_);
   return r;
 }
 
@@ -125,7 +85,7 @@ WcetResult SchemaAnalyzer::analyzeExpr(const ir::Expr& expr) const {
     case ir::ExprKind::BoolLit:
       break;
     case ir::ExprKind::VarRef:
-      r += analyzeRef(ir::cast<ir::VarRef>(expr), /*isWrite=*/false);
+      r += analyzeRef(ir::cast<ir::VarRef>(expr));
       break;
     case ir::ExprKind::BinOp: {
       const auto& bin = ir::cast<ir::BinOp>(expr);
@@ -176,7 +136,7 @@ WcetResult SchemaAnalyzer::analyzeStmt(const ir::Stmt& stmt) const {
     case ir::StmtKind::Assign: {
       const auto& assign = ir::cast<ir::Assign>(stmt);
       r += analyzeExpr(assign.rhs());
-      r += analyzeRef(assign.lhs(), /*isWrite=*/true);
+      r += analyzeRef(assign.lhs());
       break;
     }
     case ir::StmtKind::For: {
@@ -224,19 +184,24 @@ Cycles CfgAnalyzer::nodeCost(const ir::CfgNode& node) const {
     case ir::CfgNodeKind::Basic: {
       Cycles total = 0;
       for (const ir::Assign* assign : node.assigns) {
-        total += schema.analyzeStmt(*assign).cycles;
+        total = checkedCount(ir::BinOpKind::Add, total,
+                             schema.analyzeStmt(*assign).cycles);
       }
       return total;
     }
     case ir::CfgNodeKind::Branch:
-      return schema.analyzeExpr(*node.cond).cycles +
-             model_.opCost(OpClass::Branch);
+      return checkedCount(ir::BinOpKind::Add,
+                          schema.analyzeExpr(*node.cond).cycles,
+                          model_.opCost(OpClass::Branch));
     case ir::CfgNodeKind::Loop: {
       const std::int64_t trip = node.loop->tripCount();
       Cycles total = model_.opCost(OpClass::Branch);
       if (trip > 0) {
-        const Cycles body = longestPath(*node.body);
-        total += trip * (body + model_.opCost(OpClass::LoopStep));
+        const Cycles iteration =
+            checkedCount(ir::BinOpKind::Add, longestPath(*node.body),
+                         model_.opCost(OpClass::LoopStep));
+        total = checkedCount(ir::BinOpKind::Add, total,
+                             checkedCount(ir::BinOpKind::Mul, trip, iteration));
       }
       return total;
     }
@@ -252,7 +217,8 @@ Cycles CfgAnalyzer::longestPath(const ir::Cfg& cfg) const {
   for (int id : order) {
     const Cycles here = dist[static_cast<std::size_t>(id)];
     if (here == std::numeric_limits<Cycles>::min()) continue;
-    const Cycles total = here + nodeCost(cfg.node(id));
+    const Cycles total =
+        checkedCount(ir::BinOpKind::Add, here, nodeCost(cfg.node(id)));
     for (int s : cfg.node(id).succs) {
       dist[static_cast<std::size_t>(s)] =
           std::max(dist[static_cast<std::size_t>(s)], total);

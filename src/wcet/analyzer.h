@@ -21,46 +21,24 @@
 // construction: bound >= any metered execution.
 #pragma once
 
-#include <map>
-
 #include "ir/cfg.h"
 #include "wcet/timing_model.h"
 
 namespace argo::wcet {
 
-/// Per-storage worst-case access counters.
-struct AccessCounts {
-  std::int64_t reads[3]{};
-  std::int64_t writes[3]{};
-
-  [[nodiscard]] std::int64_t reads_of(ir::Storage s) const noexcept {
-    return reads[static_cast<std::size_t>(s)];
-  }
-  [[nodiscard]] std::int64_t writes_of(ir::Storage s) const noexcept {
-    return writes[static_cast<std::size_t>(s)];
-  }
-  [[nodiscard]] std::int64_t sharedTotal() const noexcept {
-    return reads_of(ir::Storage::Shared) + writes_of(ir::Storage::Shared);
-  }
-
-  AccessCounts& operator+=(const AccessCounts& other) noexcept;
-  AccessCounts& operator*=(std::int64_t factor) noexcept;
-  [[nodiscard]] static AccessCounts max(const AccessCounts& a,
-                                        const AccessCounts& b) noexcept;
-};
-
-/// WCET of one code fragment.
+/// WCET of one code fragment: its uncontended worst-case cycles and the
+/// worst-case count of shared-memory accesses the system-level stage
+/// prices with the interference penalty. A bound beyond int64 is an error,
+/// never a wrapped value.
 struct WcetResult {
-  Cycles cycles = 0;           ///< Total worst-case cycles (uncontended).
-  Cycles computeCycles = 0;    ///< Operation cycles.
-  Cycles memoryCycles = 0;     ///< Memory access cycles.
-  ir::OpCounts ops;            ///< Worst-case operation counts.
-  AccessCounts accesses;       ///< Worst-case access counts per storage.
+  Cycles cycles = 0;
+  std::int64_t sharedAccesses = 0;
 
-  WcetResult& operator+=(const WcetResult& other) noexcept;
-  WcetResult& operator*=(std::int64_t factor) noexcept;
-  /// Worst-arm merge: max cycles and per-counter max (sound since counters
-  /// only ever multiply access *delays* upward in later stages).
+  /// Both throw support::ToolchainError when a count leaves int64.
+  WcetResult& operator+=(const WcetResult& other);
+  WcetResult& operator*=(std::int64_t factor);
+  /// Worst-arm merge: per-count max (sound since the access count only
+  /// ever multiplies access *delays* upward in later stages).
   [[nodiscard]] static WcetResult max(const WcetResult& a,
                                       const WcetResult& b) noexcept;
 };
@@ -79,15 +57,14 @@ class SchemaAnalyzer {
   [[nodiscard]] WcetResult analyzeExpr(const ir::Expr& expr) const;
 
  private:
-  [[nodiscard]] WcetResult analyzeRef(const ir::VarRef& ref,
-                                      bool isWrite) const;
+  [[nodiscard]] WcetResult analyzeRef(const ir::VarRef& ref) const;
 
   const ir::Function& fn_;
   const TimingModel& model_;
 };
 
-/// IPET-style CFG engine (cycles only; counters come from the schema
-/// engine). Agrees with SchemaAnalyzer on all structured programs.
+/// IPET-style CFG engine (cycles only). Agrees with SchemaAnalyzer on all
+/// structured programs.
 class CfgAnalyzer {
  public:
   CfgAnalyzer(const ir::Function& fn, const TimingModel& model)

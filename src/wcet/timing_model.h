@@ -43,11 +43,6 @@ class TimingModel {
     return 0;
   }
 
-  [[nodiscard]] const adl::CoreModel& core() const noexcept { return core_; }
-  [[nodiscard]] Cycles sharedAccessCycles() const noexcept {
-    return sharedAccessCycles_;
-  }
-
  private:
   adl::CoreModel core_;
   Cycles sharedAccessCycles_;

@@ -24,6 +24,8 @@
 #include "apps/registry.h"
 #include "codegen/codegen.h"
 #include "core/toolchain.h"
+#include "model/blocks.h"
+#include "model/scilab.h"
 #include "scenarios/eval.h"
 #include "scenarios/generator.h"
 #include "support/rng.h"
@@ -228,6 +230,33 @@ TEST(CodegenDiffScenarios, TwentyFiveScenarioSlice) {
         randomTrace(*result.fn, scenario.seed, 2);
     expectDifferentialMatch(toolchain, result, trace, scenario.name);
   }
+}
+
+// Constant folding turns `-9223372036854775807 - 1` into an INT64_MIN
+// literal, which C cannot spell in decimal: `-9223372036854775808` is the
+// negation of a constant no signed type holds, an error under -Werror.
+TEST(CodegenDiffLiterals, Int64MinLiteralCompilesAndMatches) {
+  model::Diagram d("int64_min");
+  const model::BlockId in = d.add<model::InputBlock>("u", ir::Type::float64());
+  const model::BlockId blk = d.add<model::ScilabBlock>(
+      "s", "y = u + (-9223372036854775807 - 1);\n",
+      std::vector<model::scilab::PortSpec>{{"u", ir::Type::float64()}},
+      std::vector<model::scilab::PortSpec>{{"y", ir::Type::float64()}});
+  const model::BlockId out = d.add<model::OutputBlock>("yout");
+  d.connect(in, blk);
+  d.connect(blk, out);
+  const adl::Platform platform = adl::makeRecoreXentiumBus(2);
+  const core::Toolchain toolchain(platform, core::ToolchainOptions{});
+  const core::ToolchainResult result = toolchain.run(d);
+  const codegen::InputTrace trace = randomTrace(*result.fn, 1, 2);
+
+  bool spelled = false;
+  for (const codegen::SourceFile& file : toolchain.emitC(result, trace).files) {
+    spelled = spelled ||
+              file.contents.find("((int64_t)INT64_MIN)") != std::string::npos;
+  }
+  EXPECT_TRUE(spelled);
+  expectDifferentialMatch(toolchain, result, trace, "int64_min");
 }
 
 }  // namespace

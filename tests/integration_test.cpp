@@ -12,10 +12,15 @@
 #include "adl/parser.h"
 #include "apps/egpws.h"
 #include "apps/polka.h"
+#include "apps/registry.h"
 #include "apps/weaa.h"
 #include "core/toolchain.h"
+#include "scenarios/eval.h"
+#include "scenarios/generator.h"
+#include "scenarios/sweep.h"
 #include "sim/simulator.h"
 #include "support/diagnostics.h"
+#include "support/rng.h"
 
 namespace argo::core {
 namespace {
@@ -330,6 +335,87 @@ TEST(Toolchain, GeneratedCodeAvailablePerCore) {
                 std::string::npos)
           << unit << " task " << task;
     }
+  }
+}
+
+// ---- The shared-access count bounds every metered run ----
+//
+// TaskTiming::sharedAccesses is the count syswcet multiplies by the
+// interference penalty, so no simulated step of a task may make more
+// shared data accesses than it.
+
+/// Simulates three steps of `result` on `platform`, `setInputs(env, step)`
+/// filling the inputs of each, and checks every task's shared accesses
+/// against its code-level count.
+template <typename SetInputs>
+void expectSharedAccessesWithinCount(const ToolchainResult& result,
+                                     const adl::Platform& platform,
+                                     SetInputs&& setInputs,
+                                     const std::string& tag) {
+  const sim::Simulator simulator(result.program, platform);
+  ir::Environment env = ir::makeZeroEnvironment(*result.fn);
+  for (const auto& [name, value] : result.constants) env[name] = value;
+  for (int step = 0; step < 3; ++step) {
+    setInputs(env, step);
+    const sim::StepResult observed = simulator.step(env);
+    ASSERT_EQ(observed.tasks.size(), result.timings.size()) << tag;
+    EXPECT_GT(observed.totalSharedAccesses, 0) << tag;
+    for (std::size_t i = 0; i < observed.tasks.size(); ++i) {
+      EXPECT_LE(observed.tasks[i].sharedAccesses,
+                result.timings[i].sharedAccesses)
+          << tag << " step " << step << " task " << i;
+    }
+  }
+}
+
+TEST(SharedAccessCount, BoundsEverySimulatedTaskOfTheApps) {
+  // argo_cc's default 8 cores: an 8-tile bus and a 3x3 mesh.
+  const adl::Platform bus = adl::makeRecoreXentiumBus(8);
+  const adl::Platform noc = adl::makeKitLeon3Inoc(3, 3);
+  for (const std::string app : {"egpws", "weaa", "polka"}) {
+    for (const adl::Platform* platform : {&bus, &noc}) {
+      const ToolchainResult result = Toolchain(*platform, ToolchainOptions{})
+                                         .run(apps::buildAppDiagram(app));
+      expectSharedAccessesWithinCount(
+          result, *platform,
+          [&](ir::Environment& env, int step) {
+            apps::setAppStepInputs(app, env, static_cast<std::uint64_t>(step));
+          },
+          app + " on " + platform->name());
+    }
+  }
+}
+
+TEST(SharedAccessCount, BoundsEverySimulatedTaskOfSeedSevenScenarios) {
+  // argo_eval --seed 7: each scenario on its modulo sweep case, with the
+  // batch's tool-chain options and random inputs in [-1, 1).
+  scenarios::GeneratorOptions generator;
+  generator.seed = 7;
+  const std::vector<scenarios::PlatformCase> sweep =
+      scenarios::buildPlatformSweep(scenarios::SweepOptions{});
+  for (int index = 0; index < 12; ++index) {
+    const scenarios::Scenario scenario =
+        scenarios::generateScenario(generator, index);
+    const adl::Platform& platform =
+        sweep[scenarios::moduloSweepCase(static_cast<std::size_t>(index),
+                                         sweep.size())]
+            .platform;
+    const ToolchainResult result =
+        Toolchain(platform, scenarios::defaultEvalToolchainOptions())
+            .run(scenario.model);
+    expectSharedAccessesWithinCount(
+        result, platform,
+        [&](ir::Environment& env, int step) {
+          support::Rng rng(scenario.seed + static_cast<std::uint64_t>(step));
+          for (const ir::VarDecl& decl : result.fn->decls()) {
+            if (decl.role != ir::VarRole::Input) continue;
+            ir::Value& value = env[decl.name];
+            for (std::int64_t k = 0; k < value.size(); ++k) {
+              value.setFloat(k, rng.uniformDouble() * 2.0 - 1.0);
+            }
+          }
+        },
+        scenario.name);
   }
 }
 

@@ -108,6 +108,17 @@ TEST(Stmt, ForTripCount) {
   EXPECT_EQ(cast<For>(*strided).tripCount(), 4);  // 0,3,6,9
   const StmtPtr empty = forLoop("i", 5, 5, block());
   EXPECT_EQ(cast<For>(*empty).tripCount(), 0);
+  // Ranges of INT64_MAX values or more: their counts come from the
+  // unsigned span.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  const StmtPtr half = forLoop("i", 0, kMax, block(), 2);
+  EXPECT_EQ(cast<For>(*half).tripCount(), std::int64_t{1} << 62);
+  const StmtPtr widest = forLoop("i", kMin, kMax, block(), 2);
+  EXPECT_EQ(cast<For>(*widest).iterations(), std::uint64_t{1} << 63);
+  EXPECT_EQ(cast<For>(*widest).tripCount(), kMax);
+  const StmtPtr full = forLoop("i", kMin, -1, block());
+  EXPECT_EQ(cast<For>(*full).tripCount(), kMax);
 }
 
 TEST(Stmt, CloneKeepsLabel) {
@@ -238,6 +249,15 @@ TEST(Validate, RejectsAssignToLoopVar) {
   body->append(assign(ref("i"), lit(0)));
   fn.body().append(forLoop("i", 0, 3, std::move(body)));
   EXPECT_FALSE(validate(fn).empty());
+}
+
+TEST(Validate, RejectsLoopOfMoreThanInt64MaxIterations) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  Function fn("f");
+  fn.body().append(forLoop("i", kMin, 1, block()));  // 2^63 + 1 iterations
+  fn.body().append(forLoop("j", kMin, -1, block()));  // INT64_MAX: valid
+  EXPECT_EQ(validate(fn), std::vector<std::string>{
+                              "loop 'i' runs more than INT64_MAX iterations"});
 }
 
 TEST(Printer, RendersExpressionS) {

@@ -266,6 +266,18 @@ TEST(Scilab, InclusiveUpperBoundAtInt64MaxIsRejected) {
   EXPECT_EQ(scriptError("for i = 1:9223372036854775806 do y = u; end\n"), "");
 }
 
+// A Scilab range is inclusive, so lo:hi runs hi - lo + 1 times; beyond
+// INT64_MAX the IR loop has no trip count (ir::validate).
+TEST(Scilab, LoopOfMoreThanInt64MaxIterationsNamesItsLine) {
+  EXPECT_EQ(scriptError("y = u;\n"
+                        "for i = (-9223372036854775807-1):0 do y = u; end\n"),
+            "scilab line 2: loop runs more than 9223372036854775807 "
+            "iterations");
+  EXPECT_EQ(
+      scriptError("for i = (-9223372036854775807-1):(-2) do y = u; end\n"),
+      "");
+}
+
 TEST(ScilabBlock, ArrayPorts) {
   Diagram d("t");
   const Type vecT = Type::array(ScalarKind::Float64, {4});
@@ -328,9 +340,9 @@ TEST(ScilabBlock, ParseFailureAtConstruction) {
                ToolchainError);
 }
 
-/// Runs the tool-chain on a one-in/one-out Scilab block on a 2-tile bus,
-/// then simulates one step on zero inputs.
-void compileAndSimulate(const std::string& source) {
+/// Runs the tool-chain on a one-in/one-out Scilab block on `platform`.
+core::ToolchainResult compileBlock(const std::string& source,
+                                   const adl::Platform& platform) {
   Diagram d("t");
   const BlockId in = d.add<InputBlock>("u", Type::float64());
   const BlockId blk = d.add<ScilabBlock>(
@@ -339,9 +351,25 @@ void compileAndSimulate(const std::string& source) {
   const BlockId out = d.add<OutputBlock>("yout");
   d.connect(in, blk);
   d.connect(blk, out);
+  return core::Toolchain(platform, core::ToolchainOptions{}).run(d);
+}
+
+/// The message compileBlock throws on `source` on a 2-tile bus; empty when
+/// the tool-chain returns. Nothing is simulated.
+std::string compileError(const std::string& source) {
+  try {
+    (void)compileBlock(source, adl::makeRecoreXentiumBus(2));
+  } catch (const ToolchainError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Runs the tool-chain on a one-in/one-out Scilab block on a 2-tile bus,
+/// then simulates one step on zero inputs.
+void compileAndSimulate(const std::string& source) {
   const adl::Platform platform = adl::makeRecoreXentiumBus(2);
-  const core::ToolchainResult result =
-      core::Toolchain(platform, core::ToolchainOptions{}).run(d);
+  const core::ToolchainResult result = compileBlock(source, platform);
   ir::Environment env = ir::makeZeroEnvironment(*result.fn);
   for (const auto& [name, value] : result.constants) env[name] = value;
   (void)sim::Simulator(result.program, platform).step(env);
@@ -372,6 +400,30 @@ TEST(ScilabBlock, RunTimeQuotientWithoutAnInt64ValueThrowsInTheSimulator) {
                 "  y = u + ((-9223372036854775807 - 1) + i - 1) / (-1);\n"
                 "end\n"),
             "integer overflow in /");
+}
+
+// 2^62 - 1 iterations of a shared read, a shared write and a loop step:
+// the bound leaves int64, so the code-level WCET throws instead of
+// reporting a wrapped bound. Simulating the loop would not finish.
+TEST(ScilabBlock, CodeLevelWcetBeyondInt64IsAnError) {
+  EXPECT_EQ(compileError("for i = 1:4611686018427387903 do y = u; end\n"),
+            "code-level WCET: bound exceeds int64");
+}
+
+// The scratchpad allocator weighs each access by its loops' trip counts
+// before the code-level WCET runs: a weight (3037000500^2) or a benefit
+// (9 cycles x 2 x (2^62 - 1) accesses of t) beyond int64 is its error.
+TEST(ScilabBlock, ScratchpadWeightBeyondInt64IsAnError) {
+  const std::string error =
+      "spm_alloc: worst-case access count or benefit exceeds int64";
+  EXPECT_EQ(compileError("local t\n"
+                         "for i = 1:3037000500 do\n"
+                         "  for j = 1:3037000500 do t = u; y = t; end\n"
+                         "end\n"),
+            error);
+  EXPECT_EQ(compileError("local t\n"
+                         "for i = 1:4611686018427387903 do t = u; y = t; end\n"),
+            error);
 }
 
 // ---- Mutation corpus: a one-edit mutant parses or names its line ----

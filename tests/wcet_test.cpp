@@ -3,9 +3,13 @@
 // interpreter.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "adl/platform.h"
 #include "ir/builder.h"
 #include "ir/evaluator.h"
+#include "support/diagnostics.h"
 #include "support/rng.h"
 #include "wcet/analyzer.h"
 
@@ -52,9 +56,7 @@ TEST(Schema, StraightLineIsSumOfCosts) {
   const WcetResult r = SchemaAnalyzer(fn, model).analyzeFunction();
   // One shared write, no ops.
   EXPECT_EQ(r.cycles, model.accessCost(Storage::Shared));
-  EXPECT_EQ(r.accesses.writes_of(Storage::Shared), 1);
-  EXPECT_EQ(r.memoryCycles, r.cycles);
-  EXPECT_EQ(r.computeCycles, 0);
+  EXPECT_EQ(r.sharedAccesses, 1);
 }
 
 TEST(Schema, LoopMultipliesBody) {
@@ -67,7 +69,7 @@ TEST(Schema, LoopMultipliesBody) {
   fn.body().append(ir::forLoop("i", 0, 10, std::move(body)));
   const TimingModel model = xentiumModel();
   const WcetResult r = SchemaAnalyzer(fn, model).analyzeFunction();
-  EXPECT_EQ(r.accesses.writes_of(Storage::Scratchpad), 10);
+  EXPECT_EQ(r.sharedAccesses, 0);  // scratchpad writes are not shared
   const Cycles perIter = model.accessCost(Storage::Scratchpad) +
                          model.opCost(ir::OpClass::LoopStep);
   EXPECT_EQ(r.cycles, 10 * perIter + model.opCost(ir::OpClass::Branch));
@@ -207,15 +209,53 @@ TEST(CfgEngine, AgreesWithSchemaOnLoopNests) {
 }
 
 TEST(WcetResult, MaxMergesCounters) {
-  WcetResult a;
-  a.cycles = 10;
-  a.accesses.reads[2] = 5;
-  WcetResult b;
-  b.cycles = 8;
-  b.accesses.reads[2] = 9;
+  const WcetResult a{10, 5};
+  const WcetResult b{8, 9};
   const WcetResult m = WcetResult::max(a, b);
   EXPECT_EQ(m.cycles, 10);
-  EXPECT_EQ(m.accesses.reads[2], 9);  // per-counter max
+  EXPECT_EQ(m.sharedAccesses, 9);  // per-counter max
+}
+
+/// The message `analyze` throws; empty when it returns.
+template <typename Fn>
+std::string errorOf(Fn&& analyze) {
+  try {
+    analyze();
+  } catch (const support::ToolchainError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+constexpr const char* kOverflow = "code-level WCET: bound exceeds int64";
+
+TEST(WcetResult, SumOrProductBeyondInt64IsAnError) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  WcetResult sum{kMax - 1, 0};
+  sum += WcetResult{1, 1};
+  EXPECT_EQ(sum.cycles, kMax);
+  EXPECT_EQ(errorOf([&] { sum += WcetResult{1, 0}; }), kOverflow);
+  // The shared-access count is checked on its own: with free shared
+  // accesses it can outgrow the cycles.
+  WcetResult product{2, kMax / 2 + 1};
+  EXPECT_EQ(errorOf([&] { product *= 2; }), kOverflow);
+}
+
+// A shared read, a shared write and a loop step per iteration, 2^62 - 1
+// times: the bound leaves int64, in both engines.
+TEST(Schema, TripCountTimesIterationBeyondInt64IsAnError) {
+  ir::Function fn("f");
+  fn.declare("u", Type::float64(), VarRole::Input, Storage::Shared);
+  fn.declare("y", Type::float64(), VarRole::Output, Storage::Shared);
+  auto body = ir::block();
+  body->append(ir::assign(ir::ref("y"), ir::var("u")));
+  fn.body().append(
+      ir::forLoop("i", 1, std::int64_t{1} << 62, std::move(body)));
+  const TimingModel model = xentiumModel();
+  EXPECT_EQ(errorOf([&] { (void)SchemaAnalyzer(fn, model).analyzeFunction(); }),
+            kOverflow);
+  EXPECT_EQ(errorOf([&] { (void)CfgAnalyzer(fn, model).analyzeFunction(); }),
+            kOverflow);
 }
 
 TEST(Heterogeneity, AcceleratorLowersMathHeavyWcet) {
