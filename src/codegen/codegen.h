@@ -39,7 +39,8 @@
 // Determinism: emitProgram is a pure function of (program, platform,
 // constants, trace) — no wall clock, no iteration over unordered
 // containers — so the emitted sources are byte-identical across runs and
-// across every toolchain thread-count knob (pinned by tests/codegen_test).
+// across the thread count of a graph that runs the tool-chain (pinned by
+// tests/codegen_test).
 #pragma once
 
 #include <string>

@@ -208,8 +208,7 @@ support::StageKey scheduleKey(const support::StageKey& timings,
   h.i64(options.bnbNodeBudget);
   h.i32(options.saIterations);
   h.u64(options.seed);
-  // options.parallelThreads is deliberately NOT keyed: it selects how the
-  // bit-identical result is computed, not what it is.
+  // options.parallelThreads is deliberately NOT keyed: nothing reads it.
   h.i32(static_cast<std::int32_t>(method));
   return h.finish();
 }

@@ -11,16 +11,16 @@
 //   expansion       (transformed IR, chunksPerLoop, mergeScalarChains)
 //   timings         (expansion key, all-tile timing-model slices)
 //   schedules       (timings key, full pricing model, SchedOptions minus
-//                    parallelThreads, interference method)
+//                    the ignored parallelThreads, interference method)
 //
 // Keys chain: each stage folds its upstream stage's key in, so a change
 // anywhere upstream invalidates everything downstream and nothing else.
 // Inputs a stage cannot observe are deliberately NOT keyed — platform and
-// core display names (reports-only), sched::SchedOptions::parallelThreads
-// and ToolchainOptions::explorationThreads (execution knobs; results are
-// thread-count-invariant by the determinism contract), and simulator
-// settings. That is what makes a cached value byte-identical to a fresh
-// computation: every stage is a pure function of its keyed inputs.
+// core display names (reports-only), the ignored thread knobs
+// sched::SchedOptions::parallelThreads and
+// ToolchainOptions::explorationThreads, and simulator settings. That is
+// what makes a cached value byte-identical to a fresh computation: every
+// stage is a pure function of its keyed inputs.
 //
 // Sharing: one ToolchainCache may serve many Toolchain instances across
 // threads (scenarios::runEval shares one across the whole batch).
@@ -283,8 +283,7 @@ class ToolchainCache {
 /// The schedule/syswcet stage observes the full pricing model
 /// (adl::Platform::canonicalText — policies price communication and
 /// par::buildParallelProgram checks address capacities) and every
-/// SchedOptions field except parallelThreads, which only selects how the
-/// identical result is computed.
+/// SchedOptions field except parallelThreads, which nothing reads.
 [[nodiscard]] support::StageKey scheduleKey(
     const support::StageKey& timings, const adl::Platform& platform,
     const sched::SchedOptions& options, syswcet::InterferenceMethod method);

@@ -8,7 +8,6 @@
 
 #include "core/cache.h"
 #include "ir/printer.h"
-#include "support/parallel.h"
 #include "support/strings.h"
 #include "support/trace.h"
 #include "transform/const_fold.h"
@@ -160,11 +159,9 @@ class StagePrefix {
   }
 
   [[nodiscard]] std::shared_ptr<const std::vector<sched::TaskTiming>> timings(
-      const support::StageKey& key, const htg::TaskGraph& graph,
-      int threads) const {
-    return cache_.getTimings(key, [&] {
-      return sched::computeTaskTimings(graph, platform_, threads);
-    });
+      const support::StageKey& key, const htg::TaskGraph& graph) const {
+    return cache_.getTimings(
+        key, [&] { return sched::computeTaskTimings(graph, platform_); });
   }
 
  private:
@@ -192,13 +189,10 @@ void Toolchain::warmSharedStages(const model::CompiledModel& model) const {
   const std::shared_ptr<const TransformsStage> transformed =
       prefix.transforms(model);
   (void)prefix.sequentialWcet(*transformed);
-  // Warming may itself run inside a pooled phase (runEval's prefix
-  // nodes), so the timing analysis stays inline; the cached table is
-  // thread-count-invariant regardless.
   for (const Expansion& expansion :
        prefix.expansions(transformed, buildPlans(platform_, options_))) {
     (void)prefix.timings(timingsKey(expansion.key, platform_),
-                         *expansion.stage->graph, /*threads=*/1);
+                         *expansion.stage->graph);
   }
 }
 
@@ -233,62 +227,40 @@ ToolchainResult Toolchain::run(const model::CompiledModel& model) const {
   });
 
   // ---- Cross-layer feedback: schedule each candidate, measure its
-  // system-level WCET, keep the best (Section II-E). Candidates are
-  // independent (graphs are shared read-only; platform is only read), so
-  // they are evaluated concurrently through support::parallelFor.
-  // Determinism: every candidate writes into its own slot, and the
-  // reduction below walks the slots in ladder order with a strict `<`, so
-  // the chosen candidate, the FeedbackPoint sequence, and the report are
-  // bit-identical to a sequential evaluation — and across caches, because
-  // every cached stage is a pure function of its keyed inputs. ----
-  // Exploration parallelism decided up front: candidates are the outer
-  // pooled phase, so every phase they invoke (timing analysis, annealing
-  // restarts, MHP rows) must stay sequential — pools do not nest.
-  const unsigned threads =
-      support::effectiveParallelism(options_.explorationThreads, plans.size());
+  // system-level WCET, keep the best (Section II-E). Every candidate is
+  // evaluated in ladder order; the reduction below keeps the first
+  // minimum (strict `<`), and every cached stage is a pure function of its
+  // keyed inputs, so the chosen candidate, the FeedbackPoint sequence and
+  // the report do not depend on the cache. ----
   struct PlanEval {
     std::shared_ptr<const std::vector<sched::TaskTiming>> timings;
     std::shared_ptr<const ScheduleStage> outcome;
   };
   std::vector<PlanEval> evals(plans.size());
-
-  const auto evaluatePlan = [&](std::size_t i) {
-    const htg::TaskGraph& graph = *expansions[i].stage->graph;
-    // Candidates an exact policy cannot represent are not rejected here:
-    // the branch-and-bound policy itself falls back to HEFT beyond its
-    // task cap (sched/bnb.h), so every candidate stays comparable.
-    sched::SchedOptions schedOptions = options_.sched;
-    if (plans[i].coreLimit > 0) schedOptions.coreLimit = plans[i].coreLimit;
-    // A pooled exploration owns the thread budget, so the per-candidate
-    // phases (timing analysis, MHP rows) must stay inline; a sequential
-    // exploration lets them pool (results are identical either way).
-    if (threads > 1) schedOptions.parallelThreads = 1;
-
-    const support::StageKey timKey =
-        timingsKey(expansions[i].key, platform_);
-    PlanEval& eval = evals[i];
-    eval.timings = prefix.timings(timKey, graph, schedOptions.parallelThreads);
-    eval.outcome = cache.getSchedules(
-        scheduleKey(timKey, platform_, schedOptions, options_.interference),
-        [&] {
-          const sched::Scheduler scheduler(graph, platform_, *eval.timings);
-          ScheduleStage stage;
-          stage.schedule = scheduler.run(schedOptions);
-          const par::ParallelProgram program =
-              par::buildParallelProgram(graph, stage.schedule, platform_);
-          stage.system = syswcet::analyzeSystem(
-              program, platform_, scheduler.timings(), options_.interference,
-              schedOptions.parallelThreads);
-          return stage;
-        });
-  };
-
   clock.time("schedule_and_system_wcet", [&] {
-    if (threads <= 1) {
-      for (std::size_t i = 0; i < plans.size(); ++i) evaluatePlan(i);
-    } else {
-      support::parallelFor(plans.size(), static_cast<int>(threads),
-                           evaluatePlan);
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+      const htg::TaskGraph& graph = *expansions[i].stage->graph;
+      // Candidates an exact policy cannot represent are not rejected here:
+      // the branch-and-bound policy itself falls back to HEFT beyond its
+      // task cap (sched/bnb.h), so every candidate stays comparable.
+      sched::SchedOptions schedOptions = options_.sched;
+      if (plans[i].coreLimit > 0) schedOptions.coreLimit = plans[i].coreLimit;
+      const support::StageKey timKey =
+          timingsKey(expansions[i].key, platform_);
+      PlanEval& eval = evals[i];
+      eval.timings = prefix.timings(timKey, graph);
+      eval.outcome = cache.getSchedules(
+          scheduleKey(timKey, platform_, schedOptions, options_.interference),
+          [&] {
+            const sched::Scheduler scheduler(graph, platform_, *eval.timings);
+            ScheduleStage stage;
+            stage.schedule = scheduler.run(schedOptions);
+            const par::ParallelProgram program =
+                par::buildParallelProgram(graph, stage.schedule, platform_);
+            stage.system = syswcet::analyzeSystem(
+                program, platform_, scheduler.timings(), options_.interference);
+            return stage;
+          });
     }
   });
 

@@ -54,15 +54,7 @@ struct ToolchainOptions {
   /// baseline).
   syswcet::InterferenceMethod interference =
       syswcet::InterferenceMethod::MhpRefined;
-  /// Worker threads for the cross-layer feedback exploration: each
-  /// (chunks-per-loop x core-limit) candidate is scheduled and analyzed
-  /// independently, so they are evaluated on a thread team through the
-  /// shared support::parallelFor layer. 0 = one per hardware thread,
-  /// 1 = sequential in-place evaluation. The chosen candidate, feedback ordering, and
-  /// report are bit-identical either way: candidates are reduced in ladder
-  /// order after the parallel phase. When the exploration is pooled, the
-  /// per-candidate scheduler runs its own phases sequentially (pools do
-  /// not nest), overriding sched.parallelThreads for the inner runs.
+  /// Ignored and unkeyed; ROADMAP item 2's benchmark-only change deletes it.
   int explorationThreads = 0;
   /// Content-hash stage cache (core/cache.h). run() memoizes its stages —
   /// transforms, sequential WCET, HTG expansion, per-task timings,

@@ -49,9 +49,6 @@ PolicyOutcome runUnit(const Scenario& scenario, const adl::Platform& platform,
   core::ToolchainOptions toolchainOptions = options.toolchain;
   toolchainOptions.sched.policy = policy;
   toolchainOptions.sched.interferenceAware = policy != "contention_oblivious";
-  // The batch owns the pool; everything inside a unit stays inline.
-  toolchainOptions.explorationThreads = 1;
-  toolchainOptions.sched.parallelThreads = 1;
   toolchainOptions.cache = cache;
 
   const core::ToolchainResult result = [&] {
@@ -143,7 +140,6 @@ core::ToolchainOptions defaultEvalToolchainOptions() {
   // budget; 100k nodes still finds the optimum on most generated graphs
   // and exhaustion is deterministic (labelled "(budget)").
   options.sched.bnbNodeBudget = 100'000;
-  options.explorationThreads = 1;
   return options;
 }
 
@@ -216,8 +212,6 @@ EvalReport runEval(const EvalOptions& options) {
     const auto prefix = graph.addNode("prefix/" + cellTag, [&, cellIndex] {
       const EvalCell& c = cells[cellIndex];
       core::ToolchainOptions warm = options.toolchain;
-      warm.explorationThreads = 1;
-      warm.sched.parallelThreads = 1;
       warm.cache = cache;
       core::Toolchain(sweep[c.sweepCase].platform, warm)
           .warmSharedStages(scenarioSlots[c.scenario].model);

@@ -84,9 +84,9 @@ struct EvalOptions {
   /// Registry names of the policies to compare (default: empty = every
   /// registered policy, in sorted registry order).
   std::vector<std::string> policies;
-  /// Worker threads for the batch itself, support::parallelFor convention
-  /// (0 = hardware threads, 1 = sequential; default 1). The report is
-  /// bit-identical for any value.
+  /// Worker threads of the batch graph, support::effectiveParallelism
+  /// convention (0 = hardware threads, 1 = sequential; default 1). The
+  /// report is bit-identical for any value.
   int threads = 1;
   /// Simulator probes per (scenario, policy) run, each from an
   /// independently seeded random input (count, default 3; 0 skips the
@@ -94,8 +94,7 @@ struct EvalOptions {
   int simTrials = 3;
   /// Base tool-chain configuration for every unit. The batch overrides,
   /// per unit: the policy under test, interferenceAware (off for
-  /// "contention_oblivious", mirroring argo_cc), both thread knobs to 1
-  /// (the batch owns the threads; teams do not nest), and the cache (the
+  /// "contention_oblivious", mirroring argo_cc), and the cache (the
   /// batch's one core::ToolchainCache, shared by every unit).
   core::ToolchainOptions toolchain = defaultEvalToolchainOptions();
   /// On-disk cache directory (`argo_eval --cache-dir` / ARGO_CACHE_DIR):

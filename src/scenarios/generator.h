@@ -137,8 +137,9 @@ struct Scenario {
                                         int index);
 
 /// Generates scenarios 0..count-1. Equivalent to calling generateScenario
-/// in a loop; provided for call-site brevity (the batch evaluator
-/// regenerates per unit instead, to keep pooled units self-contained).
+/// in a loop; provided for call-site brevity (the batch evaluator calls
+/// generateScenario once per scenario instead, in that scenario's graph
+/// node).
 [[nodiscard]] std::vector<Scenario> generateScenarios(
     const GeneratorOptions& options, int count);
 

@@ -36,14 +36,7 @@ struct SchedOptions {
   /// Seed for every randomized policy; the only sanctioned randomness
   /// source under the determinism contract (unitless, default 1).
   std::uint64_t seed = 1;
-  /// Worker threads for the per-task timing analysis at Scheduler
-  /// construction (threads, default 1 = sequential; 0 = one per hardware
-  /// thread); core::Toolchain also passes it to the system analysis's MHP
-  /// rows. Results are bit-identical either way. Policies themselves run
-  /// on the calling thread and ignore it. Must be 1 when the scheduler
-  /// itself runs inside a pooled phase (core::Toolchain's feedback
-  /// exploration and scenarios::runEval both do this), since pools do not
-  /// nest.
+  /// Ignored and unkeyed; ROADMAP item 2's benchmark-only change deletes it.
   int parallelThreads = 1;
 };
 

@@ -3,28 +3,25 @@
 #include <algorithm>
 #include <map>
 
-#include "support/parallel.h"
-
 namespace argo::sched {
 
 std::vector<TaskTiming> computeTaskTimings(const htg::TaskGraph& graph,
                                            const adl::Platform& platform,
-                                           int parallelThreads) {
+                                           int) {
   const ir::Function& fn = *graph.fn;
-  // One TimingModel per tile, built once up front so the per-task loop
-  // only reads them. Every task is analyzed on every tile (O(tasks x
-  // tiles) schema walks — identical tiles are *not* deduplicated), which
-  // is why this loop is worth pooling.
+  // One TimingModel per tile, built once up front. Every task is analyzed
+  // on every tile (O(tasks x tiles) schema walks — identical tiles are
+  // *not* deduplicated).
   std::vector<wcet::TimingModel> models;
   models.reserve(static_cast<std::size_t>(platform.coreCount()));
   for (int t = 0; t < platform.coreCount(); ++t) {
     models.push_back(wcet::TimingModel::forTile(platform, t));
   }
 
-  std::vector<TaskTiming> timings(graph.tasks.size());
-  support::parallelFor(graph.tasks.size(), parallelThreads, [&](std::size_t i) {
-    const htg::Task& task = graph.tasks[i];
-    TaskTiming timing;
+  std::vector<TaskTiming> timings;
+  timings.reserve(graph.tasks.size());
+  for (const htg::Task& task : graph.tasks) {
+    TaskTiming& timing = timings.emplace_back();
     timing.wcetByTile.resize(static_cast<std::size_t>(platform.coreCount()));
     for (int t = 0; t < platform.coreCount(); ++t) {
       wcet::SchemaAnalyzer analyzer(fn, models[static_cast<std::size_t>(t)]);
@@ -35,8 +32,7 @@ std::vector<TaskTiming> computeTaskTimings(const htg::TaskGraph& graph,
       // them from the first.
       if (t == 0) timing.sharedAccesses = result.sharedAccesses;
     }
-    timings[i] = std::move(timing);
-  });
+  }
   return timings;
 }
 

@@ -62,15 +62,11 @@ struct Schedule {
 };
 
 /// Computes TaskTiming for every task of `graph` on `platform` using the
-/// code-level WCET analyzer (one TimingModel per distinct tile). Tasks are
-/// independent, so with `parallelThreads != 1` they are analyzed on a
-/// transient thread team through the shared support::parallelFor layer;
-/// every task writes its own slot, so
-/// the table is bit-identical to the sequential run. 0 = one thread per
-/// hardware thread; pass 1 when calling from inside another pooled phase.
+/// code-level WCET analyzer (one TimingModel per tile), task by task on
+/// the calling thread.
+/// The `int` is ignored; ROADMAP item 2's benchmark-only change deletes it.
 [[nodiscard]] std::vector<TaskTiming> computeTaskTimings(
-    const htg::TaskGraph& graph, const adl::Platform& platform,
-    int parallelThreads = 1);
+    const htg::TaskGraph& graph, const adl::Platform& platform, int = 1);
 
 /// Worst-case communication cycles for edge `dep` when producer runs on
 /// `fromTile` and consumer on `toTile` (0 when co-located).

@@ -8,11 +8,10 @@ namespace argo::sched {
 
 using support::ToolchainError;
 
-Scheduler::Scheduler(const htg::TaskGraph& graph, const adl::Platform& platform,
-                     const SchedOptions& options)
+Scheduler::Scheduler(const htg::TaskGraph& graph, const adl::Platform& platform)
     : graph_(graph),
       platform_(platform),
-      timings_(computeTaskTimings(graph, platform, options.parallelThreads)),
+      timings_(computeTaskTimings(graph, platform)),
       succ_(graph.successors()),
       pred_(graph.predecessors()) {}
 

@@ -5,9 +5,8 @@
 // heuristics". The strategies themselves are SchedulingPolicy rows — a
 // name and a run function — selected by name (see sched/policy.h for the
 // built-ins and the registry); this facade owns what every policy shares
-// — the per-task timing tables (computed once, in parallel when allowed)
-// and the graph's dependence adjacency — and dispatches run() through the
-// registry.
+// — the per-task timing tables (computed once) and the graph's dependence
+// adjacency — and dispatches run() through the registry.
 #pragma once
 
 #include "sched/options.h"
@@ -20,12 +19,9 @@ namespace argo::sched {
 /// one (graph, platform) pair, then runs any policy against them.
 class Scheduler {
  public:
-  /// The per-task timing analysis runs at construction and is pooled per
-  /// `options.parallelThreads` (see computeTaskTimings) — the scheduler's
-  /// only pooled phase, since policies run on the calling thread. The
-  /// default keeps it inline.
-  Scheduler(const htg::TaskGraph& graph, const adl::Platform& platform,
-            const SchedOptions& options = {});
+  /// Runs the per-task timing analysis (computeTaskTimings) at
+  /// construction.
+  Scheduler(const htg::TaskGraph& graph, const adl::Platform& platform);
 
   /// Constructs with precomputed per-task timings instead of running the
   /// timing analysis. `timings` must be computeTaskTimings(graph,

@@ -6,15 +6,33 @@
 #include <exception>
 #include <mutex>
 #include <queue>
+#include <thread>
 
 #include "support/diagnostics.h"
 #include "support/metrics.h"
-#include "support/parallel.h"
 #include "support/trace.h"
 
 namespace argo::support {
 
 namespace {
+
+// Set while the current thread executes a node body, on a team thread or
+// on the calling thread; runTeam refuses to start a team while it is set.
+thread_local bool tlInNode = false;
+
+// Restores (not clears) the previous value, so a one-thread graph run
+// nested inside a node leaves the flag set for the rest of the enclosing
+// node, and a pooled run later in that node is still rejected.
+class NodeScope {
+ public:
+  NodeScope() noexcept : previous_(tlInNode) { tlInNode = true; }
+  ~NodeScope() { tlInNode = previous_; }
+  NodeScope(const NodeScope&) = delete;
+  NodeScope& operator=(const NodeScope&) = delete;
+
+ private:
+  bool previous_;
+};
 
 MetricCounter& nodesRunCounter() {
   static MetricCounter& counter =
@@ -35,6 +53,57 @@ MetricCounter& readyWaitCounter() {
 }
 
 }  // namespace
+
+unsigned effectiveParallelism(int threads, std::size_t n) {
+  unsigned resolved = threads > 0 ? static_cast<unsigned>(threads)
+                                  : std::thread::hardware_concurrency();
+  if (resolved == 0) resolved = 1;
+  if (n < resolved) resolved = static_cast<unsigned>(n);
+  return resolved == 0 ? 1u : resolved;
+}
+
+namespace detail {
+
+void runTeam(unsigned executors, const std::function<void()>& body) {
+  if (executors <= 1) {
+    body();
+    return;
+  }
+  if (tlInNode) {
+    throw ToolchainError(
+        "support::TaskGraph::run: nested pooled use from a parallel task; "
+        "inner phases must run with threads = 1");
+  }
+  // A member forwards an exception escaping `body` instead of ending the
+  // program, and the team is joined on every path, a failed spawn
+  // included. The caller is member 0, so one fewer thread is spawned.
+  std::vector<std::exception_ptr> errors(executors);
+  const auto member = [&](unsigned index) {
+    try {
+      body();
+    } catch (...) {
+      errors[index] = std::current_exception();
+    }
+  };
+  std::vector<std::thread> team;
+  team.reserve(executors - 1);
+  const auto joinTeam = [&team] {
+    for (std::thread& thread : team) thread.join();
+  };
+  try {
+    for (unsigned i = 1; i < executors; ++i) team.emplace_back(member, i);
+  } catch (...) {
+    joinTeam();
+    throw;
+  }
+  member(0);
+  joinTeam();
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+}
+
+}  // namespace detail
 
 TaskGraph::NodeId TaskGraph::addNode(std::string name,
                                      std::function<void()> fn) {
@@ -129,7 +198,7 @@ void TaskGraph::run(int threads) {
       bool failed = false;
       if (!skip) {
         nodesRunCounter().add();
-        detail::ParallelTaskScope scope;
+        NodeScope scope;
         TraceSpan span("graph", nodes_[id].name);
         try {
           nodes_[id].fn();
@@ -158,8 +227,7 @@ void TaskGraph::run(int threads) {
   // One drain loop per team member: the calling thread plus one transient
   // thread per extra member. A team of one runs on the calling thread
   // alone, and runTeam rejects a nested team of two or more.
-  detail::runTeam(effectiveParallelism(threads, n), "support::TaskGraph::run",
-                  drain);
+  detail::runTeam(effectiveParallelism(threads, n), drain);
 
   // A team of several may finish nodes out of id order, so the lowest
   // failing id is found after the run.

@@ -1,49 +1,43 @@
-// Deterministic dependency-graph job executor: the generalization of
-// support::parallelFor from an index space to a DAG of named nodes.
+// Deterministic dependency-graph job executor: the one place in the
+// tool-chain that starts threads.
 //
-// parallelFor models one phase of independent items with a barrier at the
-// end; a pipeline of dependent stages run that way pays a full rendezvous
-// after every stage even when item A's stage 3 is independent of item B's
-// stage 1. TaskGraph removes those barriers: callers declare nodes with
-// explicit edges on the *true* data dependences, and independent chains
-// overlap freely — a node starts the moment its last predecessor finishes,
-// on whichever team thread is free.
+// scenarios::runEval lays a batch out as a DAG — scenario generation,
+// per-cell stage prefixes, per-(cell, policy) units — and runs it here.
+// Callers declare nodes with explicit edges on the *true* data
+// dependences, and independent chains overlap freely: a node starts the
+// moment its last predecessor finishes, on whichever team thread is free.
+// Everything a node body calls (a whole core::Toolchain run included)
+// runs on that one thread.
 //
-// The contract mirrors parallelFor's determinism contract exactly (see
-// docs/ARCHITECTURE.md, "Determinism contract" and "Task-graph executor"):
+// The determinism contract (docs/ARCHITECTURE.md, "Determinism
+// contract"):
 //
 //  * Per-node output slots, ladder-order assembly. The executor never
 //    imposes an ordering on side effects; node bodies write into their own
 //    slots (captured by the node's closure) and the caller reduces the
 //    slots strictly in node-id order after run() returns. Node ids are
-//    assigned consecutively by addNode(), so "node-id order" is the same
-//    ladder order parallelFor callers reduce in — the result is
-//    bit-identical for any thread count and any completion interleaving.
+//    assigned consecutively by addNode(), so the result is bit-identical
+//    for any thread count and any completion interleaving.
 //  * Failure determinism. A node that throws marks every transitive
 //    successor as skipped (their bodies never run — their inputs are
 //    missing); every node with no failed ancestor still executes, even
 //    while unrelated nodes fail. When several nodes throw, the exception
-//    of the *lowest* node id propagates from run() — the graph analogue of
-//    parallelFor's lowest-failing-index rule. Which nodes run, which are
-//    skipped, and which exception surfaces are all independent of the
+//    of the *lowest* node id propagates from run(). Which nodes run, which
+//    are skipped, and which exception surfaces are all independent of the
 //    thread count and the interleaving.
 //  * Edges point forward. addEdge(from, to) requires from < to, so every
 //    graph is acyclic by construction and node-id order is a topological
 //    order; callers add each node after its predecessors.
-//  * No nested pools. run() with a resolved parallelism > 1 from inside a
-//    parallelFor task or another TaskGraph node throws, exactly like
-//    parallelFor; a resolved parallelism of 1 drains the graph on the
-//    calling thread and is always allowed. TaskGraph::run is the second
-//    sanctioned owner of the thread budget next to parallelFor
-//    (support/parallel.h); node bodies must run their inner phases with
-//    threads = 1.
+//  * No nested teams. run() with a resolved parallelism > 1 from inside
+//    another graph's node throws; a resolved parallelism of 1 drains the
+//    graph on the calling thread and is always allowed.
 //
 // Execution: run() seeds an indegree-countdown ready queue with the
-// sources and drains it on a transient thread team (support::detail::
-// runTeam: the calling thread plus N-1 std::threads, one drain loop
-// each; a team of one is the calling thread alone). Finishing a node
-// decrements each successor's pending count under the run's one mutex and
-// enqueues those that hit zero. The queue pops the lowest ready id first, so a
+// sources and drains it on a transient thread team (detail::runTeam: the
+// calling thread plus N-1 std::threads, one drain loop each; a team of
+// one is the calling thread alone). Finishing a node decrements each
+// successor's pending count under the run's one mutex and enqueues those
+// that hit zero. The queue pops the lowest ready id first, so a
 // one-thread run executes in node-id order.
 #pragma once
 
@@ -53,6 +47,11 @@
 #include <vector>
 
 namespace argo::support {
+
+/// Worker count for `n` independent items given a thread knob:
+/// `threads <= 0` means one per hardware thread, otherwise `threads`;
+/// never more than `n` and never less than 1.
+[[nodiscard]] unsigned effectiveParallelism(int threads, std::size_t n);
 
 class TaskGraph {
  public:
@@ -80,7 +79,7 @@ class TaskGraph {
   /// follows the effectiveParallelism() convention (0 = hardware threads,
   /// 1 = the calling thread alone, clamped to the node count). May be
   /// called repeatedly — per-run state is rebuilt each time. Throws
-  /// ToolchainError on a nested pooled run; otherwise rethrows the lowest
+  /// ToolchainError on a nested team; otherwise rethrows the lowest
   /// failing node id's exception after the run drains.
   void run(int threads);
 
@@ -94,5 +93,19 @@ class TaskGraph {
 
   std::vector<Node> nodes_;
 };
+
+namespace detail {
+
+/// Runs `body` on `executors` threads at once — the calling thread plus
+/// `executors - 1` transient std::threads — and returns once all of them
+/// have returned (the team is joined). `executors <= 1` calls `body`
+/// inline. A team of two or more started from inside a graph node throws
+/// ToolchainError before anything runs (the no-nested-teams check).
+/// TaskGraph::run catches per node, which is what keeps its failure
+/// contract deterministic; an exception that still escapes `body` is
+/// rethrown after the join (the lowest team member's first).
+void runTeam(unsigned executors, const std::function<void()>& body);
+
+}  // namespace detail
 
 }  // namespace argo::support

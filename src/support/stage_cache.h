@@ -8,12 +8,10 @@
 // Values are published as shared_ptr<const V>, so consumers can hold them
 // beyond the cache's own lifetime and no caller can mutate a shared slot.
 //
-// Deadlock-freedom under the pooled phases (support/parallel.h,
-// support/graph.h): the owning caller computes *inline* — it is by
-// definition a running thread, never a queued task — so waiters always
-// wait on a thread that is actively making progress. Compute closures
-// must follow the same no-nested-pools rule as any other code running
-// inside a pooled phase.
+// Deadlock-freedom under the batch graph (support/graph.h): the owning
+// caller computes *inline* — it is by definition a running thread, never
+// a queued task — so waiters always wait on a thread that is actively
+// making progress.
 //
 // Failure: if the compute closure throws, the error is published to the
 // waiters of that in-flight computation (they rethrow it), and the slot

@@ -4,7 +4,6 @@
 #include <queue>
 
 #include "support/diagnostics.h"
-#include "support/parallel.h"
 
 namespace argo::syswcet {
 
@@ -43,17 +42,14 @@ HbGraph buildHb(const par::ParallelProgram& program) {
   return hb;
 }
 
-}  // namespace
-
-std::vector<std::vector<bool>> mayHappenInParallel(
-    const par::ParallelProgram& program, int parallelThreads) {
-  const std::size_t n = program.graph->tasks.size();
-  const HbGraph hb = buildHb(program);
-  // reachable[i][j]: i happens-before j. Each source's traversal touches
-  // only its own row, so the rows are pool-parallel with no reduction
-  // needed (the matrix is the result, indexed by source).
+/// MHP matrix over `hb`: tasks i != j may happen in parallel iff neither
+/// reaches the other. One breadth-first traversal per source task fills
+/// that task's reachability row.
+std::vector<std::vector<bool>> mhpMatrix(const HbGraph& hb) {
+  const std::size_t n = hb.succ.size();
+  // reachable[i][j]: i happens-before j.
   std::vector<std::vector<bool>> reach(n, std::vector<bool>(n, false));
-  support::parallelFor(n, parallelThreads, [&](std::size_t i) {
+  for (std::size_t i = 0; i < n; ++i) {
     std::queue<int> frontier;
     frontier.push(static_cast<int>(i));
     while (!frontier.empty()) {
@@ -66,7 +62,7 @@ std::vector<std::vector<bool>> mayHappenInParallel(
         }
       }
     }
-  });
+  }
   std::vector<std::vector<bool>> mhp(n, std::vector<bool>(n, false));
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
@@ -76,10 +72,17 @@ std::vector<std::vector<bool>> mayHappenInParallel(
   return mhp;
 }
 
+}  // namespace
+
+std::vector<std::vector<bool>> mayHappenInParallel(
+    const par::ParallelProgram& program) {
+  return mhpMatrix(buildHb(program));
+}
+
 SystemWcet analyzeSystem(const par::ParallelProgram& program,
                          const adl::Platform& platform,
                          const std::vector<sched::TaskTiming>& timings,
-                         InterferenceMethod method, int parallelThreads) {
+                         InterferenceMethod method, int) {
   const std::size_t n = program.graph->tasks.size();
   if (timings.size() != n) {
     throw ToolchainError("system WCET: timing table size mismatch");
@@ -134,8 +137,7 @@ SystemWcet analyzeSystem(const par::ParallelProgram& program,
   // distinct other tile hosting an MHP task that itself uses the
   // interconnect.
   if (method == InterferenceMethod::MhpRefined) {
-    const std::vector<std::vector<bool>> mhp =
-        mayHappenInParallel(program, parallelThreads);
+    const std::vector<std::vector<bool>> mhp = mhpMatrix(hb);
     for (std::size_t i = 0; i < n; ++i) {
       if (timings[i].sharedAccesses == 0 && syncOps[i] == 0) continue;
       std::vector<bool> tileSeen(

@@ -64,23 +64,17 @@ struct SystemWcet {
 
 /// Computes the system-level WCET bound of an explicit parallel program.
 /// `timings` are the code-level results from sched::computeTaskTimings.
-/// `parallelThreads` parallelizes the MHP reachability rows on the shared
-/// pool (support::parallelFor); the bound is bit-identical for any thread
-/// count. 0 = one per hardware thread; keep the default 1 when calling
-/// from inside another pooled phase (pools do not nest).
+/// The trailing `int` is ignored; ROADMAP item 2's benchmark-only change
+/// deletes it.
 [[nodiscard]] SystemWcet analyzeSystem(
     const par::ParallelProgram& program, const adl::Platform& platform,
     const std::vector<sched::TaskTiming>& timings,
-    InterferenceMethod method = InterferenceMethod::MhpRefined,
-    int parallelThreads = 1);
+    InterferenceMethod method = InterferenceMethod::MhpRefined, int = 1);
 
 /// MHP matrix: result[i][j] is true when tasks i and j are unordered by
-/// happens-before (and i != j). Symmetric. Each task's reachable set is an
-/// independent traversal, so rows are computed on a transient thread team
-/// through the shared support::parallelFor layer when
-/// `parallelThreads != 1` (same convention as analyzeSystem); the matrix
-/// is identical for any thread count.
+/// happens-before (and i != j). Symmetric. analyzeSystem derives its
+/// contender counts from the same matrix.
 [[nodiscard]] std::vector<std::vector<bool>> mayHappenInParallel(
-    const par::ParallelProgram& program, int parallelThreads = 1);
+    const par::ParallelProgram& program);
 
 }  // namespace argo::syswcet

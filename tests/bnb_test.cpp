@@ -3,9 +3,9 @@
 // its node budget returns the recorded exact schedule, placement for
 // placement, whichever admissible bound prunes it (the goldens were
 // recorded under a weaker bound); a search that exhausts its budget
-// reproduces recorded goldens of its visit order; no result depends on
-// SchedOptions::parallelThreads, which the schedule cache key leaves out
-// (core/cache.h); the search-effort counters tally exactly the nodes
+// reproduces recorded goldens of its visit order; a search inside the
+// tool-chain gives the same report in pooled graph nodes as in a plain
+// call; the search-effort counters tally exactly the nodes
 // charged to the budget; and oversized graphs fall back to HEFT instead of
 // throwing. (Lower-case suite names keep `ctest -R bnb` selecting exactly
 // this file.)
@@ -22,6 +22,7 @@
 #include "scenarios/eval.h"
 #include "scenarios/generator.h"
 #include "scenarios/sweep.h"
+#include "support/graph.h"
 #include "support/metrics.h"
 
 namespace argo::sched {
@@ -103,24 +104,18 @@ void expectPlacements(const Schedule& s, Cycles makespan,
   }
 }
 
-/// Runs an exact search at parallelThreads 1, 2 and 0 and checks that each
-/// finishes within budget, is valid, and returns the recorded schedule.
-/// The goldens were recorded with the classic DFS under the critical-path
-/// and work bounds alone; a stronger admissible bound must not move them.
-void expectExactGolden(const Fixture& fx, SchedOptions options,
+/// Runs an exact search and checks that it finishes within budget, is
+/// valid, and returns the recorded schedule. The goldens were recorded
+/// with the classic DFS under the critical-path and work bounds alone; a
+/// stronger admissible bound must not move them.
+void expectExactGolden(const Fixture& fx, const SchedOptions& options,
                        Cycles makespan, const Placements& placements) {
   const Scheduler scheduler(fx.graph, fx.platform);
-  for (const int threads : {1, 2, 0}) {
-    const std::string what = "threads " + std::to_string(threads);
-    options.parallelThreads = threads;
-    const Schedule s = scheduler.run(options);
-    ASSERT_EQ(s.policy, "branch_and_bound") << what;
-    expectPlacements(s, makespan, placements, what);
-    EXPECT_TRUE(validateSchedule(s, fx.graph, fx.platform,
-                                 scheduler.timings())
-                    .empty())
-        << what;
-  }
+  const Schedule s = scheduler.run(options);
+  ASSERT_EQ(s.policy, "branch_and_bound");
+  expectPlacements(s, makespan, placements, "exact");
+  EXPECT_TRUE(
+      validateSchedule(s, fx.graph, fx.platform, scheduler.timings()).empty());
 }
 
 TEST(bnb_determinism, PooledSearchMatchesClassicForAllDepthsAndThreadCounts) {
@@ -163,10 +158,9 @@ TEST(bnb_determinism, EvalScenarioReportIsThreadCountInvariant) {
   // A budget-cut search inside the full tool-chain, the way argo_eval runs
   // it: seed-7 scenario 11 on its modulo sweep case. The schedule it
   // reports exhausts the 100k-node budget, so the report depends on
-  // exactly which nodes were visited — any thread-count dependence in the
-  // search would show here, and repeated runs give an
-  // interleaving-dependent one the chance to. The schedule cache key
-  // leaves parallelThreads out, so every run must agree.
+  // exactly which nodes were visited — any dependence on the thread that
+  // runs it would show here, and 40 runs in the nodes of a four-thread
+  // graph give an interleaving-dependent one the chance to.
   scenarios::GeneratorOptions generator;
   generator.seed = 7;
   const scenarios::Scenario scenario =
@@ -179,18 +173,20 @@ TEST(bnb_determinism, EvalScenarioReportIsThreadCountInvariant) {
 
   core::ToolchainOptions options = scenarios::defaultEvalToolchainOptions();
   options.sched.policy = "branch_and_bound";
-  options.sched.parallelThreads = 1;
-  const core::ToolchainResult result =
-      core::Toolchain(platformCase.platform, options).run(scenario.model);
+  const core::Toolchain toolchain(platformCase.platform, options);
+  const core::ToolchainResult result = toolchain.run(scenario.model);
   ASSERT_EQ(result.schedule.policy, "branch_and_bound(budget)");
   const std::string sequential = result.reportText(false);
-  options.sched.parallelThreads = 4;
-  for (int run = 0; run < 40; ++run) {
-    EXPECT_EQ(core::Toolchain(platformCase.platform, options)
-                  .run(scenario.model)
-                  .reportText(false),
-              sequential)
-        << "run " << run;
+  std::vector<std::string> pooled(40);
+  support::TaskGraph graph;
+  for (std::size_t run = 0; run < pooled.size(); ++run) {
+    graph.addNode("run", [&, run] {
+      pooled[run] = toolchain.run(scenario.model).reportText(false);
+    });
+  }
+  graph.run(4);
+  for (std::size_t run = 0; run < pooled.size(); ++run) {
+    EXPECT_EQ(pooled[run], sequential) << "run " << run;
   }
 }
 
@@ -213,7 +209,7 @@ TEST(bnb_determinism, NeverWorseThanHeftAtAnyDepth) {
 TEST(bnb_budget, ExhaustionIsAnnotatedAndFallsBackToTheSeed) {
   // A budget too small to expand anything: the search must hand back the
   // HEFT seed incumbent, flag the truncation in the policy label, and do
-  // so identically for any thread count (no subtree explores at all).
+  // so identically on every run (no subtree explores at all).
   Fixture fx;
   const Scheduler scheduler(fx.graph, fx.platform);
 
@@ -223,7 +219,6 @@ TEST(bnb_budget, ExhaustionIsAnnotatedAndFallsBackToTheSeed) {
 
   SchedOptions options = bnbOptions();
   options.bnbNodeBudget = 1;
-  options.parallelThreads = 1;
   const Schedule truncated = scheduler.run(options);
   EXPECT_EQ(truncated.policy, "branch_and_bound(budget)");
   EXPECT_EQ(truncated.makespan, seed.makespan);
@@ -231,8 +226,7 @@ TEST(bnb_budget, ExhaustionIsAnnotatedAndFallsBackToTheSeed) {
                                scheduler.timings())
                   .empty());
 
-  options.parallelThreads = 0;
-  expectSameSchedule(scheduler.run(options), truncated, "pooled truncation");
+  expectSameSchedule(scheduler.run(options), truncated, "repeated truncation");
 }
 
 /// The budget-path fixture: 8 tasks on a 2x2 NoC mesh with the
@@ -250,7 +244,6 @@ SchedOptions meshOptions(std::int64_t budget) {
   SchedOptions options = bnbOptions();
   options.interferenceAware = true;
   options.bnbNodeBudget = budget;
-  options.parallelThreads = 1;
   return options;
 }
 
@@ -260,8 +253,7 @@ TEST(bnb_budget, CutOffsReproduceTheRecordedVisitOrder) {
   // child order, bound filtering and budget charging. They were recorded
   // with the explicit-stack search under the critical-path and work
   // bounds; the ready-time bound keeps them, as a stronger admissible
-  // bound only skips nodes whose subtrees hold no improvement. They hold
-  // at every parallelThreads value.
+  // bound only skips nodes whose subtrees hold no improvement.
   struct Golden {
     std::int64_t budget;
     Cycles makespan;
@@ -280,20 +272,15 @@ TEST(bnb_budget, CutOffsReproduceTheRecordedVisitOrder) {
   };
   MeshFixture fx;
   const Scheduler scheduler(fx.graph, fx.platform);
-  for (const int threads : {1, 4, 0}) {
-    for (const Golden& g : goldens) {
-      const std::string what = "threads " + std::to_string(threads) +
-                               " budget " + std::to_string(g.budget);
-      SchedOptions options = meshOptions(g.budget);
-      options.parallelThreads = threads;
-      const Schedule s = scheduler.run(options);
-      EXPECT_EQ(s.policy, "branch_and_bound(budget)") << what;
-      expectPlacements(s, g.makespan, g.placements, what);
-      EXPECT_TRUE(validateSchedule(s, fx.graph, fx.platform,
-                                   scheduler.timings())
-                      .empty())
-          << what;
-    }
+  for (const Golden& g : goldens) {
+    const std::string what = "budget " + std::to_string(g.budget);
+    const Schedule s = scheduler.run(meshOptions(g.budget));
+    EXPECT_EQ(s.policy, "branch_and_bound(budget)") << what;
+    expectPlacements(s, g.makespan, g.placements, what);
+    EXPECT_TRUE(
+        validateSchedule(s, fx.graph, fx.platform, scheduler.timings())
+            .empty())
+        << what;
   }
 }
 

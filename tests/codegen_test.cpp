@@ -10,6 +10,7 @@
 #include "ir/builder.h"
 #include "sched/policy.h"
 #include "support/diagnostics.h"
+#include "support/graph.h"
 
 namespace argo {
 namespace {
@@ -216,23 +217,30 @@ TEST(CodegenDeterminism, EmissionIsBytePure) {
 }
 
 TEST(CodegenDeterminism, ByteIdenticalAcrossToolchainThreadCounts) {
-  // The emit step is downstream of the whole deterministic pipeline: a
-  // --threads 1 and a --threads 8 toolchain run must emit identical bytes.
-  auto runAndEmit = [](int threads) {
-    core::ToolchainOptions options;
-    options.explorationThreads = threads;
-    const core::Toolchain toolchain(adl::makeRecoreXentiumBus(4), options);
-    model::CompiledModel model;
-    model.fn = test::makeDiamondFn(16);
+  // The emit step is downstream of the whole deterministic pipeline: runs
+  // in the nodes of an eight-thread graph (as argo_eval --threads 8 runs
+  // them) must emit the bytes of a plain run.
+  const core::Toolchain toolchain(adl::makeRecoreXentiumBus(4),
+                                  core::ToolchainOptions{});
+  model::CompiledModel model;
+  model.fn = test::makeDiamondFn(16);
+  const auto runAndEmit = [&] {
     const core::ToolchainResult result = toolchain.run(model);
     return toolchain.emitC(result, diamondTrace(*result.fn));
   };
-  const codegen::Emission seq = runAndEmit(1);
-  const codegen::Emission pooled = runAndEmit(8);
-  ASSERT_EQ(seq.files.size(), pooled.files.size());
-  for (std::size_t k = 0; k < seq.files.size(); ++k) {
-    EXPECT_EQ(seq.files[k].contents, pooled.files[k].contents)
-        << seq.files[k].name;
+  const codegen::Emission seq = runAndEmit();
+  std::vector<codegen::Emission> pooled(8);
+  support::TaskGraph graph;
+  for (std::size_t k = 0; k < pooled.size(); ++k) {
+    graph.addNode("emit", [&, k] { pooled[k] = runAndEmit(); });
+  }
+  graph.run(8);
+  for (const codegen::Emission& emission : pooled) {
+    ASSERT_EQ(seq.files.size(), emission.files.size());
+    for (std::size_t k = 0; k < seq.files.size(); ++k) {
+      EXPECT_EQ(seq.files[k].contents, emission.files[k].contents)
+          << seq.files[k].name;
+    }
   }
 }
 

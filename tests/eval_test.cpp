@@ -103,8 +103,6 @@ std::vector<scenarios::PolicyOutcome> runUnitsAlone(
         toolchainOptions.sched.policy = policy;
         toolchainOptions.sched.interferenceAware =
             policy != "contention_oblivious";
-        toolchainOptions.explorationThreads = 1;
-        toolchainOptions.sched.parallelThreads = 1;
         const core::ToolchainResult result =
             core::Toolchain(platform, toolchainOptions).run(scenario.model);
 

@@ -1,13 +1,14 @@
-// Determinism regressions for the phases on support::parallelFor in
-// addition to the feedback exploration (see toolchain_parallel_test.cpp):
-// per-task timing analysis, MHP reachability and repeated simulator
-// trials. Every pooled run must be bit-identical to its sequential
-// counterpart — same tables, same schedules, same makespans. The annealed
-// policy runs its one chain on the calling thread, so its schedules must
-// not move with SchedOptions::parallelThreads either.
+// Re-entrancy of the tool-chain's phases under the batch graph: the
+// per-task timing analysis, scheduling, MHP reachability, the system
+// analysis and simulator trials each run concurrently in the nodes of a
+// pooled support::TaskGraph, as scenarios::runEval runs them, and every
+// copy must be bit-identical to a plain call on the calling thread — same
+// tables, same schedules, same makespans. (The whole tool-chain run is
+// covered by toolchain_parallel_test.cpp.)
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <string>
+#include <vector>
 
 #include "apps/polka.h"
 #include "core/toolchain.h"
@@ -16,7 +17,7 @@
 #include "ir/builder.h"
 #include "sched/scheduler.h"
 #include "sim/simulator.h"
-#include "support/parallel.h"
+#include "support/graph.h"
 #include "syswcet/system_wcet.h"
 
 namespace argo {
@@ -34,6 +35,20 @@ struct Fixture {
         graph(htg::expand(htg::buildHtg(*fn), htg::ExpandOptions{chunks})),
         platform(adl::makeRecoreXentiumBus(cores)) {}
 };
+
+/// Runs `fn` once in each of `copies` nodes of a graph executed on
+/// `threads`, and returns the copies' results in node order.
+template <typename Fn>
+auto inGraphNodes(int threads, std::size_t copies, const Fn& fn) {
+  std::vector<decltype(fn())> out(copies);
+  support::TaskGraph graph;
+  for (std::size_t k = 0; k < copies; ++k) {
+    graph.addNode("copy/" + std::to_string(k),
+                  [&out, &fn, k] { out[k] = fn(); });
+  }
+  graph.run(threads);
+  return out;
+}
 
 void expectSameSchedule(const sched::Schedule& a, const sched::Schedule& b) {
   // Per-field checks give readable diagnostics on failure ...
@@ -55,62 +70,67 @@ void expectSameSchedule(const sched::Schedule& a, const sched::Schedule& b) {
 
 TEST(ParallelTimings, PooledTableMatchesSequentialBitForBit) {
   Fixture fx;
-  const auto sequential = sched::computeTaskTimings(fx.graph, fx.platform, 1);
+  const auto sequential = sched::computeTaskTimings(fx.graph, fx.platform);
   for (int threads : {0, 2, 4, 16}) {
-    const auto pooled =
-        sched::computeTaskTimings(fx.graph, fx.platform, threads);
-    ASSERT_EQ(pooled.size(), sequential.size()) << "threads " << threads;
-    for (std::size_t i = 0; i < sequential.size(); ++i) {
-      EXPECT_EQ(pooled[i].wcetByTile, sequential[i].wcetByTile)
-          << "threads " << threads << " task " << i;
-      EXPECT_EQ(pooled[i].sharedAccesses, sequential[i].sharedAccesses)
-          << "threads " << threads << " task " << i;
+    const auto pooled = inGraphNodes(threads, 8, [&] {
+      return sched::computeTaskTimings(fx.graph, fx.platform);
+    });
+    for (std::size_t k = 0; k < pooled.size(); ++k) {
+      ASSERT_EQ(pooled[k].size(), sequential.size()) << "threads " << threads;
+      for (std::size_t i = 0; i < sequential.size(); ++i) {
+        EXPECT_EQ(pooled[k][i].wcetByTile, sequential[i].wcetByTile)
+            << "threads " << threads << " task " << i;
+        EXPECT_EQ(pooled[k][i].sharedAccesses, sequential[i].sharedAccesses)
+            << "threads " << threads << " task " << i;
+      }
     }
   }
 }
 
 TEST(ParallelTimings, SchedulerTimingThreadsDoNotChangeSchedules) {
-  // Timing parallelism comes from SchedOptions::parallelThreads (there is
-  // no separate ctor knob).
+  // Schedulers built in pooled graph nodes run their timing analysis
+  // there; the schedules equal one built on the calling thread.
   Fixture fx;
-  sched::SchedOptions seqKnobs;
-  seqKnobs.parallelThreads = 1;
-  sched::SchedOptions pooledKnobs;
-  pooledKnobs.parallelThreads = 4;
-  const sched::Scheduler sequential(fx.graph, fx.platform, seqKnobs);
-  const sched::Scheduler pooled(fx.graph, fx.platform, pooledKnobs);
-  sched::SchedOptions options;
-  expectSameSchedule(sequential.run(options), pooled.run(options));
+  const sched::SchedOptions options;
+  const sched::Schedule sequential =
+      sched::Scheduler(fx.graph, fx.platform).run(options);
+  for (const sched::Schedule& pooled : inGraphNodes(4, 8, [&] {
+         return sched::Scheduler(fx.graph, fx.platform).run(options);
+       })) {
+    expectSameSchedule(pooled, sequential);
+  }
 }
 
 TEST(ParallelAnneal, PooledRestartsMatchSequentialBitForBit) {
+  // One scheduler shared by concurrent graph nodes: the annealing chain
+  // reads only its inputs, so every node's schedule is the plain call's.
   Fixture fx;
   const sched::Scheduler scheduler(fx.graph, fx.platform);
   sched::SchedOptions options;
   options.policy = "annealed";
   options.saIterations = 400;
 
-  options.parallelThreads = 1;
   const sched::Schedule sequential = scheduler.run(options);
   for (int threads : {0, 2, 4, 16}) {
-    options.parallelThreads = threads;
-    expectSameSchedule(scheduler.run(options), sequential);
+    for (const sched::Schedule& pooled :
+         inGraphNodes(threads, 8, [&] { return scheduler.run(options); })) {
+      expectSameSchedule(pooled, sequential);
+    }
   }
 }
 
 TEST(ParallelAnneal, SingleRestartReproducesTheClassicChain) {
-  // Any thread count must equal the one-chain result: the chain is seeded
-  // with exactly the configured seed.
+  // The one chain is seeded with exactly the configured seed: a run in a
+  // pooled graph node reproduces it, and another seed moves it.
   Fixture fx;
   const sched::Scheduler scheduler(fx.graph, fx.platform);
   sched::SchedOptions options;
   options.policy = "annealed";
   options.saIterations = 400;
 
-  options.parallelThreads = 1;
   const sched::Schedule classic = scheduler.run(options);
-  options.parallelThreads = 4;
-  expectSameSchedule(scheduler.run(options), classic);
+  expectSameSchedule(
+      inGraphNodes(4, 2, [&] { return scheduler.run(options); })[1], classic);
 }
 
 class PolkaPipeline : public ::testing::Test {
@@ -120,10 +140,9 @@ class PolkaPipeline : public ::testing::Test {
     config.mosaicH = 16;
     config.mosaicW = 16;
     adl::Platform platform = adl::makeRecoreXentiumBus(4);
-    core::ToolchainOptions options;
-    options.explorationThreads = 1;
     result_ = new core::ToolchainResult(
-        core::Toolchain(platform, options).run(apps::buildPolkaDiagram(config)));
+        core::Toolchain(platform, core::ToolchainOptions{})
+            .run(apps::buildPolkaDiagram(config)));
     platform_ = new adl::Platform(std::move(platform));
   }
   static void TearDownTestSuite() {
@@ -141,39 +160,44 @@ core::ToolchainResult* PolkaPipeline::result_ = nullptr;
 adl::Platform* PolkaPipeline::platform_ = nullptr;
 
 TEST_F(PolkaPipeline, PooledMhpRowsMatchSequentialBitForBit) {
-  const auto sequential = syswcet::mayHappenInParallel(result_->program, 1);
+  const auto sequential = syswcet::mayHappenInParallel(result_->program);
   for (int threads : {0, 2, 4}) {
-    EXPECT_EQ(syswcet::mayHappenInParallel(result_->program, threads),
-              sequential)
-        << "threads " << threads;
+    for (const auto& pooled : inGraphNodes(threads, 4, [] {
+           return syswcet::mayHappenInParallel(result_->program);
+         })) {
+      EXPECT_EQ(pooled, sequential) << "threads " << threads;
+    }
   }
 }
 
 TEST_F(PolkaPipeline, PooledSystemAnalysisMatchesSequentialBitForBit) {
-  const syswcet::SystemWcet sequential =
-      syswcet::analyzeSystem(result_->program, *platform_, result_->timings,
-                             syswcet::InterferenceMethod::MhpRefined, 1);
-  const syswcet::SystemWcet pooled =
-      syswcet::analyzeSystem(result_->program, *platform_, result_->timings,
-                             syswcet::InterferenceMethod::MhpRefined, 4);
-  EXPECT_EQ(pooled.makespan, sequential.makespan);
-  ASSERT_EQ(pooled.tasks.size(), sequential.tasks.size());
-  for (std::size_t i = 0; i < sequential.tasks.size(); ++i) {
-    EXPECT_EQ(pooled.tasks[i].start, sequential.tasks[i].start) << i;
-    EXPECT_EQ(pooled.tasks[i].finish, sequential.tasks[i].finish) << i;
-    EXPECT_EQ(pooled.tasks[i].inflated, sequential.tasks[i].inflated) << i;
-    EXPECT_EQ(pooled.tasks[i].interference, sequential.tasks[i].interference)
-        << i;
-    EXPECT_EQ(pooled.tasks[i].contenders, sequential.tasks[i].contenders) << i;
+  const auto analyze = [] {
+    return syswcet::analyzeSystem(result_->program, *platform_,
+                                  result_->timings);
+  };
+  const syswcet::SystemWcet sequential = analyze();
+  for (const syswcet::SystemWcet& pooled : inGraphNodes(4, 4, analyze)) {
+    EXPECT_EQ(pooled.makespan, sequential.makespan);
+    ASSERT_EQ(pooled.tasks.size(), sequential.tasks.size());
+    for (std::size_t i = 0; i < sequential.tasks.size(); ++i) {
+      EXPECT_EQ(pooled.tasks[i].start, sequential.tasks[i].start) << i;
+      EXPECT_EQ(pooled.tasks[i].finish, sequential.tasks[i].finish) << i;
+      EXPECT_EQ(pooled.tasks[i].inflated, sequential.tasks[i].inflated) << i;
+      EXPECT_EQ(pooled.tasks[i].interference,
+                sequential.tasks[i].interference)
+          << i;
+      EXPECT_EQ(pooled.tasks[i].contenders, sequential.tasks[i].contenders)
+          << i;
+    }
+    EXPECT_TRUE(pooled == sequential);  // full field coverage
   }
-  EXPECT_TRUE(pooled == sequential);  // full field coverage
 }
 
 TEST_F(PolkaPipeline, PooledSimulatorTrialsMatchSequentialBitForBit) {
   // Independent simulator trials from the same zero environment, differing
-  // only in the input seed, run through support::parallelFor. Per-trial
-  // makespans must agree between one thread and four: Simulator::step is
-  // safe to call concurrently on one simulator.
+  // only in the input seed, one per graph node. Per-trial makespans must
+  // agree between one thread and four: Simulator::step is safe to call
+  // concurrently on one simulator.
   apps::PolkaConfig config;
   config.mosaicH = 16;
   config.mosaicW = 16;
@@ -182,20 +206,21 @@ TEST_F(PolkaPipeline, PooledSimulatorTrialsMatchSequentialBitForBit) {
   for (const auto& [name, value] : result_->constants) base[name] = value;
 
   constexpr std::size_t kTrials = 8;
-  const auto trial = [&](std::size_t t) {
-    ir::Environment env = base;
-    apps::setPolkaInputs(env, config,
-                         apps::makePolkaFrame(config, 1000 + t));
-    return simulator.step(env).makespan;
+  const auto trials = [&](int threads) {
+    std::vector<adl::Cycles> makespans(kTrials);
+    support::TaskGraph graph;
+    for (std::size_t t = 0; t < kTrials; ++t) {
+      graph.addNode("trial", [&, t] {
+        ir::Environment env = base;
+        apps::setPolkaInputs(env, config,
+                             apps::makePolkaFrame(config, 1000 + t));
+        makespans[t] = simulator.step(env).makespan;
+      });
+    }
+    graph.run(threads);
+    return makespans;
   };
-
-  std::vector<adl::Cycles> sequential(kTrials);
-  support::parallelFor(kTrials, 1,
-                       [&](std::size_t t) { sequential[t] = trial(t); });
-  std::vector<adl::Cycles> pooled(kTrials);
-  support::parallelFor(kTrials, 4,
-                       [&](std::size_t t) { pooled[t] = trial(t); });
-  EXPECT_EQ(pooled, sequential);
+  EXPECT_EQ(trials(4), trials(1));
 }
 
 }  // namespace

@@ -270,8 +270,7 @@ TEST(CacheKeys, ScheduleKeyIgnoresExecutionKnobsAndNames) {
   a.parallelThreads = 1;
   sched::SchedOptions b;
   b.parallelThreads = 8;
-  // parallelThreads selects how the bit-identical result is computed, not
-  // what it is — it must never split the cache.
+  // Nothing reads parallelThreads, so it must never split the cache.
   EXPECT_EQ(core::scheduleKey(tim, bus, a,
                               syswcet::InterferenceMethod::MhpRefined),
             core::scheduleKey(tim, bus, b,
@@ -289,7 +288,6 @@ core::ToolchainOptions fastToolchainOptions() {
   options.chunkCandidates = {1, 2};
   options.sched.saIterations = 200;
   options.sched.bnbNodeBudget = 10'000;
-  options.explorationThreads = 1;
   return options;
 }
 

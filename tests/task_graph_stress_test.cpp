@@ -1,8 +1,7 @@
 // support::TaskGraph under stress: seeded randomized DAGs (wide, deep and
 // skewed shapes) executed with 64-thread oversubscription, with repeat-run
-// determinism checks — the graph analogue of the parallelFor
-// oversubscription suites. The suite runs under ASan+UBSan and
-// TSan in CI (the tsan job's ctest filter matches the TaskGraph prefix).
+// determinism checks. The suite runs under ASan+UBSan and TSan in CI (the
+// tsan job's ctest filter matches the TaskGraph prefix).
 #include "support/graph.h"
 
 #include <gtest/gtest.h>

@@ -2,8 +2,8 @@
 // semantics (diamond, fan-out/fan-in, disconnected components, single
 // node), forward-only edges with the pinned diagnostic, the failure contract
 // (lowest node id wins, downstream skipped, independent nodes still run),
-// the no-nested-pools rule shared with parallelFor, and byte-identity of
-// ladder-order slot assembly across thread counts and repeated runs.
+// the no-nested-teams rule, and byte-identity of ladder-order slot
+// assembly across thread counts and repeated runs.
 #include "support/graph.h"
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "support/diagnostics.h"
-#include "support/parallel.h"
 
 namespace argo::support {
 namespace {
@@ -287,53 +286,48 @@ TEST(TaskGraphFailure, FanInWithOneFailedArmIsSkipped) {
   }
 }
 
-TEST(TaskGraphNesting, PooledRunInsideAParallelTaskIsRejected) {
-  // TaskGraph::run is a pool owner like parallelFor: requesting a pooled
-  // run from inside a parallelFor task (or another graph's node) throws;
-  // threads = 1 runs inline and is always allowed.
-  // The inner graphs carry two nodes each: parallelism is clamped to the
-  // node count, so a single-node graph would resolve to an (allowed)
-  // inline run no matter the knob.
-  std::atomic<int> inlineRuns{0};
-  EXPECT_THROW(parallelFor(4, 2,
-                           [&](std::size_t) {
-                             TaskGraph inner;
-                             inner.addNode("n0", [&] {
-                               inlineRuns.fetch_add(1);
-                             });
-                             inner.addNode("n1", [&] {
-                               inlineRuns.fetch_add(1);
-                             });
-                             inner.run(1);  // inline: allowed
-                             inner.run(4);  // pooled: must throw
-                           }),
-               ToolchainError);
-  EXPECT_EQ(inlineRuns.load(), 8);
+/// A graph of two nodes that each bump `runs`: two, because parallelism
+/// is clamped to the node count, so a single-node graph would resolve to
+/// an (allowed) inline run no matter the knob.
+void addTwoCountingNodes(TaskGraph& graph, std::atomic<int>& runs) {
+  graph.addNode("n0", [&runs] { runs.fetch_add(1); });
+  graph.addNode("n1", [&runs] { runs.fetch_add(1); });
+}
 
+TEST(TaskGraphNesting, PooledRunInsideAParallelTaskIsRejected) {
+  // Requesting a pooled run from inside another graph's node throws, on
+  // every team member; threads = 1 runs inline and is always allowed.
+  std::atomic<int> inlineRuns{0};
   TaskGraph outer;
-  outer.addNode("node", [] {
-    TaskGraph inner;
-    inner.addNode("n0", [] {});
-    inner.addNode("n1", [] {});
-    inner.run(8);
-  });
-  outer.addNode("peer", [] {});  // keeps the outer run pooled (n >= 2)
+  for (int node = 0; node < 4; ++node) {
+    outer.addNode("outer", [&] {
+      TaskGraph inner;
+      addTwoCountingNodes(inner, inlineRuns);
+      inner.run(1);  // inline: allowed
+      inner.run(4);  // pooled: must throw
+    });
+  }
   EXPECT_THROW(outer.run(2), ToolchainError);
+  EXPECT_EQ(inlineRuns.load(), 8);
 }
 
 TEST(TaskGraphNesting, NodeBodiesMayRunInlinePhasesButNotPooledOnes) {
   for (int threads : {1, 4}) {
     TaskGraph graph;
-    std::atomic<int> innerIterations{0};
+    std::atomic<int> innerRuns{0};
     graph.addNode("inline", [&] {
-      parallelFor(8, 1, [&](std::size_t) { innerIterations.fetch_add(1); });
+      TaskGraph inner;
+      addTwoCountingNodes(inner, innerRuns);
+      inner.run(1);
     });
     graph.addNode("pooled", [] {
-      parallelFor(8, 2, [](std::size_t) {});  // must throw in-node
+      TaskGraph inner;
+      inner.addNode("n0", [] {});
+      inner.addNode("n1", [] {});
+      inner.run(2);  // must throw in-node
     });
     EXPECT_THROW(graph.run(threads), ToolchainError) << "threads " << threads;
-    EXPECT_EQ(innerIterations.load(), 8) << "threads " << threads;
-    innerIterations = 0;
+    EXPECT_EQ(innerRuns.load(), 2) << "threads " << threads;
   }
 }
 

@@ -1,29 +1,44 @@
-// support::parallelFor: the shared deterministic-parallelism layer. Covers
-// the knob resolution, empty/single ranges, the failure contract (every
-// index runs; the lowest failing index's exception propagates, on both the
-// inline and the pooled path), the no-nested-pools rule, and the thread
-// team a pooled call runs on: its size, back-to-back team churn, and a
-// ProgramGenerator-driven stress test (pooled evaluation of random
-// programs must match sequential evaluation bit for bit).
-#include "support/parallel.h"
-
+// The thread team every multi-thread TaskGraph run starts
+// (support::detail::runTeam), and the index-range form of the graph: n
+// nodes without edges, node i running fn(i). Covers the knob resolution,
+// empty and single ranges, the failure contract on that form (every index
+// runs; the lowest failing index's exception propagates, on the inline and
+// the pooled path), the no-nested-teams rule, and the team itself: its
+// size, back-to-back team churn, and a ProgramGenerator-driven stress test
+// (pooled evaluation of random programs must match sequential evaluation
+// bit for bit). The ParallelFor suites keep the names of the index-range
+// helper the graph replaced; they check the same clauses on the graph.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "ir/evaluator.h"
 #include "support/diagnostics.h"
+#include "support/graph.h"
 #include "testutil.h"
 
 namespace argo::support {
 namespace {
+
+/// The index-range form of the graph: one node per index and no edges,
+/// run on `threads` (TaskGraph::run's convention).
+void forEachIndex(std::size_t n, int threads,
+                  const std::function<void(std::size_t)>& fn) {
+  TaskGraph graph;
+  for (std::size_t i = 0; i < n; ++i) {
+    graph.addNode("index/" + std::to_string(i), [&fn, i] { fn(i); });
+  }
+  graph.run(threads);
+}
 
 TEST(EffectiveParallelism, ResolvesKnobAndClampsToRange) {
   EXPECT_EQ(effectiveParallelism(4, 100), 4u);
@@ -36,8 +51,8 @@ TEST(EffectiveParallelism, ResolvesKnobAndClampsToRange) {
 
 TEST(ParallelFor, EmptyRangeIsANoOpOnBothPaths) {
   for (int threads : {1, 4}) {
-    parallelFor(0, threads,
-                [](std::size_t) { FAIL() << "must not be called"; });
+    forEachIndex(0, threads,
+                 [](std::size_t) { FAIL() << "must not be called"; });
   }
 }
 
@@ -45,7 +60,7 @@ TEST(ParallelFor, SingleElementRunsExactlyOnce) {
   for (int threads : {1, 8}) {
     int calls = 0;
     std::size_t seen = 99;
-    parallelFor(1, threads, [&](std::size_t i) {
+    forEachIndex(1, threads, [&](std::size_t i) {
       ++calls;
       seen = i;
     });
@@ -58,7 +73,7 @@ TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   constexpr std::size_t kN = 500;
   for (int threads : {1, 4}) {
     std::vector<std::atomic<int>> hits(kN);
-    parallelFor(kN, threads, [&](std::size_t i) { hits[i].fetch_add(1); });
+    forEachIndex(kN, threads, [&](std::size_t i) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < kN; ++i) {
       ASSERT_EQ(hits[i].load(), 1) << "threads " << threads << " index " << i;
     }
@@ -69,7 +84,7 @@ TEST(ParallelFor, LowestFailingIndexWinsOnBothPaths) {
   for (int threads : {1, 4}) {
     for (int run = 0; run < 5; ++run) {
       try {
-        parallelFor(64, threads, [](std::size_t i) {
+        forEachIndex(64, threads, [](std::size_t i) {
           if (i % 7 == 5) {  // lowest failing index is 5
             throw ToolchainError("boom at " + std::to_string(i));
           }
@@ -85,78 +100,83 @@ TEST(ParallelFor, LowestFailingIndexWinsOnBothPaths) {
 TEST(ParallelFor, FailureStillRunsEveryIndexOnBothPaths) {
   for (int threads : {1, 4}) {
     std::atomic<int> executed{0};
-    EXPECT_THROW(parallelFor(100, threads,
-                             [&](std::size_t i) {
-                               executed.fetch_add(1);
-                               if (i == 0) throw std::runtime_error("x");
-                             }),
+    EXPECT_THROW(forEachIndex(100, threads,
+                              [&](std::size_t i) {
+                                executed.fetch_add(1);
+                                if (i == 0) throw std::runtime_error("x");
+                              }),
                  std::runtime_error);
     EXPECT_EQ(executed.load(), 100) << "threads " << threads;
   }
 }
 
 TEST(ParallelFor, NestedPooledUseIsRejected) {
-  // A pooled inner loop inside any parallelFor task must throw — on a pool
-  // worker and on the helping caller thread alike. Every index fails the
-  // same way, and the lowest index's ToolchainError surfaces.
+  // A pooled inner run inside any node must throw — on a team thread and
+  // on the calling thread alike. Every index fails the same way, and the
+  // lowest index's ToolchainError surfaces.
   for (int outerThreads : {1, 4}) {
-    EXPECT_THROW(
-        parallelFor(8, outerThreads,
-                    [](std::size_t) {
-                      parallelFor(4, 2, [](std::size_t) {});
-                    }),
-        ToolchainError)
+    EXPECT_THROW(forEachIndex(8, outerThreads,
+                              [](std::size_t) {
+                                forEachIndex(4, 2, [](std::size_t) {});
+                              }),
+                 ToolchainError)
         << "outer threads " << outerThreads;
   }
 }
 
 TEST(ParallelFor, NestedInlineUseIsAllowed) {
-  // threads = 1 inner loops are plain loops; pooled outer phases rely on
-  // this to run their per-candidate sub-phases sequentially.
+  // A threads = 1 inner run drains on the node's own thread.
   std::atomic<int> total{0};
-  parallelFor(8, 4, [&](std::size_t) {
-    parallelFor(16, 1, [&](std::size_t) { total.fetch_add(1); });
+  forEachIndex(8, 4, [&](std::size_t) {
+    forEachIndex(16, 1, [&](std::size_t) { total.fetch_add(1); });
   });
   EXPECT_EQ(total.load(), 8 * 16);
 }
 
 TEST(ParallelFor, GuardSurvivesANestedInlineLoop) {
-  // Regression: the inner inline loop's task scopes must restore — not
-  // clear — the task flag, so a pooled request later in the same outer
-  // task body is still rejected and inParallelTask() stays true.
+  // Regression: the inner inline run's node scopes must restore — not
+  // clear — the in-node flag, so a pooled request later in the same outer
+  // node is still rejected.
   std::atomic<int> guardFired{0};
-  std::atomic<bool> flagHeld{true};
   for (int outerThreads : {1, 4}) {
     try {
-      parallelFor(4, outerThreads, [&](std::size_t) {
-        parallelFor(2, 1, [](std::size_t) {});
-        if (!inParallelTask()) flagHeld = false;
-        parallelFor(2, 2, [](std::size_t) {});  // must throw
+      forEachIndex(4, outerThreads, [&](std::size_t) {
+        forEachIndex(2, 1, [](std::size_t) {});
+        forEachIndex(2, 2, [](std::size_t) {});  // must throw
       });
     } catch (const ToolchainError&) {
       guardFired.fetch_add(1);
     }
   }
   EXPECT_EQ(guardFired.load(), 2);
-  EXPECT_TRUE(flagHeld.load());
 }
 
 TEST(ParallelFor, InParallelTaskFlagScopesToTaskBodies) {
-  EXPECT_FALSE(inParallelTask());
-  std::atomic<bool> sawFlag{true};
-  parallelFor(32, 4, [&](std::size_t) {
-    if (!inParallelTask()) sawFlag = false;
-  });
-  EXPECT_TRUE(sawFlag.load());
-  EXPECT_FALSE(inParallelTask());
+  // The in-node flag is set inside every node body, on every team member
+  // (a pooled inner run is rejected there), and clear outside them (the
+  // same pooled run is accepted before and after).
+  forEachIndex(2, 2, [](std::size_t) {});
+  std::atomic<int> rejected{0};
+  EXPECT_THROW(forEachIndex(32, 4,
+                            [&](std::size_t) {
+                              try {
+                                forEachIndex(2, 2, [](std::size_t) {});
+                              } catch (const ToolchainError&) {
+                                rejected.fetch_add(1);
+                                throw;
+                              }
+                            }),
+               ToolchainError);
+  EXPECT_EQ(rejected.load(), 32);
+  forEachIndex(2, 2, [](std::size_t) {});
 }
 
 TEST(ParallelFor, PooledUseFromAPlainThreadIsAllowedAfterATask) {
-  // The rejection flag must clear once a task body returns, so back-to-back
-  // phases on the same thread keep working.
-  parallelFor(4, 2, [](std::size_t) {});
+  // The rejection flag must clear once a node body returns, so back-to-back
+  // runs on the same thread keep working.
+  forEachIndex(4, 2, [](std::size_t) {});
   std::atomic<int> count{0};
-  parallelFor(4, 2, [&](std::size_t) { count.fetch_add(1); });
+  forEachIndex(4, 2, [&](std::size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 4);
 }
 
@@ -174,7 +194,7 @@ TEST(ParallelForOversubscribed, PerIndexResultsAreIdenticalAcrossRuns) {
   }
   for (int run = 0; run < 15; ++run) {
     std::vector<long> out(kN, -1);
-    parallelFor(kN, 64, [&](std::size_t i) {
+    forEachIndex(kN, 64, [&](std::size_t i) {
       out[i] = static_cast<long>(i * i);
     });
     EXPECT_EQ(out, expected) << "run " << run;
@@ -184,7 +204,7 @@ TEST(ParallelForOversubscribed, PerIndexResultsAreIdenticalAcrossRuns) {
 TEST(ParallelForOversubscribed, LowestFailingIndexWinsUnderContention) {
   for (int run = 0; run < 10; ++run) {
     try {
-      parallelFor(200, 64, [](std::size_t i) {
+      forEachIndex(200, 64, [](std::size_t i) {
         if (i >= 100) {  // half the range fails; 100 is the lowest
           throw ToolchainError("boom at " + std::to_string(i));
         }
@@ -197,27 +217,28 @@ TEST(ParallelForOversubscribed, LowestFailingIndexWinsUnderContention) {
 }
 
 TEST(ParallelForOversubscribed, NestedPoolRejectionHoldsOnEveryWorker) {
-  // All 64 task bodies attempt a pooled inner loop; each must be
+  // All 64 node bodies attempt a pooled inner run; each must be
   // rejected — contention must not let one slip through the guard.
   std::atomic<int> rejected{0};
-  EXPECT_THROW(parallelFor(64, 64,
-                           [&](std::size_t) {
-                             try {
-                               parallelFor(2, 2, [](std::size_t) {});
-                             } catch (const ToolchainError&) {
-                               rejected.fetch_add(1);
-                               throw;
-                             }
-                           }),
+  EXPECT_THROW(forEachIndex(64, 64,
+                            [&](std::size_t) {
+                              try {
+                                forEachIndex(2, 2, [](std::size_t) {});
+                              } catch (const ToolchainError&) {
+                                rejected.fetch_add(1);
+                                throw;
+                              }
+                            }),
                ToolchainError);
   EXPECT_EQ(rejected.load(), 64);
 }
 
 // ------------------------------------------------- Thread team
-// The `ThreadPool` suites cover the pool of threads a pooled call runs on:
-// detail::runTeam's team size, and parallelFor on teams that start and
-// join on every call — index coverage, the failure contract, team churn,
-// and generated programs — right-sized and oversubscribed.
+// The `ThreadPool` suites cover the team of threads a pooled graph run
+// starts: detail::runTeam's team size, and index-range graphs on teams
+// that start and join on every run — index coverage, the failure
+// contract, team churn, and generated programs — right-sized and
+// oversubscribed.
 
 TEST(ThreadPool, SizeDefaultsToAtLeastOne) {
   // A team of N runs its body once on each of N distinct threads, the
@@ -226,7 +247,7 @@ TEST(ThreadPool, SizeDefaultsToAtLeastOne) {
   const auto memberThreads = [](unsigned executors) {
     std::mutex mutex;
     std::vector<std::thread::id> ids;
-    detail::runTeam(executors, "test", [&] {
+    detail::runTeam(executors, [&] {
       const std::lock_guard<std::mutex> lock(mutex);
       ids.push_back(std::this_thread::get_id());
     });
@@ -245,14 +266,14 @@ TEST(ThreadPool, SizeDefaultsToAtLeastOne) {
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
   constexpr std::size_t kN = 1000;
   std::vector<std::atomic<int>> hits(kN);
-  parallelFor(kN, 4, [&](std::size_t i) { hits[i].fetch_add(1); });
+  forEachIndex(kN, 4, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (std::size_t i = 0; i < kN; ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
 }
 
 TEST(ThreadPool, ParallelForZeroIsANoOp) {
-  parallelFor(0, 2, [](std::size_t) { FAIL() << "must not be called"; });
+  forEachIndex(0, 2, [](std::size_t) { FAIL() << "must not be called"; });
 }
 
 TEST(ThreadPool, ParallelForRethrowsLowestFailingIndex) {
@@ -260,7 +281,7 @@ TEST(ThreadPool, ParallelForRethrowsLowestFailingIndex) {
   // lowest one no matter which member hit its failure first.
   for (int run = 0; run < 10; ++run) {
     try {
-      parallelFor(64, 4, [](std::size_t i) {
+      forEachIndex(64, 4, [](std::size_t i) {
         if (i % 7 == 3) {  // lowest failing index is 3
           throw ToolchainError("boom at " + std::to_string(i));
         }
@@ -274,22 +295,22 @@ TEST(ThreadPool, ParallelForRethrowsLowestFailingIndex) {
 
 TEST(ThreadPool, ParallelForFailureStillRunsAllIndices) {
   std::atomic<int> executed{0};
-  EXPECT_THROW(parallelFor(100, 4,
-                           [&](std::size_t i) {
-                             executed.fetch_add(1);
-                             if (i == 0) throw std::runtime_error("x");
-                           }),
+  EXPECT_THROW(forEachIndex(100, 4,
+                            [&](std::size_t i) {
+                              executed.fetch_add(1);
+                              if (i == 0) throw std::runtime_error("x");
+                            }),
                std::runtime_error);
   EXPECT_EQ(executed.load(), 100);
 }
 
 TEST(ThreadPool, PoolReuseAcrossManyRuns) {
-  // Every pooled call starts a fresh team and joins it before returning,
-  // so back-to-back calls must neither lose an index nor leak a thread
-  // into the next call.
+  // Every pooled run starts a fresh team and joins it before returning,
+  // so back-to-back runs must neither lose an index nor leak a thread
+  // into the next run.
   for (int run = 0; run < 50; ++run) {
     std::atomic<long> sum{0};
-    parallelFor(128, 4, [&](std::size_t i) {
+    forEachIndex(128, 4, [&](std::size_t i) {
       sum.fetch_add(static_cast<long>(i));
     });
     EXPECT_EQ(sum.load(), 128L * 127L / 2L) << "run " << run;
@@ -309,7 +330,7 @@ TEST(ThreadPool, StressRandomProgramsPooledMatchesSequential) {
   }
   const auto evaluateAll = [&](int threads) {
     std::vector<ir::Environment> out(kSeeds);
-    parallelFor(kSeeds, threads, [&](std::size_t i) {
+    forEachIndex(kSeeds, threads, [&](std::size_t i) {
       ir::Environment env = inputs[i];
       ir::Evaluator(*fns[i]).run(env);
       out[i] = std::move(env);
@@ -333,7 +354,7 @@ TEST(ThreadPoolOversubscribed, CoverageAndReductionStayExactAcrossRuns) {
   for (int run = 0; run < 20; ++run) {
     std::vector<std::atomic<int>> hits(512);
     std::atomic<long> sum{0};
-    parallelFor(512, 64, [&](std::size_t i) {
+    forEachIndex(512, 64, [&](std::size_t i) {
       hits[i].fetch_add(1);
       sum.fetch_add(static_cast<long>(i));
     });
@@ -347,7 +368,7 @@ TEST(ThreadPoolOversubscribed, CoverageAndReductionStayExactAcrossRuns) {
 TEST(ThreadPoolOversubscribed, LowestFailingIndexStillWins) {
   for (int run = 0; run < 10; ++run) {
     try {
-      parallelFor(256, 32, [](std::size_t i) {
+      forEachIndex(256, 32, [](std::size_t i) {
         if (i % 9 == 2) {  // lowest failing index is 2
           throw ToolchainError("boom at " + std::to_string(i));
         }
@@ -360,11 +381,11 @@ TEST(ThreadPoolOversubscribed, LowestFailingIndexStillWins) {
 }
 
 TEST(ThreadPoolOversubscribed, BackToBackPoolsConstructAndDrainCleanly) {
-  // Team churn: every call spins up a fresh 48-member team, runs one
+  // Team churn: every run spins up a fresh 48-member team, runs one
   // batch, and joins all of it.
   for (int run = 0; run < 50; ++run) {
     std::atomic<int> count{0};
-    parallelFor(100, 48, [&](std::size_t) { count.fetch_add(1); });
+    forEachIndex(100, 48, [&](std::size_t) { count.fetch_add(1); });
     ASSERT_EQ(count.load(), 100) << "run " << run;
   }
 }

@@ -1,13 +1,20 @@
-// Determinism regression for the parallel cross-layer feedback
-// exploration: evaluating the candidate ladder on a transient thread team
-// must be observationally identical to the sequential path — same chosen
-// candidate, same FeedbackPoint sequence, same report text.
+// A whole tool-chain run, feedback exploration included, inside the nodes
+// of a pooled support::TaskGraph — the way scenarios::runEval runs it —
+// must be observationally identical to a plain call: same chosen
+// candidate, same FeedbackPoint sequence, same report text. The run
+// starts no threads of its own, so default options are safe in a node.
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "apps/egpws.h"
 #include "apps/polka.h"
 #include "apps/weaa.h"
+#include "core/cache.h"
 #include "core/toolchain.h"
+#include "support/graph.h"
 
 namespace argo::core {
 namespace {
@@ -36,53 +43,64 @@ class ParallelExploreDeterminism
     : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ParallelExploreDeterminism, PooledMatchesSequentialBitForBit) {
+  // Default options in both nodes of a two-thread graph, each run on its
+  // own private cache, against a plain call.
   const model::Diagram diagram = buildApp(GetParam());
   const model::CompiledModel model = diagram.compile();
   const adl::Platform platform = adl::makeRecoreXentiumBus(4);
+  const Toolchain toolchain(platform, ToolchainOptions{});
 
-  ToolchainOptions sequentialOptions;
-  sequentialOptions.explorationThreads = 1;
-  const ToolchainResult sequential =
-      Toolchain(platform, sequentialOptions).run(model);
-
-  ToolchainOptions pooledOptions;
-  pooledOptions.explorationThreads = 4;
-  const ToolchainResult pooled =
-      Toolchain(platform, pooledOptions).run(model);
-
-  EXPECT_EQ(sequential.chosenChunks, pooled.chosenChunks);
-  EXPECT_EQ(sequential.system.makespan, pooled.system.makespan);
-  EXPECT_EQ(sequential.sequentialWcet, pooled.sequentialWcet);
-
-  ASSERT_EQ(sequential.feedback.size(), pooled.feedback.size());
-  for (std::size_t i = 0; i < sequential.feedback.size(); ++i) {
-    const FeedbackPoint& s = sequential.feedback[i];
-    const FeedbackPoint& p = pooled.feedback[i];
-    EXPECT_EQ(s.chunksPerLoop, p.chunksPerLoop) << "point " << i;
-    EXPECT_EQ(s.coreLimit, p.coreLimit) << "point " << i;
-    EXPECT_EQ(s.systemWcet, p.systemWcet) << "point " << i;
-    EXPECT_EQ(s.tasks, p.tasks) << "point " << i;
+  const ToolchainResult sequential = toolchain.run(model);
+  std::vector<ToolchainResult> pooled(2);
+  support::TaskGraph graph;
+  for (std::size_t k = 0; k < pooled.size(); ++k) {
+    graph.addNode("run", [&, k] { pooled[k] = toolchain.run(model); });
   }
+  graph.run(2);
 
-  // The full report (minus wall-clock stage timings) is bit-identical.
-  EXPECT_EQ(sequential.reportText(/*includeStageTimings=*/false),
-            pooled.reportText(/*includeStageTimings=*/false));
+  for (const ToolchainResult& p : pooled) {
+    EXPECT_EQ(sequential.chosenChunks, p.chosenChunks);
+    EXPECT_EQ(sequential.system.makespan, p.system.makespan);
+    EXPECT_EQ(sequential.sequentialWcet, p.sequentialWcet);
+
+    ASSERT_EQ(sequential.feedback.size(), p.feedback.size());
+    for (std::size_t i = 0; i < sequential.feedback.size(); ++i) {
+      const FeedbackPoint& s = sequential.feedback[i];
+      const FeedbackPoint& q = p.feedback[i];
+      EXPECT_EQ(s.chunksPerLoop, q.chunksPerLoop) << "point " << i;
+      EXPECT_EQ(s.coreLimit, q.coreLimit) << "point " << i;
+      EXPECT_EQ(s.systemWcet, q.systemWcet) << "point " << i;
+      EXPECT_EQ(s.tasks, q.tasks) << "point " << i;
+    }
+
+    // The full report (minus wall-clock stage timings) is bit-identical.
+    EXPECT_EQ(sequential.reportText(/*includeStageTimings=*/false),
+              p.reportText(/*includeStageTimings=*/false));
+  }
 }
 
 TEST_P(ParallelExploreDeterminism, OversubscribedPoolStillDeterministic) {
-  // More workers than candidates (and repeated runs) must not change the
-  // outcome either.
+  // Sixteen runs on a sixteen-thread graph sharing one stage cache, so
+  // most stages are computed by one run while the others wait for it or
+  // hit: every report still equals the plain call's.
   const model::Diagram diagram = buildApp(GetParam());
   const model::CompiledModel model = diagram.compile();
   const adl::Platform platform = adl::makeRecoreXentiumBus(4);
 
-  ToolchainOptions options;
-  options.explorationThreads = 16;
-  const Toolchain toolchain(platform, options);
-  const ToolchainResult first = toolchain.run(model);
-  const ToolchainResult second = toolchain.run(model);
-  EXPECT_EQ(first.chosenChunks, second.chosenChunks);
-  EXPECT_EQ(first.reportText(false), second.reportText(false));
+  const std::string sequential =
+      Toolchain(platform, ToolchainOptions{}).run(model).reportText(false);
+  ToolchainOptions shared;
+  shared.cache = std::make_shared<ToolchainCache>();
+  const Toolchain toolchain(platform, shared);
+  std::vector<std::string> reports(16);
+  support::TaskGraph graph;
+  for (std::size_t k = 0; k < reports.size(); ++k) {
+    graph.addNode("run", [&, k] {
+      reports[k] = toolchain.run(model).reportText(false);
+    });
+  }
+  graph.run(16);
+  for (const std::string& report : reports) EXPECT_EQ(report, sequential);
 }
 
 INSTANTIATE_TEST_SUITE_P(Apps, ParallelExploreDeterminism,
