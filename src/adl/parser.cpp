@@ -274,7 +274,11 @@ std::string toAdlText(const Platform& platform) {
   // Emit each distinct core model once.
   std::map<std::string, const CoreModel*> cores;
   for (const Tile& tile : platform.tiles()) {
-    cores.emplace(tile.core.name, &tile.core);
+    const auto [it, inserted] = cores.emplace(tile.core.name, &tile.core);
+    if (!inserted && *it->second != tile.core) {
+      throw ToolchainError("ADL: core name '" + tile.core.name +
+                           "' names two different core models");
+    }
   }
   for (const auto& [name, core] : cores) {
     os << "core " << name;

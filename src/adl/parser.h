@@ -19,7 +19,9 @@
 // once. parseAdl throws support::ToolchainError naming the line of any
 // malformed, out-of-range or repeated input (only a section missing
 // altogether is reported without one, as `ADL: missing ...`);
-// toAdlText(parseAdl(text)) round-trips.
+// toAdlText(parseAdl(text)) round-trips. ADL holds one model per core
+// name, so toAdlText throws support::ToolchainError, naming the name, for
+// a platform whose tiles give one name to two different core models.
 #pragma once
 
 #include <string>

@@ -53,6 +53,8 @@ struct CoreModel {
     return opCycles[static_cast<std::size_t>(op)];
   }
 
+  bool operator==(const CoreModel&) const = default;
+
   /// Recore Xentium-like VLIW DSP: cheap fixed-point, strong MAC.
   [[nodiscard]] static CoreModel xentiumDsp();
   /// Gaisler Leon3-like in-order RISC core.

@@ -310,9 +310,19 @@ std::string Lowerer::lowerStmt(const ir::Stmt& stmt, int indent) {
                              loop.var() + "'");
       }
       const std::string v = "L_" + sanitizeIdent(loop.var());
+      std::string increment = v + " += 1";
+      if (loop.step() != 1) {
+        // The last index plus a larger step may leave int64, so the
+        // increment jumps from the last index straight to the upper bound.
+        const std::uint64_t n = loop.iterations();
+        increment = v + " = " + v + " < " +
+                    intLiteral(loop.valueAt(n == 0 ? 0 : n - 1)) + " ? " + v +
+                    " + " + std::to_string(loop.step()) + " : " +
+                    intLiteral(loop.upper());
+      }
       out += pad + "for (int64_t " + v + " = " + intLiteral(loop.lower()) +
-             "; " + v + " < " + intLiteral(loop.upper()) + "; " + v +
-             " += " + std::to_string(loop.step()) + ") {\n";
+             "; " + v + " < " + intLiteral(loop.upper()) + "; " + increment +
+             ") {\n";
       loopVars_.insert(loop.var());
       for (const ir::StmtPtr& s : loop.body().stmts()) {
         out += lowerStmt(*s, indent + 1);

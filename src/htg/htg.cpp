@@ -173,28 +173,31 @@ TaskGraph expand(const Htg& htg, const ExpandOptions& options) {
       continue;
     }
     lastGroup = -1;
-    // Split the parallel loop's iteration range into near-equal chunks.
+    // Split the parallel loop's iterations into near-equal chunks. Chunk c
+    // runs iterations [first, next): it starts at that iteration's index
+    // and ends at the next chunk's first index, the last chunk at the
+    // loop's own upper bound.
     const ir::For& loop = *node.loop;
-    const std::int64_t trip = loop.tripCount();
-    const int chunks =
-        static_cast<int>(std::min<std::int64_t>(options.chunksPerLoop, trip));
-    std::int64_t chunkStart = loop.lower();
-    for (int c = 0; c < chunks; ++c) {
-      const std::int64_t iterations =
-          trip / chunks + (c < trip % chunks ? 1 : 0);
-      const std::int64_t chunkEnd = chunkStart + iterations * loop.step();
+    const std::uint64_t trip = loop.iterations();
+    const std::uint64_t chunks = std::min<std::uint64_t>(
+        static_cast<std::uint64_t>(options.chunksPerLoop), trip);
+    std::uint64_t first = 0;
+    for (std::uint64_t c = 0; c < chunks; ++c) {
+      const std::uint64_t next =
+          first + trip / chunks + (c < trip % chunks ? 1 : 0);
       ir::StmtPtr cloned = loop.clone();
       auto& clonedLoop = ir::cast<ir::For>(*cloned);
-      clonedLoop.setBounds(chunkStart, std::min(chunkEnd, loop.upper()));
-      chunkStart = chunkEnd;
+      clonedLoop.setBounds(loop.valueAt(first),
+                           next == trip ? loop.upper() : loop.valueAt(next));
+      first = next;
 
       Task task;
       task.id = static_cast<int>(graph.tasks.size());
       task.name = node.name + "#" + std::to_string(c);
       task.stmts.push_back(std::move(cloned));
       task.htgNode = node.id;
-      task.chunkIndex = c;
-      task.chunkCount = chunks;
+      task.chunkIndex = static_cast<int>(c);
+      task.chunkCount = static_cast<int>(chunks);
       task.usage = node.usage;
       taskOf[static_cast<std::size_t>(node.id)].push_back(task.id);
       graph.tasks.push_back(std::move(task));

@@ -167,8 +167,9 @@ class Interp {
     if (loopVars_.contains(loop.var())) {
       throw ToolchainError("nested reuse of loop variable '" + loop.var() + "'");
     }
-    for (std::int64_t v = loop.lower(); v < loop.upper(); v += loop.step()) {
-      loopVars_[loop.var()] = v;
+    const std::uint64_t iterations = loop.iterations();
+    for (std::uint64_t k = 0; k < iterations; ++k) {
+      loopVars_[loop.var()] = loop.valueAt(k);
       meterOp(OpClass::LoopStep);
       execBlock(loop.body());
     }

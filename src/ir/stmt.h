@@ -122,6 +122,14 @@ class For final : public Stmt {
     return (span - 1) / static_cast<std::uint64_t>(step_) + 1;
   }
 
+  /// The loop variable in iteration `k` (k < iterations()): lower + k *
+  /// step, computed on the unsigned span, so no value past the last index
+  /// is ever formed.
+  [[nodiscard]] std::int64_t valueAt(std::uint64_t k) const noexcept {
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(lower_) +
+                                     k * static_cast<std::uint64_t>(step_));
+  }
+
   /// iterations() as an int64: exact on every loop ir::validate accepts,
   /// INT64_MAX on a longer one.
   [[nodiscard]] std::int64_t tripCount() const noexcept {

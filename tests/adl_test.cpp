@@ -194,6 +194,26 @@ TEST(AdlParser, RoundTripsNocPlatform) {
             original.sharedAccessWorstCase(15, 3));
 }
 
+TEST(AdlParser, ToAdlTextRejectsTwoCoreModelsSharingAName) {
+  // ADL holds one `core NAME` line per name, so two different models under
+  // one name cannot be written without losing one of them.
+  const Platform bus = makeRecoreXentiumBus(2);
+  std::vector<Tile> tiles = bus.tiles();
+  for (Tile& tile : tiles) tile.core.name = "generic";
+  const Platform same("same", tiles, bus.bus(), bus.sharedMemBytes());
+  EXPECT_EQ(parseAdl(toAdlText(same)).canonicalText(), same.canonicalText());
+
+  tiles[1].core.opCycles[static_cast<std::size_t>(ir::OpClass::IntMul)] = 6;
+  const Platform shared("shared", tiles, bus.bus(), bus.sharedMemBytes());
+  try {
+    (void)toAdlText(shared);
+    FAIL() << "expected ToolchainError";
+  } catch (const support::ToolchainError& e) {
+    EXPECT_STREQ(e.what(),
+                 "ADL: core name 'generic' names two different core models");
+  }
+}
+
 TEST(AdlParser, AcceptsCommentsAndBlanks) {
   const Platform p = parseAdl(
       "# a demo platform\n"

@@ -18,12 +18,15 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
 #include "apps/registry.h"
 #include "codegen/codegen.h"
 #include "core/toolchain.h"
+#include "ir/builder.h"
+#include "ir/evaluator.h"
 #include "model/blocks.h"
 #include "model/scilab.h"
 #include "scenarios/eval.h"
@@ -257,6 +260,54 @@ TEST(CodegenDiffLiterals, Int64MinLiteralCompilesAndMatches) {
   }
   EXPECT_TRUE(spelled);
   expectDifferentialMatch(toolchain, result, trace, "int64_min");
+}
+
+// Two loops whose last index lies within their step of INT64_MAX, so the
+// index after the last would leave int64: `i` runs INT64_MAX-3 and
+// INT64_MAX-1 with an empty body, which HTG expansion splits into chunks;
+// `j` runs INT64_MAX-4 and INT64_MAX-1 and counts its iterations. The
+// evaluator, the chunk bounds and the emitted increment must all stop at
+// the last index.
+TEST(CodegenDiffLoops, StrideEndingNearInt64MaxMatches) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  auto fn = std::make_unique<ir::Function>("near_max");
+  fn->declare("u", ir::Type::float64(), ir::VarRole::Input);
+  fn->declare("y", ir::Type::float64(), ir::VarRole::Output);
+  fn->declare("n", ir::Type::int32(), ir::VarRole::Output);
+  fn->declare("offset", ir::Type::int32(), ir::VarRole::Output);
+  fn->body().append(ir::assign(ir::ref("y"), ir::var("u")));
+  fn->body().append(ir::forLoop("i", kMax - 3, kMax, ir::block(), 2));
+  auto body = ir::block();
+  body->append(ir::assign(ir::ref("n"), ir::add(ir::var("n"), ir::lit(1))));
+  body->append(ir::assign(ir::ref("offset"),
+                          ir::sub(ir::var("j"), ir::lit(kMax - 4))));
+  fn->body().append(ir::forLoop("j", kMax - 4, kMax, std::move(body), 3));
+  ASSERT_TRUE(ir::validate(*fn).empty());
+
+  ir::Environment env = ir::makeZeroEnvironment(*fn);
+  ir::Evaluator(*fn).run(env);
+  EXPECT_EQ(env.at("n").getInt(), 2);
+  EXPECT_EQ(env.at("offset").getInt(), 3);  // j = INT64_MAX-1 last
+
+  model::CompiledModel model;
+  model.fn = std::move(fn);
+  const core::Toolchain toolchain(adl::makeRecoreXentiumBus(2),
+                                  core::ToolchainOptions{});
+  const core::ToolchainResult result = toolchain.run(model);
+  bool split = false;
+  for (const core::FeedbackPoint& point : result.feedback) {
+    split = split || point.chunksPerLoop == 2;
+  }
+  EXPECT_TRUE(split);
+  const codegen::InputTrace trace = randomTrace(*result.fn, 1, 2);
+  bool spelled = false;
+  for (const codegen::SourceFile& file : toolchain.emitC(result, trace).files) {
+    spelled = spelled ||
+              file.contents.find("L_j = L_j < 9223372036854775806 ? L_j + 3 "
+                                 ": 9223372036854775807") != std::string::npos;
+  }
+  EXPECT_TRUE(spelled);
+  expectDifferentialMatch(toolchain, result, trace, "near_max");
 }
 
 }  // namespace
