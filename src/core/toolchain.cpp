@@ -227,16 +227,14 @@ ToolchainResult Toolchain::run(const model::CompiledModel& model) const {
   });
 
   // ---- Cross-layer feedback: schedule each candidate, measure its
-  // system-level WCET, keep the best (Section II-E). Every candidate is
-  // evaluated in ladder order; the reduction below keeps the first
-  // minimum (strict `<`), and every cached stage is a pure function of its
-  // keyed inputs, so the chosen candidate, the FeedbackPoint sequence and
-  // the report do not depend on the cache. ----
-  struct PlanEval {
-    std::shared_ptr<const std::vector<sched::TaskTiming>> timings;
-    std::shared_ptr<const ScheduleStage> outcome;
-  };
-  std::vector<PlanEval> evals(plans.size());
+  // system-level WCET, keep the best (Section II-E). Candidates are
+  // evaluated in ladder order and the first minimum wins (strict `<`);
+  // every cached stage is a pure function of its keyed inputs, so the
+  // chosen candidate, the FeedbackPoint sequence and the report do not
+  // depend on the cache. ----
+  std::size_t best = 0;
+  std::shared_ptr<const std::vector<sched::TaskTiming>> bestTimings;
+  std::shared_ptr<const ScheduleStage> bestOutcome;
   clock.time("schedule_and_system_wcet", [&] {
     for (std::size_t i = 0; i < plans.size(); ++i) {
       const htg::TaskGraph& graph = *expansions[i].stage->graph;
@@ -247,12 +245,12 @@ ToolchainResult Toolchain::run(const model::CompiledModel& model) const {
       if (plans[i].coreLimit > 0) schedOptions.coreLimit = plans[i].coreLimit;
       const support::StageKey timKey =
           timingsKey(expansions[i].key, platform_);
-      PlanEval& eval = evals[i];
-      eval.timings = prefix.timings(timKey, graph);
-      eval.outcome = cache.getSchedules(
+      std::shared_ptr<const std::vector<sched::TaskTiming>> timings =
+          prefix.timings(timKey, graph);
+      std::shared_ptr<const ScheduleStage> outcome = cache.getSchedules(
           scheduleKey(timKey, platform_, schedOptions, options_.interference),
           [&] {
-            const sched::Scheduler scheduler(graph, platform_, *eval.timings);
+            const sched::Scheduler scheduler(graph, platform_, *timings);
             ScheduleStage stage;
             stage.schedule = scheduler.run(schedOptions);
             const par::ParallelProgram program =
@@ -261,22 +259,21 @@ ToolchainResult Toolchain::run(const model::CompiledModel& model) const {
                 program, platform_, scheduler.timings(), options_.interference);
             return stage;
           });
+      const Cycles makespan = outcome->system.makespan;
+      result.feedback.push_back(
+          FeedbackPoint{plans[i].chunks, plans[i].coreLimit, makespan,
+                        static_cast<int>(graph.tasks.size())});
+      if (bestOutcome == nullptr || makespan < bestOutcome->system.makespan) {
+        best = i;
+        bestTimings = std::move(timings);
+        bestOutcome = std::move(outcome);
+      }
     }
   });
-
-  // Ladder-order reduction: strict `<`, first minimum wins.
-  std::size_t best = 0;
-  for (std::size_t i = 0; i < plans.size(); ++i) {
-    const Cycles makespan = evals[i].outcome->system.makespan;
-    result.feedback.push_back(FeedbackPoint{
-        plans[i].chunks, plans[i].coreLimit, makespan,
-        static_cast<int>(expansions[i].stage->graph->tasks.size())});
-    if (makespan < evals[best].outcome->system.makespan) best = i;
-  }
   result.chosenChunks = plans[best].chunks;
-  result.timings = *evals[best].timings;
-  result.schedule = evals[best].outcome->schedule;
-  result.system = evals[best].outcome->system;
+  result.timings = *bestTimings;
+  result.schedule = bestOutcome->schedule;
+  result.system = bestOutcome->system;
 
   // ---- The result shares the winner's graph and the function it points
   // at (the expansion's own source, so graph->fn == fn always holds). ----

@@ -34,7 +34,7 @@
 //
 // Execution: run() seeds an indegree-countdown ready queue with the
 // sources and drains it on a transient thread team (detail::runTeam: the
-// calling thread plus N-1 std::threads, one drain loop each; a team of
+// calling thread plus N-1 spawned threads, one drain loop each; a team of
 // one is the calling thread alone). Finishing a node decrements each
 // successor's pending count under the run's one mutex and enqueues those
 // that hit zero. The queue pops the lowest ready id first, so a
@@ -97,7 +97,7 @@ class TaskGraph {
 namespace detail {
 
 /// Runs `body` on `executors` threads at once — the calling thread plus
-/// `executors - 1` transient std::threads — and returns once all of them
+/// `executors - 1` spawned threads — and returns once all of them
 /// have returned (the team is joined). `executors <= 1` calls `body`
 /// inline. A team of two or more started from inside a graph node throws
 /// ToolchainError before anything runs (the no-nested-teams check).
