@@ -120,8 +120,8 @@ TEST(ParallelAnneal, PooledRestartsMatchSequentialBitForBit) {
 }
 
 TEST(ParallelAnneal, SingleRestartReproducesTheClassicChain) {
-  // The one chain is seeded with exactly the configured seed: a run in a
-  // pooled graph node reproduces it, and another seed moves it.
+  // The one chain is seeded with exactly the configured seed, so a run in
+  // a pooled graph node reproduces the calling thread's chain.
   Fixture fx;
   const sched::Scheduler scheduler(fx.graph, fx.platform);
   sched::SchedOptions options;
