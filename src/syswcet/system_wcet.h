@@ -64,8 +64,7 @@ struct SystemWcet {
 
 /// Computes the system-level WCET bound of an explicit parallel program.
 /// `timings` are the code-level results from sched::computeTaskTimings.
-/// The trailing `int` is ignored; ROADMAP item 2's benchmark-only change
-/// deletes it.
+/// The `int` is ignored; ROADMAP item 2's benchmark-only change deletes it.
 [[nodiscard]] SystemWcet analyzeSystem(
     const par::ParallelProgram& program, const adl::Platform& platform,
     const std::vector<sched::TaskTiming>& timings,
